@@ -13,16 +13,16 @@ an interrupted run leaves only a clearly incomplete ``*.tmp`` file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from . import formats, kernels, metrics, schema
+from . import formats, metrics, schema
 from .errors import InvalidConfigError, InvalidRecordError, PipelineError, RecordIOError
 from .geometry import (
     DEFAULT_MAX_TILES,
@@ -205,6 +205,8 @@ def cmd_convert(args) -> int:
     if workers == 1:
         converted = [_convert_one(*job) for job in jobs]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         # Executor.map preserves submission order, keeping output order
         # equal to input order regardless of worker scheduling.
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -244,7 +246,7 @@ def cmd_validate(args) -> int:
         handle = _open_in(args.path)
     except OSError as exc:
         raise RecordIOError(f"cannot read {args.path}: {exc}") from exc
-    with handle if handle is not sys.stdin else _nullcontext(handle) as lines:
+    with handle if handle is not sys.stdin else contextlib.nullcontext(handle) as lines:
         for number, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
@@ -257,19 +259,6 @@ def cmd_validate(args) -> int:
                 _print_json({"line": number, "error": str(exc)})
     _print_json({"checked": checked, "errors": errors})
     return 0 if errors == 0 else 1
-
-
-class _nullcontext:
-    """Context manager that leaves stdin open."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __enter__(self):
-        return self.value
-
-    def __exit__(self, *exc):
-        return False
 
 
 def _record_plans(env: schema.Envelope, cfg_args) -> list[TilePlan]:
@@ -340,7 +329,7 @@ def _load_json_lines(path: str) -> list[dict]:
         handle = _open_in(path)
     except OSError as exc:
         raise RecordIOError(f"cannot read {path}: {exc}") from exc
-    with handle if handle is not sys.stdin else _nullcontext(handle) as lines:
+    with handle if handle is not sys.stdin else contextlib.nullcontext(handle) as lines:
         for number, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
@@ -442,6 +431,8 @@ def cmd_plan_tiles(args) -> int:
 
 
 def cmd_validate_kernels(args) -> int:
+    from . import kernels  # numpy loads only for this command
+
     results = kernels.self_check(seed=args.seed, gradient_trials=args.gradient_trials)
     for result in results:
         status = "PASS" if result.passed else "FAIL"

@@ -19,9 +19,7 @@ import re
 import string
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import InvalidRecordError, OutOfBoundsError, ShapeError, TokenParseError
+from .errors import InvalidRecordError, OutOfBoundsError, TokenParseError
 from .geometry import (
     ImageDims,
     NormalizedBox,
@@ -374,33 +372,6 @@ def convert_region(
         ),
     )
     return sample, overlay
-
-
-def render_overlay(image: np.ndarray, spec: OverlaySpec) -> np.ndarray:
-    """Stroke a rectangle outline onto a copy of an (H, W, 3) image.
-
-    Pixel coordinates are inclusive on both corners, clamped to the image,
-    and the stroke grows inward so the band never leaves the box.  A zero
-    stroke width returns an untouched copy.
-    """
-    arr = np.asarray(image)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ShapeError(f"overlay target must be (h, w, 3), got shape {arr.shape}")
-    height, width = arr.shape[:2]
-    ensure_box_within(spec.box, ImageDims(width, height))
-    out = arr.copy()
-    if spec.stroke_width == 0:
-        return out
-    x1, y1 = int(spec.box.x1), int(spec.box.y1)
-    x2 = min(int(spec.box.x2), width - 1)
-    y2 = min(int(spec.box.y2), height - 1)
-    w = spec.stroke_width
-    color = np.asarray(spec.color, dtype=out.dtype)
-    out[y1 : min(y1 + w, y2 + 1), x1 : x2 + 1] = color
-    out[max(y2 + 1 - w, y1) : y2 + 1, x1 : x2 + 1] = color
-    out[y1 : y2 + 1, x1 : min(x1 + w, x2 + 1)] = color
-    out[y1 : y2 + 1, max(x2 + 1 - w, x1) : x2 + 1] = color
-    return out
 
 
 def _render_ctag(tag: CTag, dims: ImageDims, record_id: str | None) -> str:

@@ -12,6 +12,7 @@ All functions here are pure; the optional ``counters`` mapping passed to
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, MutableMapping, Sequence
@@ -149,7 +150,15 @@ class MultiViewLayout:
     canvas: ImageDims
 
 
-def _candidate_grids(min_tiles: int, max_tiles: int) -> list[tuple[int, int]]:
+@functools.lru_cache(maxsize=8)
+def _candidate_grids(min_tiles: int, max_tiles: int) -> tuple[tuple[int, int, float, float], ...]:
+    """Candidate ``(cols, rows, aspect, half_canvas_area)`` rows in scan order.
+
+    The table depends only on the tile bounds, so it is built once per pair;
+    a run uses one pair, and the small cache bound keeps a caller sweeping
+    many pairs from holding every table.  ``aspect`` and ``half_canvas_area``
+    are the exact float expressions the selection rule compares against.
+    """
     grids: list[tuple[int, int]] = []
     for cols in range(1, max_tiles + 1):
         for rows in range(1, max_tiles // cols + 1):
@@ -157,7 +166,9 @@ def _candidate_grids(min_tiles: int, max_tiles: int) -> list[tuple[int, int]]:
                 grids.append((cols, rows))
     # Scan order is pinned: ascending tile count, then ascending cols.
     grids.sort(key=lambda grid: (grid[0] * grid[1], grid[0]))
-    return grids
+    return tuple(
+        (cols, rows, cols / rows, 0.5 * TILE_SIZE * TILE_SIZE * cols * rows) for cols, rows in grids
+    )
 
 
 def plan_tiles(
@@ -180,14 +191,15 @@ def plan_tiles(
         raise InvalidConfigError(f"min_tiles={min_tiles} exceeds max_tiles={max_tiles}")
 
     aspect = dims.aspect
+    area = dims.area
     best: tuple[int, int] | None = None
     best_diff = math.inf
-    for cols, rows in _candidate_grids(min_tiles, max_tiles):
-        diff = abs(aspect - cols / rows)
+    for cols, rows, grid_aspect, half_canvas_area in _candidate_grids(min_tiles, max_tiles):
+        diff = abs(aspect - grid_aspect)
         if diff < best_diff:
             best_diff = diff
             best = (cols, rows)
-        elif diff == best_diff and dims.area > 0.5 * TILE_SIZE * TILE_SIZE * cols * rows:
+        elif diff == best_diff and area > half_canvas_area:
             best = (cols, rows)
     assert best is not None
     cols, rows = best

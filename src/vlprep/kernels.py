@@ -1,8 +1,10 @@
-"""Reference numerical kernels: pixel unshuffle and cosine distillation loss.
+"""Reference numerical kernels: pixel unshuffle, cosine distillation loss
+and the drawn-annotation overlay.
 
 These are executable definitions, not production training code.  They pin
-down the exact arithmetic (axis order, reduction, gradient) so that any
-accelerated implementation can be checked against them.
+down the exact arithmetic (axis order, reduction, gradient, stroke band) so
+that any accelerated implementation can be checked against them.  This is
+the only module that imports numpy; the data commands never load it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericDomainError, ShapeError
+from .formats import OverlaySpec
+from .geometry import ImageDims, ensure_box_within
 
 
 @dataclass(frozen=True)
@@ -173,6 +177,33 @@ def projector_shape(
         in_features=vision_dim * unshuffle_factor * unshuffle_factor,
         out_features=llm_dim,
     )
+
+
+def render_overlay(image: np.ndarray, spec: OverlaySpec) -> np.ndarray:
+    """Stroke a rectangle outline onto a copy of an (H, W, 3) image.
+
+    Pixel coordinates are inclusive on both corners, clamped to the image,
+    and the stroke grows inward so the band never leaves the box.  A zero
+    stroke width returns an untouched copy.
+    """
+    arr = np.asarray(image)
+    if arr.ndim != 3 or arr.shape[2] != 3:
+        raise ShapeError(f"overlay target must be (h, w, 3), got shape {arr.shape}")
+    height, width = arr.shape[:2]
+    ensure_box_within(spec.box, ImageDims(width, height))
+    out = arr.copy()
+    if spec.stroke_width == 0:
+        return out
+    x1, y1 = int(spec.box.x1), int(spec.box.y1)
+    x2 = min(int(spec.box.x2), width - 1)
+    y2 = min(int(spec.box.y2), height - 1)
+    w = spec.stroke_width
+    color = np.asarray(spec.color, dtype=out.dtype)
+    out[y1 : min(y1 + w, y2 + 1), x1 : x2 + 1] = color
+    out[max(y2 + 1 - w, y1) : y2 + 1, x1 : x2 + 1] = color
+    out[y1 : y2 + 1, x1 : min(x1 + w, x2 + 1)] = color
+    out[y1 : y2 + 1, max(x2 + 1 - w, x1) : x2 + 1] = color
+    return out
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import InsufficientDataError, InvalidConfigError, RecordIOError
+from .geometry import _round_half_away
 from .schema import Envelope, read_envelopes
 from .seeding import GENERATOR_NAME, derive_seed
 
@@ -176,12 +177,6 @@ def load_manifest(path: str | Path) -> MixManifest:
     if not isinstance(obj, dict):
         raise InvalidConfigError(f"manifest {path} must be a JSON object")
     return manifest_from_dict(obj)
-
-
-def _round_half_away(value: float) -> int:
-    if value >= 0:
-        return math.floor(value + 0.5)
-    return -math.floor(-value + 0.5)
 
 
 def repeat_dataset(records: Sequence[Envelope], k: int) -> list[Envelope]:

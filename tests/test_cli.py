@@ -1,14 +1,21 @@
 """End-to-end tests driving the command line entry point in process."""
 
 import json
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import vlprep
+from vlprep import kernels
 from vlprep.cli import main
 from vlprep.geometry import ImageDims, plan_tiles, token_count
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -453,3 +460,58 @@ class TestValidateKernels:
         lines = out.strip().splitlines()
         assert len(lines) >= 4
         assert all("PASS" in line for line in lines)
+
+
+def run_python(*args):
+    """Run a fresh interpreter on this checkout's sources."""
+    path = os.pathsep.join(p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH", "")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+
+
+class TestImportPath:
+    # Every data command is a fresh process, and importing numpy was the
+    # largest part of its start although only the kernels need it.
+    LAZY_MODULES = ("numpy", "concurrent.futures")
+
+    def test_cli_import_leaves_lazy_modules_unloaded(self):
+        probe = "import sys, vlprep.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+        assert run_python("-c", probe, *self.LAZY_MODULES).stdout == "[]\n"
+
+    def test_plan_tiles_command_leaves_lazy_modules_unloaded(self):
+        proc = run_python("-X", "importtime", "-m", "vlprep.cli", "plan-tiles", "448", "448")
+        assert proc.stdout == "1x1 tiles, 256 tokens\n"
+        imported = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "vlprep.formats" in imported
+        assert not imported & set(self.LAZY_MODULES)
+
+    def test_kernel_names_resolve_from_the_package(self):
+        for name in (
+            "FeatureGrid",
+            "HiddenStateStack",
+            "ProjectorShape",
+            "distill_loss",
+            "pixel_shuffle",
+            "pixel_unshuffle",
+            "projector_shape",
+            "render_overlay",
+        ):
+            assert name in vlprep.__all__
+            assert getattr(vlprep, name) is getattr(kernels, name)
+        with pytest.raises(AttributeError):
+            vlprep.no_such_name
+
+    def test_all_names_public_objects_not_submodules(self):
+        assert len(set(vlprep.__all__)) == len(vlprep.__all__)
+        for name in vlprep.__all__:
+            assert not isinstance(getattr(vlprep, name), types.ModuleType), name

@@ -35,9 +35,9 @@ from vlprep.formats import (
     convert_vqa,
     format_box,
     parse_special_tokens,
-    render_overlay,
 )
 from vlprep.geometry import MULTIVIEW_ORDER, ImageDims, NormalizedBox, PixelBox
+from vlprep.kernels import render_overlay
 
 
 def make_views(cams=MULTIVIEW_ORDER, w=1600, h=900):

@@ -14,6 +14,7 @@ from vlprep.geometry import (
     NormalizedBox,
     PixelBox,
     TilePlan,
+    _candidate_grids,
     denormalize_box,
     multiview_layout,
     normalize_box,
@@ -89,6 +90,41 @@ class TestPlanTiles:
             plan = plan_tiles(ImageDims(width, height), max_tiles=max_tiles)
             assert plan.num_tiles <= max_tiles
             assert (plan.cols, plan.rows) == oracle_plan(width, height, 1, max_tiles)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_square_tie_threshold_matches_oracle(self, k):
+        # Every k x k grid ties on aspect for a square image; the larger one
+        # wins only above half its canvas area, 0.5 * 448^2 * k^2.  That area
+        # is never a perfect square, so isqrt gives the side just below it.
+        below = math.isqrt(TILE_SIZE * TILE_SIZE * k * k // 2)
+        for side, expected in ((below, k - 1), (below + 1, k)):
+            for max_tiles in (k * k, 40):
+                plan = plan_tiles(ImageDims(side, side), max_tiles=max_tiles)
+                assert (plan.cols, plan.rows) == oracle_plan(side, side, 1, max_tiles)
+                assert (plan.cols, plan.rows) == (expected, expected)
+
+    @pytest.mark.parametrize("ratio", [(2, 1), (1, 3)])
+    @pytest.mark.parametrize("min_tiles", [1, 2, 4, 9])
+    def test_candidate_aspect_ties_match_oracle(self, ratio, min_tiles):
+        # A (a*k, b*k) grid's half canvas is passed when unit > 448 * k / sqrt(2).
+        edges = [math.isqrt(TILE_SIZE * TILE_SIZE * k * k // 2) for k in range(1, 5)]
+        for unit in (1, 7, *edges, *(edge + 1 for edge in edges), 3000):
+            width, height = ratio[0] * unit, ratio[1] * unit
+            for max_tiles in (12, 40):
+                plan = plan_tiles(ImageDims(width, height), min_tiles=min_tiles, max_tiles=max_tiles)
+                assert (plan.cols, plan.rows) == oracle_plan(width, height, min_tiles, max_tiles)
+
+    def test_candidate_table_is_built_once_and_immutable(self):
+        table = _candidate_grids(1, 40)
+        assert isinstance(table, tuple) and all(isinstance(row, tuple) for row in table)
+        assert _candidate_grids(1, 40) is table
+        assert [(cols, rows) for cols, rows, _, _ in table] == [
+            (cols, rows)
+            for cols, rows in sorted(
+                ((c, r) for c in range(1, 41) for r in range(1, 41) if c * r <= 40),
+                key=lambda cr: (cr[0] * cr[1], cr[0]),
+            )
+        ]
 
     def test_canvas_dims(self):
         plan = plan_tiles(ImageDims(2688, 896))
