@@ -6,8 +6,12 @@ config file (flags win); environment variables are never consulted.  Errors
 are emitted as one JSON object on stderr and mapped to exit codes:
 0 success, 1 validation, 2 configuration, 3 I/O.
 
-File outputs are written to a temporary sibling and renamed into place, so
-an interrupted run leaves only a clearly incomplete ``*.tmp`` file.
+convert, validate, stats and eval read their input one record at a time:
+convert, validate and stats hold one record, eval holds the pairs its metric
+needs, and mix loads its sources whole.
+File outputs are written to a ``.tmp`` sibling as records arrive and renamed
+into place on success.  A failed run removes the sibling, and with ``-o -``
+prints no records, so only a killed process leaves a ``*.tmp`` file behind.
 """
 
 from __future__ import annotations
@@ -20,25 +24,25 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 from . import formats, metrics, schema
 from .errors import InvalidConfigError, InvalidRecordError, PipelineError, RecordIOError
 from .geometry import (
     DEFAULT_MAX_TILES,
     DEFAULT_MIN_TILES,
-    ImageDims,
-    MULTIVIEW_GRID_COLS,
-    MULTIVIEW_GRID_ROWS,
-    MULTIVIEW_VIEW_HEIGHT,
-    MULTIVIEW_VIEW_WIDTH,
+    MULTIVIEW_CANVAS,
     TILE_SIZE,
     TOKENS_PER_TILE,
+    ImageDims,
     TilePlan,
     plan_tiles,
     token_count,
 )
 from .mixer import load_manifest, mix
+
+# Raised by a payload of the wrong type or shape while it is converted.
+_MALFORMED = (TypeError, ValueError, KeyError, OverflowError)
 
 
 @dataclass(frozen=True)
@@ -57,12 +61,9 @@ class PipelineConfig:
     prompt_suffix: str | None = None
     shuffle_options: bool = False
     seed: int = 0
-    workers: int = 1
     manifest: str | None = None
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise InvalidConfigError(f"workers must be >= 1, got {self.workers}")
         if (
             self.input is not None
             and self.output is not None
@@ -90,33 +91,58 @@ class PipelineConfig:
         return cls(**obj)
 
 
-def _pick(flag, config_value):
-    return flag if flag is not None else config_value
+def _config(args) -> PipelineConfig:
+    """The ``--config`` file's settings with every flag that was given laid over them.
+
+    A flag overrides the config field its argparse ``dest`` names; a flag
+    that was not given parses to None.
+    """
+    cfg = PipelineConfig.from_file(args.config)
+    fields = (f.name for f in dataclasses.fields(cfg))
+    given = {name: flag for name in fields if (flag := getattr(args, name, None)) is not None}
+    return dataclasses.replace(cfg, **given)
 
 
-def _open_in(path: str):
-    return sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
+def _source(path: str):
+    return sys.stdin if path == "-" else path
 
 
-def _write_lines(path: str, lines: Sequence[str]) -> None:
-    """Write to stdout directly, or to a file atomically via a .tmp sibling."""
-    payload = "".join(line + "\n" for line in lines)
+@contextlib.contextmanager
+def _line_sink(path: str):
+    """Yield a text handle whose contents reach ``path`` only if the block succeeds.
+
+    A file is written through its ``.tmp`` sibling as lines arrive and renamed
+    into place at the end.  ``-`` is spooled to an anonymous temporary file
+    and copied to stdout at the end, so a failed run prints nothing.  On any
+    failure the temporary file is removed.
+    """
     if path == "-":
-        sys.stdout.write(payload)
+        import shutil
+        import tempfile
+
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+            yield spool
+            spool.seek(0)
+            shutil.copyfileobj(spool, sys.stdout)
         return
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
+        handle = open(tmp, "w", encoding="utf-8")
     except OSError as exc:
         raise RecordIOError(f"cannot write {path}: {exc}") from exc
-
-
-def _read_envelopes_arg(path: str) -> list[schema.Envelope]:
-    if path == "-":
-        return schema.read_envelopes(sys.stdin)
-    return schema.read_envelopes(path)
+    committed = False
+    try:
+        with handle:
+            yield handle
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise RecordIOError(f"cannot write {path}: {exc}") from exc
+        committed = True
+    finally:
+        if not committed:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def _summary_stream(output_path: str):
@@ -127,22 +153,27 @@ def _print_json(obj, stream=None) -> None:
     print(json.dumps(obj, ensure_ascii=False), file=stream or sys.stdout)
 
 
-def _template_from(cfg: PipelineConfig, args) -> formats.PromptTemplate:
-    style = _pick(args.template, cfg.template_style)
-    prefix = _pick(args.prompt_prefix, cfg.prompt_prefix)
-    suffix = _pick(args.prompt_suffix, cfg.prompt_suffix)
-    if style == "free":
+def _record_error(number: int, env: schema.Envelope, exc: Exception) -> InvalidRecordError:
+    """One error naming the line and the record that ``exc`` was raised on."""
+    if not isinstance(exc, InvalidRecordError):
+        exc = InvalidRecordError(f"malformed payload: {exc!r}", env.id)
+    detail = str(exc) if exc.record_id else f"record {env.id!r}: {exc}"
+    return InvalidRecordError(f"line {number}: {detail}")
+
+
+def _template_from(cfg: PipelineConfig) -> formats.PromptTemplate:
+    if cfg.template_style == "free":
         base = formats.DEFAULT_FREE_TEMPLATE
-    elif style == "mcq":
+    elif cfg.template_style == "mcq":
         base = formats.DEFAULT_MCQ_TEMPLATE
     else:
-        raise InvalidConfigError(f"unknown template style {style!r}")
+        raise InvalidConfigError(f"unknown template style {cfg.template_style!r}")
     return formats.PromptTemplate(
-        style=style,
-        prefix=base.prefix if prefix is None else prefix,
-        suffix=base.suffix if suffix is None else suffix,
-        shuffle_options=bool(args.shuffle_options or cfg.shuffle_options),
-        seed=_pick(args.seed, cfg.seed),
+        style=cfg.template_style,
+        prefix=base.prefix if cfg.prompt_prefix is None else cfg.prompt_prefix,
+        suffix=base.suffix if cfg.prompt_suffix is None else cfg.prompt_suffix,
+        shuffle_options=bool(cfg.shuffle_options),
+        seed=cfg.seed,
     )
 
 
@@ -187,41 +218,34 @@ def _convert_one(
 
 
 def cmd_convert(args) -> int:
-    cfg = PipelineConfig.from_file(args.config)
-    task = _pick(args.task, cfg.task)
-    if task is None:
+    cfg = _config(args)
+    if cfg.task is None:
         raise InvalidConfigError("convert requires --task (or a config with one)")
-    in_path = _pick(args.input, cfg.input) or "-"
-    out_path = _pick(args.output, cfg.output) or "-"
-    if in_path == out_path and in_path != "-":
-        raise InvalidConfigError(f"input and output must be distinct paths, both are {in_path!r}")
-    template = _template_from(cfg, args)
-    workers = _pick(args.workers, cfg.workers)
-    if workers < 1:
-        raise InvalidConfigError(f"workers must be >= 1, got {workers}")
+    template = _template_from(cfg)
+    out_path = cfg.output or "-"
 
-    envelopes = _read_envelopes_arg(in_path)
-    jobs = [(env, task, template, i) for i, env in enumerate(envelopes)]
-    if workers == 1:
-        converted = [_convert_one(*job) for job in jobs]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    records = drawn = 0
+    # The sidecar stack is left last, so the overlays are committed after
+    # the records and discarded if the records fail.
+    with contextlib.ExitStack() as sidecar, _line_sink(out_path) as out:
+        overlays = None
+        for number, env in schema.iter_envelopes(_source(cfg.input or "-")):
+            try:
+                converted, overlay = _convert_one(env, cfg.task, template, records)
+            except (InvalidRecordError, *_MALFORMED) as exc:
+                raise _record_error(number, env, exc) from exc
+            out.write(schema.dumps_envelope(converted) + "\n")
+            records += 1
+            if overlay is None:
+                continue
+            drawn += 1
+            if args.overlays:
+                if overlays is None:
+                    overlays = sidecar.enter_context(_line_sink(args.overlays))
+                overlays.write(json.dumps(overlay, ensure_ascii=False) + "\n")
 
-        # Executor.map preserves submission order, keeping output order
-        # equal to input order regardless of worker scheduling.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            converted = list(pool.map(lambda job: _convert_one(*job), jobs))
-
-    _write_lines(out_path, [schema.dumps_envelope(env) for env, _ in converted])
-    overlays = [entry for _, entry in converted if entry is not None]
-    if args.overlays and overlays:
-        _write_lines(args.overlays, [json.dumps(entry, ensure_ascii=False) for entry in overlays])
-
-    by_task: dict[str, int] = {}
-    for env, _ in converted:
-        by_task[env.task] = by_task.get(env.task, 0) + 1
     _print_json(
-        {"records": len(converted), "by_task": by_task, "overlays": len(overlays)},
+        {"records": records, "by_task": {cfg.task: records} if records else {}, "overlays": drawn},
         _summary_stream(out_path),
     )
     return 0
@@ -231,10 +255,13 @@ def cmd_mix(args) -> int:
     manifest = load_manifest(args.manifest)
     out_path = args.output or "-"
     stream, report = mix(manifest)
-    _write_lines(out_path, [schema.dumps_envelope(env) for env in stream])
+    with _line_sink(out_path) as out:
+        for env in stream:
+            out.write(schema.dumps_envelope(env) + "\n")
     report_obj = report.to_dict()
     if out_path != "-":
-        _write_lines(out_path + ".report.json", [json.dumps(report_obj, ensure_ascii=False)])
+        with _line_sink(out_path + ".report.json") as out:
+            out.write(json.dumps(report_obj, ensure_ascii=False) + "\n")
     _print_json(report_obj, _summary_stream(out_path))
     return 0
 
@@ -242,35 +269,23 @@ def cmd_mix(args) -> int:
 def cmd_validate(args) -> int:
     checked = 0
     errors = 0
-    try:
-        handle = _open_in(args.path)
-    except OSError as exc:
-        raise RecordIOError(f"cannot read {args.path}: {exc}") from exc
-    with handle if handle is not sys.stdin else contextlib.nullcontext(handle) as lines:
-        for number, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            checked += 1
-            try:
-                env = schema.loads_envelope(line)
-                schema.validate_envelope(env)
-            except InvalidRecordError as exc:
-                errors += 1
-                _print_json({"line": number, "error": str(exc)})
+    for number, line in schema.numbered_lines(_source(args.path)):
+        checked += 1
+        try:
+            env = schema.loads_envelope(line)
+            schema.validate_envelope(env)
+        except InvalidRecordError as exc:
+            errors += 1
+            _print_json({"line": number, "error": str(exc)})
     _print_json({"checked": checked, "errors": errors})
     return 0 if errors == 0 else 1
 
 
-def _record_plans(env: schema.Envelope, cfg_args) -> list[TilePlan]:
-    min_tiles, max_tiles, thumb = cfg_args
-    plan = lambda dims: plan_tiles(dims, min_tiles, max_tiles, thumb)  # noqa: E731
+def _record_plans(env: schema.Envelope, cfg: PipelineConfig) -> list[TilePlan]:
+    plan = lambda dims: plan_tiles(dims, cfg.min_tiles, cfg.max_tiles, cfg.use_thumbnail)  # noqa: E731
     payload = env.payload
     if env.task == "multiview":
-        canvas = ImageDims(
-            MULTIVIEW_GRID_COLS * MULTIVIEW_VIEW_WIDTH,
-            MULTIVIEW_GRID_ROWS * MULTIVIEW_VIEW_HEIGHT,
-        )
-        return [plan(canvas)]
+        return [plan(MULTIVIEW_CANVAS)]
     if env.task == "video":
         if schema.is_conversation_payload(payload):
             count = len(payload.get("images", []))
@@ -290,62 +305,53 @@ def _record_plans(env: schema.Envelope, cfg_args) -> list[TilePlan]:
 
 
 def cmd_stats(args) -> int:
-    cfg = PipelineConfig.from_file(args.config)
-    min_tiles = _pick(args.min_tiles, cfg.min_tiles)
-    max_tiles = _pick(args.max_tiles, cfg.max_tiles)
-    thumb = cfg.use_thumbnail and not args.no_thumbnail
-    per_tile = _pick(args.tokens_per_tile, cfg.tokens_per_tile)
-
-    envelopes = _read_envelopes_arg(args.path)
+    cfg = _config(args)
+    records = 0
     total_tokens = 0
     histogram: dict[str, int] = {}
     by_task: dict[str, int] = {}
-    for env in envelopes:
+    for number, env in schema.iter_envelopes(_source(args.path)):
+        records += 1
         by_task[env.task] = by_task.get(env.task, 0) + 1
-        for plan in _record_plans(env, (min_tiles, max_tiles, thumb)):
-            total_tokens += token_count(plan, per_tile)
+        try:
+            plans = _record_plans(env, cfg)
+        except (InvalidRecordError, *_MALFORMED) as exc:
+            raise _record_error(number, env, exc) from exc
+        for plan in plans:
+            total_tokens += token_count(plan, cfg.tokens_per_tile)
             key = str(plan.total_tiles)
             histogram[key] = histogram.get(key, 0) + 1
     _print_json(
         {
-            "records": len(envelopes),
+            "records": records,
             "by_task": by_task,
             "visual_tokens": total_tokens,
             "tile_histogram": dict(sorted(histogram.items(), key=lambda kv: int(kv[0]))),
             "planner": {
-                "min_tiles": min_tiles,
-                "max_tiles": max_tiles,
-                "use_thumbnail": thumb,
-                "tokens_per_tile": per_tile,
+                "min_tiles": cfg.min_tiles,
+                "max_tiles": cfg.max_tiles,
+                "use_thumbnail": cfg.use_thumbnail,
+                "tokens_per_tile": cfg.tokens_per_tile,
             },
         }
     )
     return 0
 
 
-def _load_json_lines(path: str) -> list[dict]:
-    out = []
-    try:
-        handle = _open_in(path)
-    except OSError as exc:
-        raise RecordIOError(f"cannot read {path}: {exc}") from exc
-    with handle if handle is not sys.stdin else contextlib.nullcontext(handle) as lines:
-        for number, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InvalidRecordError(f"line {number}: not valid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise InvalidRecordError(f"line {number}: expected a JSON object")
-            out.append(obj)
-    return out
+def _json_objects(path: str) -> Iterator[dict]:
+    for number, line in schema.numbered_lines(_source(path)):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InvalidRecordError(f"line {number}: not valid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise InvalidRecordError(f"line {number}: expected a JSON object")
+        yield obj
 
 
 def _eval_pairs(path: str) -> list[metrics.EvalPair]:
     pairs = []
-    for obj in _load_json_lines(path):
+    for obj in _json_objects(path):
         refs = obj.get("references", obj.get("reference"))
         if isinstance(refs, str):
             refs = [refs]
@@ -361,7 +367,7 @@ def _eval_pairs(path: str) -> list[metrics.EvalPair]:
 
 def _signal_pairs(path: str) -> list[metrics.SignalPair]:
     pairs = []
-    for obj in _load_json_lines(path):
+    for obj in _json_objects(path):
         if "predicted" not in obj or "truth" not in obj:
             raise InvalidRecordError(f"signal line needs predicted and truth: {obj}")
         pairs.append(
@@ -418,13 +424,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_plan_tiles(args) -> int:
-    cfg = PipelineConfig.from_file(args.config)
-    min_tiles = _pick(args.min_tiles, cfg.min_tiles)
-    max_tiles = _pick(args.max_tiles, cfg.max_tiles)
-    thumb = cfg.use_thumbnail and not args.no_thumbnail
-    per_tile = _pick(args.tokens_per_tile, cfg.tokens_per_tile)
-    plan = plan_tiles(ImageDims(args.width, args.height), min_tiles, max_tiles, thumb)
-    tokens = token_count(plan, per_tile)
+    cfg = _config(args)
+    plan = plan_tiles(ImageDims(args.width, args.height), cfg.min_tiles, cfg.max_tiles, cfg.use_thumbnail)
+    tokens = token_count(plan, cfg.tokens_per_tile)
     suffix = " + thumbnail" if plan.has_thumbnail else ""
     print(f"{plan.cols}x{plan.rows} tiles{suffix}, {tokens} tokens")
     return 0
@@ -441,6 +443,14 @@ def cmd_validate_kernels(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _add_planner_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--min-tiles", type=int)
+    parser.add_argument("--max-tiles", type=int)
+    parser.add_argument("--no-thumbnail", dest="use_thumbnail", action="store_false", default=None)
+    parser.add_argument("--tokens-per-tile", type=int)
+    parser.add_argument("--config", help="JSON config file supplying defaults")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vlprep",
@@ -452,12 +462,15 @@ def build_parser() -> argparse.ArgumentParser:
     convert.add_argument("--task", choices=list(schema.KNOWN_TASKS))
     convert.add_argument("--input", "-i", help="input records path or - for stdin")
     convert.add_argument("--output", "-o", help="output path or - for stdout")
-    convert.add_argument("--template", choices=["free", "mcq"], help="classification prompt style")
+    convert.add_argument(
+        "--template", dest="template_style", choices=["free", "mcq"], help="classification prompt style"
+    )
     convert.add_argument("--prompt-prefix", help="override template prefix")
     convert.add_argument("--prompt-suffix", help="override template suffix")
-    convert.add_argument("--shuffle-options", action="store_true", help="seeded MCQ option shuffle")
+    convert.add_argument(
+        "--shuffle-options", action="store_true", default=None, help="seeded MCQ option shuffle"
+    )
     convert.add_argument("--seed", type=int, help="root seed for seeded choices")
-    convert.add_argument("--workers", type=int, help="parallel conversion workers")
     convert.add_argument("--overlays", help="sidecar path for drawn-annotation overlay specs")
     convert.add_argument("--config", help="JSON config file supplying defaults")
     convert.set_defaults(func=cmd_convert)
@@ -473,11 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="token and tile accounting over a record file")
     stats.add_argument("path", help="records path or - for stdin")
-    stats.add_argument("--min-tiles", type=int)
-    stats.add_argument("--max-tiles", type=int)
-    stats.add_argument("--no-thumbnail", action="store_true")
-    stats.add_argument("--tokens-per-tile", type=int)
-    stats.add_argument("--config", help="JSON config file supplying defaults")
+    _add_planner_flags(stats)
     stats.set_defaults(func=cmd_stats)
 
     eval_cmd = sub.add_parser("eval", help="score predictions against references")
@@ -493,11 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan = sub.add_parser("plan-tiles", help="tile plan and token count for given dims")
     plan.add_argument("width", type=int)
     plan.add_argument("height", type=int)
-    plan.add_argument("--min-tiles", type=int)
-    plan.add_argument("--max-tiles", type=int)
-    plan.add_argument("--no-thumbnail", action="store_true")
-    plan.add_argument("--tokens-per-tile", type=int)
-    plan.add_argument("--config", help="JSON config file supplying defaults")
+    _add_planner_flags(plan)
     plan.set_defaults(func=cmd_plan_tiles)
 
     vk = sub.add_parser("validate-kernels", help="run the numerical kernel invariant suite")

@@ -60,6 +60,13 @@ class ImageDims:
         return self.width * self.height
 
 
+# The fixed canvas the six views are laid out on: 2688x896.
+MULTIVIEW_CANVAS = ImageDims(
+    MULTIVIEW_GRID_COLS * MULTIVIEW_VIEW_WIDTH,
+    MULTIVIEW_GRID_ROWS * MULTIVIEW_VIEW_HEIGHT,
+)
+
+
 @dataclass(frozen=True)
 class TilePlan:
     """A cols x rows tile decomposition plus an optional thumbnail tile."""
@@ -301,8 +308,5 @@ def multiview_layout(
         per_view_size=ImageDims(MULTIVIEW_VIEW_WIDTH, MULTIVIEW_VIEW_HEIGHT),
         grid_cols=MULTIVIEW_GRID_COLS,
         grid_rows=MULTIVIEW_GRID_ROWS,
-        canvas=ImageDims(
-            MULTIVIEW_GRID_COLS * MULTIVIEW_VIEW_WIDTH,
-            MULTIVIEW_GRID_ROWS * MULTIVIEW_VIEW_HEIGHT,
-        ),
+        canvas=MULTIVIEW_CANVAS,
     )

@@ -9,10 +9,11 @@ is byte-deterministic so converted and mixed files diff cleanly.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from .errors import InvalidRecordError, RecordIOError, TokenParseError
 from .formats import (
@@ -90,27 +91,42 @@ def loads_envelope(line: str) -> Envelope:
     )
 
 
-def read_envelopes(source: str | Path | IO[str]) -> list[Envelope]:
-    """Read a line-delimited envelope file (whitespace-only lines skipped)."""
+def numbered_lines(source: str | Path | IO[str]) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line) for each non-blank line of a path or open handle.
+
+    The file is read one line at a time; a path that cannot be opened is a
+    :class:`RecordIOError`.
+    """
     if hasattr(source, "read"):
-        return _read_lines(source)  # type: ignore[arg-type]
-    try:
-        with open(source, "r", encoding="utf-8") as handle:
-            return _read_lines(handle)
-    except OSError as exc:
-        raise RecordIOError(f"cannot read {source}: {exc}") from exc
-
-
-def _read_lines(handle: IO[str]) -> list[Envelope]:
-    out: list[Envelope] = []
-    for number, line in enumerate(handle, start=1):
-        if not line.strip():
-            continue
+        handle = contextlib.nullcontext(source)
+    else:
         try:
-            out.append(loads_envelope(line))
+            handle = open(source, "r", encoding="utf-8")
+        except OSError as exc:
+            raise RecordIOError(f"cannot read {source}: {exc}") from exc
+    with handle as lines:
+        for number, line in enumerate(lines, start=1):
+            if line.strip():
+                yield number, line
+
+
+def iter_envelopes(source: str | Path | IO[str]) -> Iterator[tuple[int, Envelope]]:
+    """Decode envelopes one line at a time: (line number, envelope).
+
+    A line that does not decode raises :class:`InvalidRecordError` prefixed
+    with ``line N:``.
+    """
+    for number, line in numbered_lines(source):
+        try:
+            env = loads_envelope(line)
         except InvalidRecordError as exc:
             raise InvalidRecordError(f"line {number}: {exc}") from exc
-    return out
+        yield number, env
+
+
+def read_envelopes(source: str | Path | IO[str]) -> list[Envelope]:
+    """Read a whole line-delimited envelope file (whitespace-only lines skipped)."""
+    return [env for _, env in iter_envelopes(source)]
 
 
 def write_envelopes(target: str | Path | IO[str], envelopes: Iterable[Envelope]) -> int:

@@ -1,9 +1,11 @@
 """End-to-end tests driving the command line entry point in process."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -42,6 +44,22 @@ def classification_record(index):
             "truth": ("meadow", "forest", "harbor")[index % 3],
         },
     }
+
+
+def golden_record(name, **changes):
+    """The first raw record of a golden input, with top-level keys replaced."""
+    with open(GOLDEN_DIR / f"{name}.input.jsonl", encoding="utf-8") as handle:
+        record = json.loads(handle.readline())
+    return {**record, **changes}
+
+
+def with_payload(record, **changes):
+    return {**record, "payload": {**record["payload"], **changes}}
+
+
+def run_stdin(capsys, monkeypatch, text, *argv):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    return run(capsys, *argv)
 
 
 class TestGoldenFiles:
@@ -116,26 +134,11 @@ class TestGoldenFiles:
 
 
 class TestConvert:
-    def test_worker_count_does_not_change_output(self, capsys, tmp_path):
-        src = tmp_path / "in.jsonl"
-        write_jsonl(src, [classification_record(i) for i in range(24)])
-        outputs = []
-        for workers in (1, 4):
-            out = tmp_path / f"out-{workers}.jsonl"
-            code, _, _ = run(
-                capsys, "convert", "--task", "classification",
-                "-i", str(src), "-o", str(out), "--workers", str(workers),
-            )
-            assert code == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-
     def test_output_order_follows_input_order(self, capsys, tmp_path):
         src = tmp_path / "in.jsonl"
         write_jsonl(src, [classification_record(i) for i in range(24)])
         out = tmp_path / "out.jsonl"
-        run(capsys, "convert", "--task", "classification",
-            "-i", str(src), "-o", str(out), "--workers", "8")
+        run(capsys, "convert", "--task", "classification", "-i", str(src), "-o", str(out))
         ids = [json.loads(line)["id"] for line in out.read_text().splitlines()]
         assert ids == [f"cls-{i:04d}" for i in range(24)]
 
@@ -222,6 +225,138 @@ class TestConvert:
                          "-o", str(tmp_path / "out.jsonl"))
         assert code == 2
 
+    def test_workers_flag_and_config_key_are_retired(self, capsys, tmp_path):
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [classification_record(0)])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["convert", "--task", "classification", "-i", str(src), "--workers", "2"])
+        assert exit_info.value.code == 2
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"task": "classification", "workers": 2}))
+        code, _, err = run(capsys, "convert", "--config", str(config), "-i", str(src), "-o", "-")
+        assert code == 2
+        assert "workers" in err
+
+    def test_stdin_and_file_input_give_identical_output(self, capsys, monkeypatch, tmp_path):
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [classification_record(i) for i in range(12)])
+        from_file, from_stdin = tmp_path / "file.jsonl", tmp_path / "stdin.jsonl"
+        flags = ("convert", "--task", "classification", "--template", "mcq", "--shuffle-options")
+        code, summary_file, _ = run(capsys, *flags, "-i", str(src), "-o", str(from_file))
+        assert code == 0
+        code, summary_stdin, _ = run_stdin(
+            capsys, monkeypatch, src.read_text(encoding="utf-8"), *flags, "-i", "-", "-o", str(from_stdin)
+        )
+        assert code == 0
+        assert from_stdin.read_bytes() == from_file.read_bytes()
+        assert summary_stdin == summary_file
+
+    def test_stdout_output_equals_file_output(self, capsys, tmp_path):
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [classification_record(i) for i in range(12)])
+        out = tmp_path / "out.jsonl"
+        code, _, _ = run(capsys, "convert", "--task", "classification", "-i", str(src), "-o", str(out))
+        assert code == 0
+        code, stdout, _ = run(capsys, "convert", "--task", "classification", "-i", str(src), "-o", "-")
+        assert code == 0
+        assert stdout.encode("utf-8") == out.read_bytes()
+
+    def test_failed_stdout_run_prints_no_records(self, capsys, tmp_path):
+        bad = classification_record(3)
+        bad["payload"]["truth"] = "volcano"
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [classification_record(0), classification_record(1), bad])
+        code, stdout, err = run(capsys, "convert", "--task", "classification", "-i", str(src), "-o", "-")
+        assert code == 1
+        assert stdout == ""
+        assert json.loads(err.strip())["message"].startswith("line 3: ")
+
+    def test_output_directory_leaves_no_temp_file(self, capsys, tmp_path):
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [classification_record(i) for i in range(5)])
+        outdir = tmp_path / "outdir"
+        outdir.mkdir()
+        code, _, err = run(capsys, "convert", "--task", "classification", "-i", str(src), "-o", str(outdir))
+        assert code == 3
+        assert json.loads(err.strip())["exit_code"] == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "outdir"]
+
+    MALFORMED = {
+        "width_not_a_number": ("grounding", with_payload(golden_record("grounding"), width="abc")),
+        "nan_box": ("grounding", with_payload(golden_record("grounding"), box=[float("nan"), 90, 630, 450])),
+        "infinite_height": ("grounding", with_payload(golden_record("grounding"), height=float("inf"))),
+        "multiview_object_without_center": (
+            "multiview",
+            with_payload(
+                golden_record("multiview"),
+                objects=[{"id": "c1", "camera": "CAM_FRONT", "box": [720, 380, 880, 520]}],
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_payload_is_one_json_error(self, capsys, tmp_path, case):
+        task, record = self.MALFORMED[case]
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [golden_record(task, id="ok-1"), record])
+        code, stdout, err = run(capsys, "convert", "--task", task, "-i", str(src), "-o", str(tmp_path / "out.jsonl"))
+        assert code == 1
+        assert stdout == ""
+        error = json.loads(err)  # exactly one JSON line, no traceback
+        assert error["error"] == "InvalidRecordError"
+        assert error["exit_code"] == 1
+        assert error["message"].startswith(f"line 2: record {record['id']!r}: malformed payload: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+    def test_first_failing_line_in_file_order_is_reported(self, capsys, tmp_path):
+        drawn = golden_record("region_drawn")
+        lines = [
+            json.dumps(dict(drawn, id="reg-1")),
+            json.dumps(with_payload(dict(drawn, id="reg-2"), mode="sketched")),
+            json.dumps(dict(drawn, id="reg-3")),
+            json.dumps(dict(drawn, id="reg-4")),
+            "{not json",
+        ]
+        src = tmp_path / "in.jsonl"
+        src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        out.write_bytes(b"previous run\n")
+        overlays = tmp_path / "overlays.jsonl"
+        code, _, err = run(capsys, "convert", "--task", "region", "-i", str(src),
+                           "-o", str(out), "--overlays", str(overlays))
+        assert code == 1
+        message = json.loads(err)["message"]
+        assert message.startswith("line 2: record 'reg-2': ")
+        assert "sketched" in message
+        assert out.read_bytes() == b"previous run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "out.jsonl"]
+
+
+class TestConvertMemory:
+    # convert holds one record at a time, so its peak must not grow with the
+    # input: ten times the records may cost at most half as much again.
+    @staticmethod
+    def traced_peak(tmp_path, count):
+        record = golden_record("multiview")
+        src = tmp_path / f"mv-{count}.jsonl"
+        write_jsonl(src, [dict(record, id=f"mv-{i:05d}") for i in range(count)])
+        argv = ["convert", "--task", "multiview", "-i", str(src), "-o", str(tmp_path / f"out-{count}.jsonl")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        return peak
+
+    def test_peak_does_not_grow_with_record_count(self, capsys, tmp_path):
+        self.traced_peak(tmp_path, 20)  # first-use caches are not per-record memory
+        small = self.traced_peak(tmp_path, 400)
+        large = self.traced_peak(tmp_path, 4000)
+        capsys.readouterr()
+        assert large <= 1.5 * small, (small, large)
+
 
 class TestMix:
     def setup_sources(self, tmp_path):
@@ -286,6 +421,17 @@ class TestMix:
         code, _, _ = run(capsys, "mix", "--manifest", str(manifest_path),
                          "-o", str(tmp_path / "out.jsonl"))
         assert code == 2
+
+    def test_output_directory_leaves_no_temp_file(self, capsys, tmp_path):
+        manifest_path = self.setup_sources(tmp_path)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        outdir = tmp_path / "outdir"
+        outdir.mkdir()
+        code, _, err = run(capsys, "mix", "--manifest", str(manifest_path), "-o", str(outdir))
+        assert code == 3
+        assert json.loads(err.strip())["exit_code"] == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*before, "outdir"])
+        assert not any(outdir.iterdir())
 
     def test_missing_manifest_is_an_io_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "mix", "--manifest", str(tmp_path / "gone.json"),
@@ -353,6 +499,29 @@ class TestStats:
         stats = json.loads(out.strip().splitlines()[-1])
         # 6x2 tiles + thumbnail at 256 tokens each.
         assert stats["visual_tokens"] == 13 * 256
+
+    def test_stdin_and_file_input_give_identical_summary(self, capsys, monkeypatch, tmp_path):
+        src = tmp_path / "all.jsonl"
+        src.write_bytes(b"".join(
+            (GOLDEN_DIR / f"{name}.jsonl").read_bytes() for name, _ in TestGoldenFiles.CASES
+        ))
+        code, from_file, _ = run(capsys, "stats", str(src), "--max-tiles", "12")
+        assert code == 0
+        code, from_stdin, _ = run_stdin(
+            capsys, monkeypatch, src.read_text(encoding="utf-8"), "stats", "-", "--max-tiles", "12"
+        )
+        assert code == 0
+        assert from_stdin == from_file
+        assert json.loads(from_file)["records"] == len(TestGoldenFiles.CASES) + 1
+
+    def test_malformed_dims_are_one_json_error(self, capsys, tmp_path):
+        src = tmp_path / "in.jsonl"
+        bad = with_payload(golden_record("grounding", id="g-bad"), width="abc")
+        write_jsonl(src, [golden_record("grounding"), bad])
+        code, stdout, err = run(capsys, "stats", str(src))
+        assert code == 1
+        assert stdout == ""
+        assert json.loads(err)["message"].startswith("line 2: record 'g-bad': malformed payload: ValueError")
 
     def test_planner_flags_change_totals(self, capsys, tmp_path):
         src = tmp_path / "in.jsonl"

@@ -7,6 +7,7 @@ from vlprep.errors import InvalidRecordError, RecordIOError
 from vlprep.schema import (
     Envelope,
     dumps_envelope,
+    iter_envelopes,
     loads_envelope,
     payload_to_record,
     payload_to_sample,
@@ -98,6 +99,18 @@ class TestIO:
     def test_missing_file_is_io_error(self):
         with pytest.raises(RecordIOError):
             read_envelopes("/nonexistent/path.jsonl")
+
+    def test_iter_envelopes_decodes_one_line_at_a_time(self):
+        text = "\n".join([
+            dumps_envelope(conversation_env(id="a")),
+            "   ",
+            dumps_envelope(conversation_env(id="b")),
+            "{bad",
+        ]) + "\n"
+        stream = iter_envelopes(io.StringIO(text))
+        assert [(n, env.id) for n, env in (next(stream), next(stream))] == [(1, "a"), (3, "b")]
+        with pytest.raises(InvalidRecordError, match="^line 4: not valid JSON"):
+            next(stream)
 
 
 class TestPayloadCodecs:
