@@ -7,11 +7,13 @@ are emitted as one JSON object on stderr and mapped to exit codes:
 0 success, 1 validation, 2 configuration, 3 I/O.
 
 convert, validate, stats and eval read their input one record at a time:
-convert, validate and stats hold one record, eval holds the pairs its metric
-needs, and mix loads its sources whole.
-File outputs are written to a ``.tmp`` sibling as records arrive and renamed
-into place on success.  A failed run removes the sibling, and with ``-o -``
-prints no records, so only a killed process leaves a ``*.tmp`` file behind.
+convert, validate and stats hold one record, and eval holds the pairs its
+metric needs.  mix holds a byte offset per source line and a position per
+output record, and reads each record back as it writes it.
+File outputs are written to a uniquely named ``<out>.<random>.tmp`` sibling
+as records arrive and renamed into place on success.  A failed run removes
+the sibling, and with ``-o -`` prints no records, so only a killed process
+leaves a ``*.tmp`` file behind.
 """
 
 from __future__ import annotations
@@ -20,8 +22,11 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -111,28 +116,31 @@ def _source(path: str):
 def _line_sink(path: str):
     """Yield a text handle whose contents reach ``path`` only if the block succeeds.
 
-    A file is written through its ``.tmp`` sibling as lines arrive and renamed
-    into place at the end.  ``-`` is spooled to an anonymous temporary file
-    and copied to stdout at the end, so a failed run prints nothing.  On any
-    failure the temporary file is removed.
+    A file is written through a uniquely named ``<name>.<random>.tmp``
+    sibling (``tempfile.mkstemp``) as lines arrive and renamed into place at
+    the end, so two runs writing one path never share a temporary file.
+    ``-`` is spooled to an anonymous temporary file and copied to stdout at
+    the end, so a failed run prints nothing.  On any failure the temporary
+    file is removed.
     """
     if path == "-":
-        import shutil
-        import tempfile
-
         with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
             yield spool
             spool.seek(0)
             shutil.copyfileobj(spool, sys.stdout)
         return
-    tmp = path + ".tmp"
+    target = Path(path)
     try:
-        handle = open(tmp, "w", encoding="utf-8")
+        fd, tmp = tempfile.mkstemp(prefix=f"{target.name}.", suffix=".tmp", dir=target.parent)
     except OSError as exc:
         raise RecordIOError(f"cannot write {path}: {exc}") from exc
+    umask = os.umask(0)
+    os.umask(umask)
     committed = False
     try:
-        with handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            # mkstemp creates the file 0600; give the output the mode open() would.
+            os.chmod(tmp, 0o666 & ~umask)
             yield handle
         try:
             os.replace(tmp, path)
@@ -255,8 +263,8 @@ def cmd_mix(args) -> int:
     manifest = load_manifest(args.manifest)
     out_path = args.output or "-"
     stream, report = mix(manifest)
-    with _line_sink(out_path) as out:
-        for env in stream:
+    with _line_sink(out_path) as out, contextlib.closing(iter(stream)) as records:
+        for env in records:
             out.write(schema.dumps_envelope(env) + "\n")
     report_obj = report.to_dict()
     if out_path != "-":
@@ -269,7 +277,7 @@ def cmd_mix(args) -> int:
 def cmd_validate(args) -> int:
     checked = 0
     errors = 0
-    for number, line in schema.numbered_lines(_source(args.path)):
+    for number, _, line in schema.numbered_lines(_source(args.path)):
         checked += 1
         try:
             env = schema.loads_envelope(line)
@@ -338,25 +346,31 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _json_objects(path: str) -> Iterator[dict]:
-    for number, line in schema.numbered_lines(_source(path)):
+def _json_objects(path: str) -> Iterator[tuple[int, dict]]:
+    for number, _, line in schema.numbered_lines(_source(path)):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise InvalidRecordError(f"line {number}: not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise InvalidRecordError(f"line {number}: expected a JSON object")
-        yield obj
+        yield number, obj
 
 
 def _eval_pairs(path: str) -> list[metrics.EvalPair]:
     pairs = []
-    for obj in _json_objects(path):
+    for number, obj in _json_objects(path):
         refs = obj.get("references", obj.get("reference"))
         if isinstance(refs, str):
             refs = [refs]
         if refs is None or "prediction" not in obj:
-            raise InvalidRecordError(f"eval line needs prediction and references: {obj}")
+            raise InvalidRecordError(f"line {number}: eval line needs prediction and references: {obj}")
+        if not isinstance(obj["prediction"], str):
+            raise InvalidRecordError(f"line {number}: prediction must be a string, got {obj['prediction']!r}")
+        if not isinstance(refs, list) or not refs or not all(isinstance(ref, str) for ref in refs):
+            raise InvalidRecordError(
+                f"line {number}: references must be a string or a non-empty list of strings, got {refs!r}"
+            )
         pairs.append(
             metrics.EvalPair(
                 id=str(obj.get("id", "")), prediction=obj["prediction"], references=tuple(refs)
@@ -367,9 +381,13 @@ def _eval_pairs(path: str) -> list[metrics.EvalPair]:
 
 def _signal_pairs(path: str) -> list[metrics.SignalPair]:
     pairs = []
-    for obj in _json_objects(path):
+    for number, obj in _json_objects(path):
         if "predicted" not in obj or "truth" not in obj:
-            raise InvalidRecordError(f"signal line needs predicted and truth: {obj}")
+            raise InvalidRecordError(f"line {number}: signal line needs predicted and truth: {obj}")
+        for key in ("predicted", "truth"):
+            value = obj[key]
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise InvalidRecordError(f"line {number}: {key} must be a finite number, got {value!r}")
         pairs.append(
             metrics.SignalPair(
                 id=str(obj.get("id", "")),

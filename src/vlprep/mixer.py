@@ -11,17 +11,24 @@ Counting is per record, not per token; MixReport says so explicitly.
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import dataclasses
+import itertools
 import json
 import math
+import os
 import random
-from dataclasses import dataclass, field
+import zlib
+from array import array
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .errors import InsufficientDataError, InvalidConfigError, RecordIOError
+from . import schema
+from .errors import InsufficientDataError, InvalidConfigError, InvalidRecordError, RecordIOError
 from .geometry import _round_half_away
-from .schema import Envelope, read_envelopes
+from .schema import Envelope
 from .seeding import GENERATOR_NAME, derive_seed
 
 
@@ -179,6 +186,13 @@ def load_manifest(path: str | Path) -> MixManifest:
     return manifest_from_dict(obj)
 
 
+def _tagged(rec: Envelope, pass_index: int, k: int) -> Envelope:
+    """``rec`` as emitted in pass ``pass_index`` of ``k``: tagged ``repeat_index`` when k > 1."""
+    if k == 1:
+        return rec
+    return dataclasses.replace(rec, meta={**rec.meta, "repeat_index": str(pass_index)})
+
+
 def repeat_dataset(records: Sequence[Envelope], k: int) -> list[Envelope]:
     """Emit every record k times, pass by pass (a, b, c, a, b, c).
 
@@ -187,13 +201,7 @@ def repeat_dataset(records: Sequence[Envelope], k: int) -> list[Envelope]:
     """
     if k < 1:
         raise InvalidConfigError(f"repeat count must be >= 1, got {k}")
-    if k == 1:
-        return list(records)
-    out: list[Envelope] = []
-    for pass_index in range(k):
-        for rec in records:
-            out.append(dataclasses.replace(rec, meta={**rec.meta, "repeat_index": str(pass_index)}))
-    return out
+    return [_tagged(rec, pass_index, k) for pass_index in range(k) for rec in records]
 
 
 def _largest_remainder_quotas(total: int, weights: Sequence[float]) -> list[int]:
@@ -209,27 +217,129 @@ def _largest_remainder_quotas(total: int, weights: Sequence[float]) -> list[int]
     return quotas
 
 
-def _draw(pool: Sequence[Envelope], quota: int, rng: random.Random, source: GeneralSource,
-          allow_replacement: bool) -> list[Envelope]:
-    if quota <= len(pool):
-        return rng.sample(list(pool), quota)
+class FilePool(Sequence[Envelope]):
+    """The envelopes of one JSONL file, held as the byte offset of each line.
+
+    Indexing reads every line once and checks it as :func:`read_envelopes`
+    would, with the same ``line N:`` errors, but keeps only its offset and
+    CRC-32.  ``pool[i]`` reads line i again and decodes it; a line whose
+    bytes changed since indexing is an :class:`InvalidRecordError`.  Since
+    the file is read twice, it must be a regular file, not a pipe.
+    """
+
+    def __init__(self, path: str) -> None:
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise RecordIOError(f"cannot read {path}: a mix source must be a regular file, as it is read twice")
+        self.path = path
+        self._offsets = array("q")
+        self._crcs = array("L")
+        for number, offset, line in schema.numbered_lines(path):
+            schema.decode_line(number, line)
+            self._offsets.append(offset)
+            self._crcs.append(zlib.crc32(line.encode("utf-8")))
+
+    def __len__(self) -> int:
+        return len(self._offsets)
+
+    def __getitem__(self, i: int) -> Envelope:
+        with self.reader() as read:
+            return read(i)
+
+    @contextlib.contextmanager
+    def reader(self) -> Iterator[Callable[[int], Envelope]]:
+        """Yield ``read(i) -> pool[i]`` over one handle, closed when the block ends."""
+        try:
+            handle = open(self.path, "rb")
+        except OSError as exc:
+            raise RecordIOError(f"cannot read {self.path}: {exc}") from exc
+
+        def read(i: int) -> Envelope:
+            offset = self._offsets[i]
+            handle.seek(offset)
+            raw = handle.readline()
+            if zlib.crc32(raw) != self._crcs[i]:
+                raise InvalidRecordError(f"{self.path} changed after it was indexed: byte {offset} differs")
+            return schema.loads_envelope(raw.decode("utf-8"))
+
+        with handle:
+            yield read
+
+
+@dataclass(frozen=True)
+class _Run:
+    """A stretch of the unshuffled stream: ``pool[i]`` for each i in ``indices``.
+
+    The records are emitted as pass ``pass_index`` of ``repeat`` (see :func:`_tagged`).
+    """
+
+    pool: Sequence[Envelope]
+    indices: Sequence[int]
+    pass_index: int = 0
+    repeat: int = 1
+
+
+class MixStream(Sequence[Envelope]):
+    """The mixed stream, held as positions and resolved to records as it is read.
+
+    The unshuffled stream is ``runs`` end to end, and ``order[i]`` is the
+    position in it of the i-th record.  Iteration reads each file-backed
+    pool through one handle, closed when the iteration ends or is closed.
+    """
+
+    def __init__(self, runs: list[_Run], order: array) -> None:
+        self._runs = runs
+        self._ends = list(itertools.accumulate(len(run.indices) for run in runs))
+        self._order = order
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def _locate(self, position: int) -> tuple[_Run, int]:
+        r = bisect.bisect_right(self._ends, position)
+        run = self._runs[r]
+        return run, run.indices[position - self._ends[r] + len(run.indices)]
+
+    def __getitem__(self, i: int) -> Envelope:
+        run, index = self._locate(self._order[i])
+        return _tagged(run.pool[index], run.pass_index, run.repeat)
+
+    def __iter__(self) -> Iterator[Envelope]:
+        with contextlib.ExitStack() as stack:
+            fetch = {}
+            for pool in (run.pool for run in self._runs):
+                if id(pool) in fetch:
+                    continue
+                fetch[id(pool)] = stack.enter_context(pool.reader()) if isinstance(pool, FilePool) else pool.__getitem__
+            for position in self._order:
+                run, index = self._locate(position)
+                yield _tagged(fetch[id(run.pool)](index), run.pass_index, run.repeat)
+
+
+def _draw(n: int, quota: int, rng: random.Random, source: GeneralSource, allow_replacement: bool) -> array:
+    """Positions of ``quota`` records drawn from a pool of ``n``.
+
+    ``rng.sample`` reads only the population's length and items, so drawing
+    from ``range(n)`` picks the positions that drawing from the pool would.
+    """
+    if quota <= n:
+        return array("q", rng.sample(range(n), quota))
     if not allow_replacement:
         raise InsufficientDataError(
-            f"needs {quota} records but only {len(pool)} available",
+            f"needs {quota} records but only {n} available",
             source_id=source.source_id,
         )
     # Replacement mode: whole-pool passes, then a sampled remainder.
-    out: list[Envelope] = []
-    for _ in range(quota // len(pool)):
-        out.extend(pool)
-    out.extend(rng.sample(list(pool), quota % len(pool)))
+    out = array("q")
+    for _ in range(quota // n):
+        out.extend(range(n))
+    out.extend(rng.sample(range(n), quota % n))
     return out
 
 
-Loader = Callable[[str], list[Envelope]]
+Loader = Callable[[str], Sequence[Envelope]]
 
 
-def mix(manifest: MixManifest, loader: Loader = read_envelopes) -> tuple[list[Envelope], MixReport]:
+def mix(manifest: MixManifest, loader: Loader = FilePool) -> tuple[MixStream, MixReport]:
     """Build the shuffled mixture stream and its report.
 
     Domain records are all emitted (repeated per source); the general quota
@@ -238,15 +348,18 @@ def mix(manifest: MixManifest, loader: Loader = read_envelopes) -> tuple[list[En
     replacement (replacement only if the manifest allows it).  Per-source
     sampling and the final shuffle use seeds derived from the manifest seed,
     so the stream depends only on manifest + source contents.
+
+    Sampling and the shuffle run on positions, so a pool need only support
+    ``len`` and indexing; the default loader keeps each file as offsets.
     """
     stats: list[SourceStat] = []
-    stream: list[Envelope] = []
+    runs: list[_Run] = []
     for src in manifest.domain_sources:
         pool = loader(src.path)
-        emitted = repeat_dataset(pool, src.repeat)
-        stream.extend(emitted)
-        stats.append(SourceStat(src.source_id, "domain", len(pool), len(pool) * src.repeat, len(emitted)))
-    domain_total = len(stream)
+        runs.extend(_Run(pool, range(len(pool)), pass_index, src.repeat) for pass_index in range(src.repeat))
+        emitted = len(pool) * src.repeat
+        stats.append(SourceStat(src.source_id, "domain", len(pool), emitted, emitted))
+    domain_total = sum(len(run.indices) for run in runs)
 
     requested_general = _round_half_away(manifest.ratio_r * domain_total)
     general_total = 0
@@ -259,17 +372,19 @@ def mix(manifest: MixManifest, loader: Loader = read_envelopes) -> tuple[list[En
         for src in manifest.general_sources:
             pool = loader(src.path)
             quota = quota_by_id[src.source_id]
-            rng = random.Random(derive_seed(manifest.seed, "sample", src.source_id))
-            chosen = _draw(pool, quota, rng, src, manifest.allow_replacement) if quota else []
-            stream.extend(chosen)
-            general_total += len(chosen)
-            stats.append(SourceStat(src.source_id, "general", len(pool), quota, len(chosen)))
+            if quota:
+                rng = random.Random(derive_seed(manifest.seed, "sample", src.source_id))
+                runs.append(_Run(pool, _draw(len(pool), quota, rng, src, manifest.allow_replacement)))
+            general_total += quota
+            stats.append(SourceStat(src.source_id, "general", len(pool), quota, quota))
     else:
         for src in manifest.general_sources:
             pool = loader(src.path)
             stats.append(SourceStat(src.source_id, "general", len(pool), 0, 0))
 
-    random.Random(derive_seed(manifest.seed, "shuffle")).shuffle(stream)
+    order = array("q", range(domain_total + general_total))
+    # shuffle reads only the length, so this is the permutation the records would get.
+    random.Random(derive_seed(manifest.seed, "shuffle")).shuffle(order)
     report = MixReport(
         sources=tuple(stats),
         domain_total=domain_total,
@@ -279,4 +394,4 @@ def mix(manifest: MixManifest, loader: Loader = read_envelopes) -> tuple[list[En
         realized_ratio=general_total / domain_total if domain_total else 0.0,
         seed=manifest.seed,
     )
-    return stream, report
+    return MixStream(runs, order), report

@@ -91,40 +91,57 @@ def loads_envelope(line: str) -> Envelope:
     )
 
 
-def numbered_lines(source: str | Path | IO[str]) -> Iterator[tuple[int, str]]:
-    """Yield (line number, line) for each non-blank line of a path or open handle.
+def numbered_lines(source: str | Path | IO) -> Iterator[tuple[int, int, str]]:
+    r"""Yield (line number, offset, line) for each non-blank line of a path or open handle.
 
-    The file is read one line at a time; a path that cannot be opened is a
-    :class:`RecordIOError`.
+    Lines end at ``\n`` (a ``\r\n`` ending leaves a ``\r`` that JSON reads
+    as whitespace).  A path, or a handle with a binary ``buffer`` such as
+    ``sys.stdin``, is read as bytes and decoded one line at a time, so a line
+    that is not UTF-8 is an :class:`InvalidRecordError` naming it, and the
+    offset is the line's byte position.  A text handle such as ``StringIO``
+    is read as it is, with offsets in characters.  A path that cannot be
+    opened is a :class:`RecordIOError`.
     """
     if hasattr(source, "read"):
-        handle = contextlib.nullcontext(source)
+        handle = contextlib.nullcontext(getattr(source, "buffer", source))
     else:
         try:
-            handle = open(source, "r", encoding="utf-8")
+            handle = open(source, "rb")
         except OSError as exc:
             raise RecordIOError(f"cannot read {source}: {exc}") from exc
     with handle as lines:
-        for number, line in enumerate(lines, start=1):
-            if line.strip():
-                yield number, line
+        offset = 0
+        for number, raw in enumerate(lines, start=1):
+            start = offset
+            offset += len(raw)
+            if isinstance(raw, bytes):
+                try:
+                    raw = raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise InvalidRecordError(f"line {number}: not valid UTF-8") from None
+            if raw.strip():
+                yield number, start, raw
 
 
-def iter_envelopes(source: str | Path | IO[str]) -> Iterator[tuple[int, Envelope]]:
+def decode_line(number: int, line: str) -> Envelope:
+    """:func:`loads_envelope`, with a decode error prefixed ``line N:``."""
+    try:
+        return loads_envelope(line)
+    except InvalidRecordError as exc:
+        raise InvalidRecordError(f"line {number}: {exc}") from exc
+
+
+def iter_envelopes(source: str | Path | IO) -> Iterator[tuple[int, Envelope]]:
     """Decode envelopes one line at a time: (line number, envelope).
 
     A line that does not decode raises :class:`InvalidRecordError` prefixed
     with ``line N:``.
     """
-    for number, line in numbered_lines(source):
-        try:
-            env = loads_envelope(line)
-        except InvalidRecordError as exc:
-            raise InvalidRecordError(f"line {number}: {exc}") from exc
-        yield number, env
+    for number, _, line in numbered_lines(source):
+        yield number, decode_line(number, line)
 
 
-def read_envelopes(source: str | Path | IO[str]) -> list[Envelope]:
+def read_envelopes(source: str | Path | IO) -> list[Envelope]:
     """Read a whole line-delimited envelope file (whitespace-only lines skipped)."""
     return [env for _, env in iter_envelopes(source)]
 

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import vlprep
-from vlprep import kernels
-from vlprep.cli import main
+from vlprep import cli, formats, geometry, kernels, metrics, mixer, schema
+from vlprep.cli import _line_sink, main
 from vlprep.geometry import ImageDims, plan_tiles, token_count
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -603,6 +603,143 @@ class TestEval:
         path.write_text(json.dumps({"MMB": 80.0}))
         code, _, _ = run(capsys, "eval", "--metric", "avg", "--scores", str(path))
         assert code == 2
+
+    WRONG_TYPES = {
+        "predicted_text": ("signals", {"predicted": "abc", "truth": 1.0}, "predicted must be a finite number"),
+        "predicted_nan": ("signals", {"predicted": float("nan"), "truth": 1.0}, "predicted must be a finite number"),
+        "truth_bool": ("signals", {"predicted": 1.0, "truth": True}, "truth must be a finite number"),
+        "prediction_number": ("bleu", {"prediction": 5, "references": ["a b"]}, "prediction must be a string"),
+        "reference_number": ("rouge", {"prediction": "a b", "reference": 3}, "references must be a string or"),
+        "references_mixed": ("mcq", {"prediction": "A", "references": ["A", 2]}, "references must be a string or"),
+        "references_empty": ("bleu", {"prediction": "a", "references": []}, "references must be a string or"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+    def test_pair_field_of_the_wrong_type_is_one_json_error(self, capsys, tmp_path, case):
+        metric, bad, message = self.WRONG_TYPES[case]
+        good = {"predicted": 1.0, "truth": 1.0} if metric == "signals" else {"prediction": "a", "references": ["a"]}
+        src = tmp_path / "pairs.jsonl"
+        write_jsonl(src, [good, bad])
+        code, stdout, err = run(capsys, "eval", "--metric", metric, "-i", str(src))
+        assert code == 1
+        assert stdout == ""
+        error = json.loads(err)
+        assert error["error"] == "InvalidRecordError"
+        assert error["message"].startswith(f"line 2: {message}")
+
+
+class TestNotUtf8:
+    # A line that is not UTF-8 ends every reading command in one JSON error naming it.
+    @staticmethod
+    def bad_file(tmp_path, first_line):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(json.dumps(first_line).encode("utf-8") + b"\ngarbage\xff\n")
+        return str(path)
+
+    @staticmethod
+    def mix_argv(tmp_path):
+        domain = TestNotUtf8.bad_file(tmp_path, classification_record(0))
+        manifest = tmp_path / "mix.json"
+        manifest.write_text(json.dumps({"domain_sources": [{"id": "d", "path": domain}], "ratio": 0, "seed": 0}))
+        return ["mix", "--manifest", str(manifest), "-o", str(tmp_path / "mixed.jsonl")]
+
+    COMMANDS = {
+        "convert": lambda tmp_path: ["convert", "--task", "classification", "-i",
+                                     TestNotUtf8.bad_file(tmp_path, classification_record(0)),
+                                     "-o", str(tmp_path / "out.jsonl")],
+        "validate": lambda tmp_path: ["validate", TestNotUtf8.bad_file(tmp_path, classification_record(0))],
+        "stats": lambda tmp_path: ["stats", TestNotUtf8.bad_file(tmp_path, classification_record(0))],
+        "eval": lambda tmp_path: ["eval", "--metric", "bleu", "-i",
+                                  TestNotUtf8.bad_file(tmp_path, {"prediction": "a", "references": ["a"]})],
+        "mix": mix_argv,
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_invalid_utf8_is_one_json_error(self, capsys, tmp_path, command):
+        code, stdout, err = run(capsys, *self.COMMANDS[command](tmp_path))
+        assert code == 1
+        assert stdout == ""
+        assert json.loads(err) == {"error": "InvalidRecordError", "message": "line 2: not valid UTF-8", "exit_code": 1}
+        assert not list(tmp_path.glob("*.tmp")) and not (tmp_path / "out.jsonl").exists()
+
+    def test_stdin_is_read_as_bytes(self, capsys, monkeypatch, tmp_path):
+        data = Path(self.bad_file(tmp_path, classification_record(0))).read_bytes()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        code, _, err = run(capsys, "validate", "-")
+        assert code == 1
+        assert json.loads(err)["message"] == "line 2: not valid UTF-8"
+
+    def test_crlf_input_converts_like_lf_input(self, capsys, tmp_path):
+        lines = [json.dumps(classification_record(i)) for i in range(3)]
+        outputs = []
+        for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+            src = tmp_path / f"{name}.jsonl"
+            src.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
+            out = tmp_path / f"{name}.out.jsonl"
+            assert run(capsys, "convert", "--task", "classification", "-i", str(src), "-o", str(out))[0] == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
+class TestLineSink:
+    def test_two_sinks_on_one_path_do_not_collide(self, tmp_path):
+        target = tmp_path / "out.jsonl"
+        with _line_sink(str(target)) as first, _line_sink(str(target)) as second:
+            first.write("first\n")
+            second.write("second\n")
+            temps = sorted(p.name for p in tmp_path.iterdir())
+            assert len(temps) == 2
+            assert all(name.startswith("out.jsonl.") and name.endswith(".tmp") for name in temps)
+        # The inner sink commits first, so the outer one's lines are what remain.
+        assert target.read_text() == "first\n"
+        assert list(tmp_path.iterdir()) == [target]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_failed_run_leaves_no_file(self, tmp_path):
+        target = tmp_path / "out.jsonl"
+        with pytest.raises(RuntimeError):
+            with _line_sink(str(target)) as out:
+                out.write("partial\n")
+                raise RuntimeError("conversion failed")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestProbedAttributes:
+    # The benchmark's traced runs patch these module attributes by name, so
+    # renaming or moving one turns its traced steps into failed operations.
+    def test_patched_attributes_exist(self):
+        assert cli.mix is mixer.mix
+        assert cli.schema is schema
+        assert cli.plan_tiles is geometry.plan_tiles
+        assert cli.token_count is geometry.token_count
+        for name in (
+            "read_envelopes", "loads_envelope", "dumps_envelope", "validate_envelope", "parse_special_tokens",
+            "payload_to_record", "payload_to_sample", "sample_to_payload", "Envelope",
+        ):
+            assert callable(getattr(schema, name)), name
+        for task in ("classification", "grounding", "region", "multiview", "video"):
+            assert callable(getattr(formats, f"convert_{task}")), task
+        assert callable(formats.ConversationSample.validate)
+        for name in ("mcq_accuracy", "bleu", "rouge_l", "control_signal_metrics"):
+            assert callable(getattr(metrics, name)), name
+
+    def test_mix_with_a_list_loader_returns_a_sized_stream(self):
+        pools = {
+            path: [schema.Envelope(id=f"{path}-{i}", task="vqa", payload={"images": [], "turns": []})
+                   for i in range(size)]
+            for path, size in (("d", 8), ("g", 20))
+        }
+        manifest = mixer.MixManifest(
+            domain_sources=(mixer.DomainSource("d", "d"),),
+            general_sources=(mixer.GeneralSource("g", "g"),),
+            ratio_r=0.5,
+            seed=1,
+        )
+        stream, report = mixer.mix(manifest, loader=lambda path: list(pools[path]))
+        assert len(stream) == 12 == report.domain_total + report.general_total
+        assert stream[0] in pools["d"] + pools["g"]
 
 
 class TestPlanTiles:

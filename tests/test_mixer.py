@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
-from vlprep.errors import InsufficientDataError, InvalidConfigError
+from vlprep import cli, mixer, schema
+from vlprep.errors import InsufficientDataError, InvalidConfigError, InvalidRecordError, RecordIOError
 from vlprep.mixer import (
     DomainSource,
     GeneralSource,
@@ -16,7 +19,14 @@ from vlprep.mixer import (
     parse_ratio,
     repeat_dataset,
 )
-from vlprep.schema import Envelope
+from vlprep.schema import Envelope, dumps_envelope, read_envelopes
+from vlprep.seeding import derive_seed
+
+# A file handle that is garbage-collected unclosed fails the test.
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+]
 
 
 def envelopes(prefix: str, count: int) -> list[Envelope]:
@@ -294,3 +304,198 @@ class TestManifestParsing:
         m = load_manifest(path)
         assert m.seed == 11 and m.ratio_r == 0.25
         assert m.domain_sources[0].repeat == 2
+
+
+def varied_envelopes(prefix: str, count: int) -> list[Envelope]:
+    # Lengths differ from record to record and some text is not ASCII, so
+    # byte offsets differ from character offsets.
+    return [
+        Envelope(
+            id=f"{prefix}-{i}",
+            task="vqa",
+            payload={
+                "images": [f"{prefix}/{i}.png"],
+                "turns": [
+                    ["user", "<image>\n" + "why " * (i % 5) + "é" * (i % 3)],
+                    ["assistant", "ñ" * (i % 4) + "ok"],
+                ],
+            },
+            meta={"source": prefix},
+        )
+        for i in range(count)
+    ]
+
+
+def write_pool(path, envs, newline="\n"):
+    # A blank line after every fifth record and no newline after the last.
+    lines = []
+    for i, env in enumerate(envs):
+        lines.append(dumps_envelope(env))
+        if i % 5 == 4:
+            lines.append("  ")
+    path.write_bytes(newline.join(lines).encode("utf-8"))
+
+
+def file_manifest(tmp_path, domain=40, general=(("gen", 200, 1.0),), r=0.5, seed=3, repeat=1, allow=False):
+    dom = tmp_path / "dom.jsonl"
+    write_pool(dom, varied_envelopes("d", domain), newline="\r\n")
+    sources = []
+    for name, size, weight in general:
+        write_pool(tmp_path / f"{name}.jsonl", varied_envelopes(name, size))
+        sources.append(GeneralSource(name, str(tmp_path / f"{name}.jsonl"), weight))
+    return MixManifest(
+        domain_sources=(DomainSource("dom", str(dom), repeat),),
+        general_sources=tuple(sources),
+        ratio_r=r,
+        seed=seed,
+        allow_replacement=allow,
+    )
+
+
+def record_draw(m: MixManifest, loader) -> list[Envelope]:
+    """The mixture drawn and shuffled as a list of records: the reference for mix's positions."""
+    stream = []
+    for src in m.domain_sources:
+        stream.extend(repeat_dataset(loader(src.path), src.repeat))
+    requested = math.floor(m.ratio_r * len(stream) + 0.5)
+    weighted = [s for s in m.general_sources if s.weight > 0]
+    quotas = mixer._largest_remainder_quotas(requested, [s.weight for s in weighted]) if requested else []
+    for src, quota in zip(weighted, quotas):
+        pool = loader(src.path)
+        rng = random.Random(derive_seed(m.seed, "sample", src.source_id))
+        if quota <= len(pool):
+            stream.extend(rng.sample(list(pool), quota))
+        else:
+            stream.extend(list(pool) * (quota // len(pool)))
+            stream.extend(rng.sample(list(pool), quota % len(pool)))
+    random.Random(derive_seed(m.seed, "shuffle")).shuffle(stream)
+    return stream
+
+
+@pytest.fixture
+def open_handles(monkeypatch):
+    """Every handle ``schema`` and ``mixer`` open during the test."""
+    handles = []
+
+    def tracked_open(*args, **kwargs):
+        handle = open(*args, **kwargs)
+        handles.append(handle)
+        return handle
+
+    monkeypatch.setattr(schema, "open", tracked_open, raising=False)
+    monkeypatch.setattr(mixer, "open", tracked_open, raising=False)
+    return handles
+
+
+class TestFilePools:
+    CASES = {
+        "repeat": dict(domain=30, repeat=3),
+        "replacement": dict(domain=40, general=(("tiny", 15, 1.0),), r=1.0, allow=True),
+        "zero_weight": dict(general=(("g1", 60, 1.0), ("g2", 60, 0.0)), r=1.0),
+        "ratio_zero": dict(r=0.0),
+        # n <= 21 takes sample()'s list path, n = 500 its set path.
+        "small_pool": dict(domain=10, general=(("small", 20, 1.0),), r=0.5),
+        "large_pool": dict(domain=120, general=(("large", 500, 1.0),), r=0.5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_bytes_from_files_as_from_lists_as_from_a_record_draw(self, tmp_path, case):
+        m = file_manifest(tmp_path, **self.CASES[case])
+        from_files, report_files = mix(m)
+        from_lists, report_lists = mix(m, loader=read_envelopes)
+        expected = [dumps_envelope(env) for env in record_draw(m, read_envelopes)]
+        assert [dumps_envelope(env) for env in from_lists] == expected
+        assert [dumps_envelope(env) for env in from_files] == expected
+        assert [dumps_envelope(from_files[i]) for i in range(len(from_files))] == expected
+        assert report_files == report_lists
+
+    def test_pool_reads_each_line_by_byte_offset(self, tmp_path):
+        path = tmp_path / "pool.jsonl"
+        envs = varied_envelopes("p", 12)
+        write_pool(path, envs, newline="\r\n")
+        pool = mixer.FilePool(str(path))
+        assert len(pool) == 12
+        assert [pool[i] for i in (11, 0, 5, -1)] == [envs[11], envs[0], envs[5], envs[-1]]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_source_is_refused_before_it_is_read(self, tmp_path):
+        pipe = tmp_path / "pipe.jsonl"
+        os.mkfifo(pipe)  # opening it would block until a writer appears
+        with pytest.raises(RecordIOError, match="must be a regular file"):
+            mixer.FilePool(str(pipe))
+
+    @pytest.mark.parametrize("r", [0.0, 0.5])
+    def test_unselected_lines_are_still_checked(self, tmp_path, r):
+        m = file_manifest(tmp_path, domain=10, general=(("gen", 200, 1.0),), r=r)
+        path = tmp_path / "gen.jsonl"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[6] = '{"id": "broken"'
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(InvalidRecordError, match="^line 7: not valid JSON"):
+            mix(m)
+
+    @pytest.mark.parametrize("change", ["rewritten", "truncated"])
+    def test_a_source_changed_after_indexing_fails(self, tmp_path, change):
+        m = file_manifest(tmp_path, domain=30, r=0.0)
+        stream, _ = mix(m)
+        path = tmp_path / "dom.jsonl"
+        data = path.read_bytes()
+        if change == "rewritten":
+            # Same length, same line breaks, another id: every offset still lands on a line.
+            path.write_bytes(data.replace(b'"d-1', b'"x-1'))
+        else:
+            path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(InvalidRecordError, match="changed after it was indexed"):
+            list(stream)
+
+    def test_peak_memory_per_emitted_record(self, tmp_path):
+        m = file_manifest(tmp_path, domain=1500, general=(("gen", 3000, 1.0),), r=1.0)
+        warm = tmp_path / "warm"
+        warm.mkdir()
+        list(mix(file_manifest(warm, domain=5))[0])  # first-use caches are not per-record memory
+        tracemalloc.start()
+        try:
+            stream, report = mix(m)
+            written = sum(len(dumps_envelope(env)) for env in stream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        emitted = report.domain_total + report.general_total
+        assert emitted == 3000 and written > 3000 * 150
+        assert peak <= 512 * emitted, peak / emitted
+
+    def test_no_handle_is_left_open(self, tmp_path, open_handles):
+        m = file_manifest(tmp_path, domain=30, r=1.0)
+        stream, _ = mix(m)
+        list(stream)
+        stream[3]
+        for env in stream:
+            break
+        assert len(open_handles) >= 4
+        assert all(handle.closed for handle in open_handles)
+
+    def test_cmd_mix_closes_every_handle_when_it_fails(self, tmp_path, capsys, monkeypatch, open_handles):
+        m = file_manifest(tmp_path, domain=30, r=1.0)
+        manifest_path = tmp_path / "mix.json"
+        manifest_path.write_text(json.dumps({
+            "domain_sources": [{"id": "dom", "path": m.domain_sources[0].path}],
+            "general_sources": [{"id": "gen", "path": m.general_sources[0].path}],
+            "ratio": 1.0,
+            "seed": 3,
+        }))
+        out = tmp_path / "mixed.jsonl"
+        assert cli.main(["mix", "--manifest", str(manifest_path), "-o", str(out)]) == 0
+        reader_handles = len(open_handles)
+        written = []
+
+        def failing_dumps(env):
+            if len(written) == 10:
+                raise InvalidRecordError("encode failed", env.id)
+            written.append(env)
+            return dumps_envelope(env)
+
+        monkeypatch.setattr(schema, "dumps_envelope", failing_dumps)
+        assert cli.main(["mix", "--manifest", str(manifest_path), "-o", str(out)]) == 1
+        capsys.readouterr()
+        assert len(open_handles) > reader_handles
+        assert all(handle.closed for handle in open_handles)

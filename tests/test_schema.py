@@ -9,6 +9,7 @@ from vlprep.schema import (
     dumps_envelope,
     iter_envelopes,
     loads_envelope,
+    numbered_lines,
     payload_to_record,
     payload_to_sample,
     read_envelopes,
@@ -111,6 +112,28 @@ class TestIO:
         assert [(n, env.id) for n, env in (next(stream), next(stream))] == [(1, "a"), (3, "b")]
         with pytest.raises(InvalidRecordError, match="^line 4: not valid JSON"):
             next(stream)
+
+
+    def test_numbered_lines_gives_byte_offsets(self, tmp_path):
+        path = tmp_path / "lines.jsonl"
+        path.write_bytes("é1\r\n\n  \r\nñ2\nx3".encode("utf-8"))
+        assert list(numbered_lines(path)) == [(1, 0, "é1\r\n"), (4, 10, "ñ2\n"), (5, 14, "x3")]
+        # A handle with a binary buffer, like sys.stdin, is read as bytes too.
+        handle = io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8")
+        assert list(numbered_lines(handle)) == list(numbered_lines(path))
+
+    def test_line_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(dumps_envelope(conversation_env()).encode("utf-8") + b"\ngarbage\xff\n")
+        lines = numbered_lines(path)
+        assert next(lines)[0] == 1
+        with pytest.raises(InvalidRecordError, match="^line 2: not valid UTF-8$"):
+            next(lines)
+
+    def test_crlf_lines_decode_like_lf_lines(self):
+        envs = [conversation_env(id=f"s{i}") for i in range(3)]
+        text = "".join(dumps_envelope(env) + "\r\n" for env in envs)
+        assert read_envelopes(io.BytesIO(text.encode("utf-8"))) == envs
 
 
 class TestPayloadCodecs:
