@@ -76,7 +76,7 @@ from .mixer import (
     parse_ratio,
     repeat_dataset,
 )
-from .schema import Envelope, read_envelopes, validate_envelope, write_envelopes
+from .schema import Envelope, read_envelopes, validate_envelope
 
 __version__ = "0.1.0"
 
@@ -161,5 +161,4 @@ __all__ = [
     "Envelope",
     "read_envelopes",
     "validate_envelope",
-    "write_envelopes",
 ]

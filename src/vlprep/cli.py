@@ -4,7 +4,10 @@ Subcommands: convert, mix, validate, stats, eval, plan-tiles,
 validate-kernels.  All behavior comes from flags plus an optional JSON
 config file (flags win); environment variables are never consulted.  Errors
 are emitted as one JSON object on stderr and mapped to exit codes:
-0 success, 1 validation, 2 configuration, 3 I/O.
+0 success, 1 validation, 2 configuration, 3 I/O.  validate is a dry run of
+convert with the default template: a raw record passes exactly when convert
+would convert it, a conversation record gets the sample and special-token
+grammar checks, and each bad line is reported on stdout as the run goes on.
 
 convert, validate, stats and eval read their input one record at a time:
 convert, validate and stats hold one record, and eval holds the pairs its
@@ -45,9 +48,6 @@ from .geometry import (
     token_count,
 )
 from .mixer import load_manifest, mix
-
-# Raised by a payload of the wrong type or shape while it is converted.
-_MALFORMED = (TypeError, ValueError, KeyError, OverflowError)
 
 
 @dataclass(frozen=True)
@@ -161,14 +161,6 @@ def _print_json(obj, stream=None) -> None:
     print(json.dumps(obj, ensure_ascii=False), file=stream or sys.stdout)
 
 
-def _record_error(number: int, env: schema.Envelope, exc: Exception) -> InvalidRecordError:
-    """One error naming the line and the record that ``exc`` was raised on."""
-    if not isinstance(exc, InvalidRecordError):
-        exc = InvalidRecordError(f"malformed payload: {exc!r}", env.id)
-    detail = str(exc) if exc.record_id else f"record {env.id!r}: {exc}"
-    return InvalidRecordError(f"line {number}: {detail}")
-
-
 def _template_from(cfg: PipelineConfig) -> formats.PromptTemplate:
     if cfg.template_style == "free":
         base = formats.DEFAULT_FREE_TEMPLATE
@@ -186,43 +178,14 @@ def _template_from(cfg: PipelineConfig) -> formats.PromptTemplate:
 
 
 def _convert_one(
-    env: schema.Envelope,
-    task: str,
-    template: formats.PromptTemplate,
-    index: int,
-) -> tuple[schema.Envelope, dict | None]:
+    env: schema.Envelope, task: str, template: formats.PromptTemplate, index: int
+) -> tuple[schema.Envelope, formats.OverlaySpec | None]:
     if env.task != task:
         raise InvalidRecordError(f"task {env.task!r} does not match --task {task!r}", env.id)
-    overlay_entry: dict | None = None
-    if task == "vqa":
-        sample = formats.convert_vqa(schema.payload_to_sample(env))
-    elif task == "classification":
-        rec = schema.payload_to_record(task, env.payload)
-        sample = formats.convert_classification(rec, template, sample_id=env.id, meta=env.meta)
-    elif task == "grounding":
-        rec = schema.payload_to_record(task, env.payload)
-        sample = formats.convert_grounding(rec, sample_id=env.id, meta=env.meta)
-    elif task == "region":
-        rec = schema.payload_to_record(task, env.payload)
-        sample, overlay = formats.convert_region(rec, sample_id=env.id, meta=env.meta, object_index=index)
-        if overlay is not None:
-            overlay_entry = {
-                "id": env.id,
-                "box": list(overlay.box.as_tuple()),
-                "color": list(overlay.color),
-                "stroke_width": overlay.stroke_width,
-            }
-    elif task == "multiview":
-        rec = schema.payload_to_record(task, env.payload)
-        sample = formats.convert_multiview(rec, sample_id=env.id, meta=env.meta)
-    elif task == "video":
-        rec = schema.payload_to_record(task, env.payload)
-        sample = formats.convert_video(rec, sample_id=env.id, meta=env.meta)
-    else:
-        raise InvalidConfigError(f"unknown task {task!r}")
-    sample.validate()
-    out = schema.Envelope(id=env.id, task=task, payload=schema.sample_to_payload(sample), meta=sample.meta)
-    return out, overlay_entry
+    if task != "vqa" and schema.is_conversation_payload(env.payload):
+        raise InvalidRecordError("payload is already a conversation; only --task vqa converts one", env.id)
+    sample, overlay = schema.envelope_to_sample(env, template, index)
+    return schema.Envelope(id=env.id, task=task, payload=schema.sample_to_payload(sample), meta=sample.meta), overlay
 
 
 def cmd_convert(args) -> int:
@@ -240,8 +203,8 @@ def cmd_convert(args) -> int:
         for number, env in schema.iter_envelopes(_source(cfg.input or "-")):
             try:
                 converted, overlay = _convert_one(env, cfg.task, template, records)
-            except (InvalidRecordError, *_MALFORMED) as exc:
-                raise _record_error(number, env, exc) from exc
+            except InvalidRecordError as exc:
+                raise InvalidRecordError(f"line {number}: {exc}") from exc
             out.write(schema.dumps_envelope(converted) + "\n")
             records += 1
             if overlay is None:
@@ -250,7 +213,13 @@ def cmd_convert(args) -> int:
             if args.overlays:
                 if overlays is None:
                     overlays = sidecar.enter_context(_line_sink(args.overlays))
-                overlays.write(json.dumps(overlay, ensure_ascii=False) + "\n")
+                entry = {
+                    "id": env.id,
+                    "box": list(overlay.box.as_tuple()),
+                    "color": list(overlay.color),
+                    "stroke_width": overlay.stroke_width,
+                }
+                overlays.write(json.dumps(entry, ensure_ascii=False) + "\n")
 
     _print_json(
         {"records": records, "by_task": {cfg.task: records} if records else {}, "overlays": drawn},
@@ -280,8 +249,7 @@ def cmd_validate(args) -> int:
     for number, _, line in schema.numbered_lines(_source(args.path)):
         checked += 1
         try:
-            env = schema.loads_envelope(line)
-            schema.validate_envelope(env)
+            schema.validate_envelope(schema.loads_envelope(schema.line_text(number, line)))
         except InvalidRecordError as exc:
             errors += 1
             _print_json({"line": number, "error": str(exc)})
@@ -302,7 +270,7 @@ def _record_plans(env: schema.Envelope, cfg: PipelineConfig) -> list[TilePlan]:
         frame = ImageDims(TILE_SIZE, TILE_SIZE)
         return [plan(frame)] * count
     if "width" in payload and "height" in payload:
-        return [plan(ImageDims(int(payload["width"]), int(payload["height"])))]
+        return [plan(schema.dims_from(payload))]
     if "width" in env.meta and "height" in env.meta:
         dims = ImageDims(int(env.meta["width"]), int(env.meta["height"]))
     else:
@@ -322,9 +290,10 @@ def cmd_stats(args) -> int:
         records += 1
         by_task[env.task] = by_task.get(env.task, 0) + 1
         try:
-            plans = _record_plans(env, cfg)
-        except (InvalidRecordError, *_MALFORMED) as exc:
-            raise _record_error(number, env, exc) from exc
+            with schema.record_errors(env.id):
+                plans = _record_plans(env, cfg)
+        except InvalidRecordError as exc:
+            raise InvalidRecordError(f"line {number}: {exc}") from exc
         for plan in plans:
             total_tokens += token_count(plan, cfg.tokens_per_tile)
             key = str(plan.total_tiles)
@@ -349,8 +318,8 @@ def cmd_stats(args) -> int:
 def _json_objects(path: str) -> Iterator[tuple[int, dict]]:
     for number, _, line in schema.numbered_lines(_source(path)):
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+            obj = json.loads(schema.line_text(number, line))
+        except (ValueError, RecursionError) as exc:
             raise InvalidRecordError(f"line {number}: not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise InvalidRecordError(f"line {number}: expected a JSON object")

@@ -19,12 +19,13 @@ import re
 import string
 from dataclasses import dataclass, field
 
-from .errors import InvalidRecordError, OutOfBoundsError, TokenParseError
+from .errors import InvalidRecordError, TokenParseError
 from .geometry import (
     ImageDims,
     NormalizedBox,
     PixelBox,
     ensure_box_within,
+    ensure_point_within,
     multiview_layout,
     normalize_box,
     normalize_point,
@@ -192,6 +193,10 @@ class MultiViewRecord:
             if tag.id in seen:
                 raise InvalidRecordError(f"duplicate c-tag id {tag.id}")
             seen.add(tag.id)
+            dims = self.view_dims[tag.camera]
+            ensure_point_within(tag.cx, tag.cy, dims)
+            if tag.box is not None:
+                ensure_box_within(tag.box, dims)
 
 
 @dataclass(frozen=True)

@@ -262,13 +262,18 @@ def normalize_box(
     )
 
 
-def normalize_point(x: float, y: float, dims: ImageDims, record_id: str | None = None) -> tuple[int, int]:
-    """Map a pixel point onto the 0-1000 grid with the box rounding rule."""
+def ensure_point_within(x: float, y: float, dims: ImageDims, record_id: str | None = None) -> None:
+    """Raise :class:`OutOfBoundsError` if the point ``(x, y)`` lies outside ``dims``."""
     if not (0 <= x <= dims.width and 0 <= y <= dims.height):
         raise OutOfBoundsError(
             f"point ({x}, {y}) exceeds image bounds {dims.width}x{dims.height}",
             record_id=record_id,
         )
+
+
+def normalize_point(x: float, y: float, dims: ImageDims, record_id: str | None = None) -> tuple[int, int]:
+    """Map a pixel point onto the 0-1000 grid with the box rounding rule."""
+    ensure_point_within(x, y, dims, record_id)
     return (_to_grid(x, dims.width), _to_grid(y, dims.height))
 
 

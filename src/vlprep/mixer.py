@@ -236,7 +236,7 @@ class FilePool(Sequence[Envelope]):
         for number, offset, line in schema.numbered_lines(path):
             schema.decode_line(number, line)
             self._offsets.append(offset)
-            self._crcs.append(zlib.crc32(line.encode("utf-8")))
+            self._crcs.append(zlib.crc32(line))
 
     def __len__(self) -> int:
         return len(self._offsets)

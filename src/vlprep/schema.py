@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterator
 
+from . import formats
 from .errors import InvalidRecordError, RecordIOError, TokenParseError
 from .formats import (
     ClassificationRecord,
@@ -26,7 +28,7 @@ from .formats import (
     VideoRecord,
     parse_special_tokens,
 )
-from .geometry import ImageDims, PixelBox, ensure_box_within
+from .geometry import ImageDims, PixelBox
 
 SCHEMA_VERSION = "1"
 KNOWN_TASKS = ("classification", "grounding", "region", "multiview", "video", "vqa")
@@ -71,10 +73,18 @@ def dumps_envelope(env: Envelope) -> str:
     return json.dumps(ordered, ensure_ascii=False)
 
 
+def _reject_constant(name: str) -> None:
+    raise ValueError(f"{name} is not a finite number")
+
+
+# One decoder for every line, reused: NaN, Infinity and -Infinity are not JSON.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def loads_envelope(line: str) -> Envelope:
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+        obj = _DECODER.decode(line)
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, a non-finite constant, or too deep
         raise InvalidRecordError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InvalidRecordError("record line must be a JSON object")
@@ -82,25 +92,18 @@ def loads_envelope(line: str) -> Envelope:
     extra = [k for k in obj if k not in _ENVELOPE_KEYS]
     if missing or extra:
         raise InvalidRecordError(f"envelope keys wrong: missing {missing}, unexpected {extra}")
-    return Envelope(
-        id=obj["id"],
-        task=obj["task"],
-        payload=obj["payload"],
-        meta=obj["meta"],
-        schema_version=obj["schema_version"],
-    )
+    return Envelope(**obj)
 
 
-def numbered_lines(source: str | Path | IO) -> Iterator[tuple[int, int, str]]:
+def numbered_lines(source: str | Path | IO) -> Iterator[tuple[int, int, bytes | str]]:
     r"""Yield (line number, offset, line) for each non-blank line of a path or open handle.
 
     Lines end at ``\n`` (a ``\r\n`` ending leaves a ``\r`` that JSON reads
     as whitespace).  A path, or a handle with a binary ``buffer`` such as
-    ``sys.stdin``, is read as bytes and decoded one line at a time, so a line
-    that is not UTF-8 is an :class:`InvalidRecordError` naming it, and the
-    offset is the line's byte position.  A text handle such as ``StringIO``
-    is read as it is, with offsets in characters.  A path that cannot be
-    opened is a :class:`RecordIOError`.
+    ``sys.stdin``, yields undecoded bytes with byte offsets, and
+    :func:`line_text` decodes each line alone; a text handle such as
+    ``StringIO`` yields text with offsets in characters.  A path that cannot
+    be opened is a :class:`RecordIOError`.
     """
     if hasattr(source, "read"):
         handle = contextlib.nullcontext(getattr(source, "buffer", source))
@@ -114,29 +117,31 @@ def numbered_lines(source: str | Path | IO) -> Iterator[tuple[int, int, str]]:
         for number, raw in enumerate(lines, start=1):
             start = offset
             offset += len(raw)
-            if isinstance(raw, bytes):
-                try:
-                    raw = raw.decode("utf-8")
-                except UnicodeDecodeError:
-                    raise InvalidRecordError(f"line {number}: not valid UTF-8") from None
             if raw.strip():
                 yield number, start, raw
 
 
-def decode_line(number: int, line: str) -> Envelope:
-    """:func:`loads_envelope`, with a decode error prefixed ``line N:``."""
+def line_text(number: int, line: bytes | str) -> str:
+    """A line of :func:`numbered_lines` as text; a line that is not UTF-8 is an error naming it."""
+    if isinstance(line, str):
+        return line
     try:
-        return loads_envelope(line)
+        return line.decode("utf-8")
+    except UnicodeDecodeError:
+        raise InvalidRecordError(f"line {number}: not valid UTF-8") from None
+
+
+def decode_line(number: int, line: bytes | str) -> Envelope:
+    """:func:`loads_envelope` on :func:`line_text`, with a decode error prefixed ``line N:``."""
+    text = line_text(number, line)
+    try:
+        return loads_envelope(text)
     except InvalidRecordError as exc:
         raise InvalidRecordError(f"line {number}: {exc}") from exc
 
 
 def iter_envelopes(source: str | Path | IO) -> Iterator[tuple[int, Envelope]]:
-    """Decode envelopes one line at a time: (line number, envelope).
-
-    A line that does not decode raises :class:`InvalidRecordError` prefixed
-    with ``line N:``.
-    """
+    """(line number, envelope) for each line, decoded one at a time by :func:`decode_line`."""
     for number, _, line in numbered_lines(source):
         yield number, decode_line(number, line)
 
@@ -146,38 +151,37 @@ def read_envelopes(source: str | Path | IO) -> list[Envelope]:
     return [env for _, env in iter_envelopes(source)]
 
 
-def write_envelopes(target: str | Path | IO[str], envelopes: Iterable[Envelope]) -> int:
-    count = 0
-    if hasattr(target, "write"):
-        for env in envelopes:
-            target.write(dumps_envelope(env) + "\n")  # type: ignore[union-attr]
-            count += 1
-        return count
-    try:
-        with open(target, "w", encoding="utf-8") as handle:
-            for env in envelopes:
-                handle.write(dumps_envelope(env) + "\n")
-                count += 1
-    except OSError as exc:
-        raise RecordIOError(f"cannot write {target}: {exc}") from exc
-    return count
-
-
 def _require(payload: dict, keys: tuple[str, ...], task: str) -> None:
     missing = [k for k in keys if k not in payload]
     if missing:
         raise InvalidRecordError(f"{task} payload missing {missing}")
 
 
-def _dims_from(payload: dict) -> ImageDims:
-    _require(payload, ("width", "height"), "sized")
-    return ImageDims(int(payload["width"]), int(payload["height"]))
+def _numbers(values, count: int, what: str, kinds: tuple[type, ...] = (int, float)) -> tuple:
+    """``values`` if it is exactly ``count`` finite JSON numbers of ``kinds``; a ``bool`` is none."""
+    if (
+        not isinstance(values, (list, tuple))
+        or len(values) != count
+        or not all(type(v) in kinds and math.isfinite(v) for v in values)
+    ):
+        kind = "integers" if kinds == (int,) else "finite numbers"
+        raise ValueError(f"{what} must be {count} {kind}, got {values!r}")
+    return tuple(values)
+
+
+def _pairs(values, what: str) -> tuple[tuple, ...]:
+    if not isinstance(values, list) or not all(isinstance(pair, list) and len(pair) == 2 for pair in values):
+        raise ValueError(f"{what} must be a list of pairs, got {values!r}")
+    return tuple((a, b) for a, b in values)
+
+
+def dims_from(payload: dict) -> ImageDims:
+    """A raw payload's ``width`` and ``height``, which must be JSON integers."""
+    return ImageDims(*_numbers((payload["width"], payload["height"]), 2, "width and height", (int,)))
 
 
 def _box_from(values, what: str = "box") -> PixelBox:
-    if not isinstance(values, (list, tuple)) or len(values) != 4:
-        raise InvalidRecordError(f"{what} must be [x1, y1, x2, y2], got {values!r}")
-    return PixelBox(*(float(v) for v in values))
+    return PixelBox(*(float(v) for v in _numbers(values, 4, f"{what} [x1, y1, x2, y2]")))
 
 
 def _str_list(values, what: str) -> tuple[str, ...]:
@@ -198,18 +202,18 @@ def payload_to_record(
             truth=payload["truth"],
         )
     if task == "grounding":
-        _require(payload, ("image", "expression", "box"), task)
+        _require(payload, ("image", "expression", "box", "width", "height"), task)
         return GroundingRecord(
             image=payload["image"],
             expression=payload["expression"],
             box=_box_from(payload["box"]),
-            dims=_dims_from(payload),
+            dims=dims_from(payload),
         )
     if task == "region":
-        _require(payload, ("image", "region", "question", "answer"), task)
+        _require(payload, ("image", "width", "height", "region", "question", "answer"), task)
         return RegionRecord(
             image=payload["image"],
-            dims=_dims_from(payload),
+            dims=dims_from(payload),
             region=_box_from(payload["region"], "region"),
             question=payload["question"],
             answer=payload["answer"],
@@ -219,29 +223,29 @@ def payload_to_record(
     if task == "multiview":
         _require(payload, ("views", "view_dims", "qa"), task)
         view_dims = {
-            cam: ImageDims(int(w), int(h)) for cam, (w, h) in payload["view_dims"].items()
+            cam: ImageDims(*_numbers(pair, 2, f"view_dims {cam!r}", (int,)))
+            for cam, pair in dict(payload["view_dims"]).items()
         }
         objects = tuple(
             CTag(
-                id=obj["id"],
-                camera=obj["camera"],
-                cx=float(obj["center"][0]),
-                cy=float(obj["center"][1]),
+                obj["id"],
+                obj["camera"],
+                *map(float, _numbers(obj["center"], 2, "center")),
                 box=_box_from(obj["box"]) if obj.get("box") is not None else None,
             )
-            for obj in payload.get("objects", [])
+            for obj in map(dict, payload.get("objects", []))
         )
         return MultiViewRecord(
             views=dict(payload["views"]),
             view_dims=view_dims,
-            qa=tuple((q, a) for q, a in payload["qa"]),
+            qa=_pairs(payload["qa"], "qa"),
             objects=objects,
         )
     if task == "video":
         _require(payload, ("frames", "qa"), task)
         return VideoRecord(
             frames=_str_list(payload["frames"], "frames"),
-            qa=tuple((q, a) for q, a in payload["qa"]),
+            qa=_pairs(payload["qa"], "qa"),
         )
     raise InvalidRecordError(f"task {task!r} has no raw record form")
 
@@ -255,13 +259,10 @@ def sample_to_payload(sample: ConversationSample) -> dict:
 
 def payload_to_sample(env: Envelope) -> ConversationSample:
     _require(env.payload, ("images", "turns"), "conversation")
-    turns = env.payload["turns"]
-    if not isinstance(turns, list) or not all(isinstance(t, (list, tuple)) and len(t) == 2 for t in turns):
-        raise InvalidRecordError("turns must be [role, text] pairs", env.id)
     return ConversationSample(
         id=env.id,
         images=_str_list(env.payload["images"], "images"),
-        turns=tuple((r, t) for r, t in turns),
+        turns=_pairs(env.payload["turns"], "turns"),
         meta=dict(env.meta),
     )
 
@@ -270,36 +271,53 @@ def is_conversation_payload(payload: dict) -> bool:
     return "turns" in payload
 
 
-def validate_envelope(env: Envelope) -> None:
-    """Check one envelope end to end; raises on the first violation.
-
-    Conversation payloads must validate structurally and every turn must
-    parse under the special-token grammar; raw payloads must decode into
-    their record type with all boxes inside their image bounds.
-    """
+@contextlib.contextmanager
+def record_errors(record_id: str) -> Iterator[None]:
+    """Raise every failure of the block as an :class:`InvalidRecordError` naming the record: a
+    payload field of the wrong type or shape, or a turn that breaks the special-token grammar."""
     try:
-        if is_conversation_payload(env.payload) or env.task == "vqa":
+        yield
+    except InvalidRecordError as exc:
+        if exc.record_id:
+            raise
+        raise type(exc)(str(exc), record_id) from exc
+    except TokenParseError as exc:
+        raise InvalidRecordError(f"special-token grammar: {exc}", record_id) from exc
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise InvalidRecordError(f"malformed payload: {exc!r}", record_id) from exc
+
+
+def envelope_to_sample(
+    env: Envelope, template: formats.PromptTemplate = formats.DEFAULT_FREE_TEMPLATE, object_index: int = 0
+) -> tuple[ConversationSample, formats.OverlaySpec | None]:
+    """Decode one envelope into its checked sample, plus the overlay a drawn region asks for.
+
+    A conversation payload, or any ``vqa`` payload, is validated and each turn
+    parsed under the special-token grammar; a raw payload decodes into its
+    record and runs through its converter.  Failures are as :func:`record_errors` raises them.
+    """
+    with record_errors(env.id):
+        if env.task == "vqa" or is_conversation_payload(env.payload):
             sample = payload_to_sample(env)
-            sample.validate()
+            if env.task == "vqa":
+                sample = formats.convert_vqa(sample)
+            else:
+                sample.validate()
             for _, text in sample.turns:
                 parse_special_tokens(text)
-            return
+            return sample, None
         record = payload_to_record(env.task, env.payload)
-        if isinstance(record, GroundingRecord):
-            ensure_box_within(record.box, record.dims, env.id)
-        elif isinstance(record, RegionRecord):
-            ensure_box_within(record.region, record.dims, env.id)
-        elif isinstance(record, MultiViewRecord):
-            for tag in record.objects:
-                dims = record.view_dims[tag.camera]
-                if not (0 <= tag.cx <= dims.width and 0 <= tag.cy <= dims.height):
-                    raise InvalidRecordError(
-                        f"c-tag {tag.id} center ({tag.cx}, {tag.cy}) outside {dims.width}x{dims.height}",
-                        env.id,
-                    )
-                if tag.box is not None:
-                    ensure_box_within(tag.box, dims, env.id)
-    except TokenParseError as exc:
-        raise InvalidRecordError(f"special-token grammar: {exc}", env.id) from exc
-    except (TypeError, ValueError, KeyError) as exc:
-        raise InvalidRecordError(f"malformed payload: {exc!r}", env.id) from exc
+        convert = getattr(formats, f"convert_{env.task}")
+        if env.task == "classification":
+            sample, overlay = convert(record, template, sample_id=env.id, meta=env.meta), None
+        elif env.task == "region":
+            sample, overlay = convert(record, sample_id=env.id, meta=env.meta, object_index=object_index)
+        else:
+            sample, overlay = convert(record, sample_id=env.id, meta=env.meta), None
+        sample.validate()
+        return sample, overlay
+
+
+def validate_envelope(env: Envelope) -> None:
+    """Check one envelope end to end: a dry run of :func:`envelope_to_sample` with its defaults."""
+    envelope_to_sample(env)

@@ -1,15 +1,20 @@
 """End-to-end tests driving the command line entry point in process."""
 
+import contextlib
+import copy
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import types
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import vlprep
 from vlprep import cli, formats, geometry, kernels, metrics, mixer, schema
@@ -281,22 +286,37 @@ class TestConvert:
         assert json.loads(err.strip())["exit_code"] == 3
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "outdir"]
 
+    # case -> (task, record, start of the error message); a non-finite number
+    # is refused when its line is read, before the record id is known.
     MALFORMED = {
-        "width_not_a_number": ("grounding", with_payload(golden_record("grounding"), width="abc")),
-        "nan_box": ("grounding", with_payload(golden_record("grounding"), box=[float("nan"), 90, 630, 450])),
-        "infinite_height": ("grounding", with_payload(golden_record("grounding"), height=float("inf"))),
+        "width_not_a_number": (
+            "grounding",
+            with_payload(golden_record("grounding"), width="abc"),
+            "record 'rs-grd-0001': malformed payload: ",
+        ),
+        "nan_box": (
+            "grounding",
+            with_payload(golden_record("grounding"), box=[float("nan"), 90, 630, 450]),
+            "not valid JSON: NaN is not a finite number",
+        ),
+        "infinite_height": (
+            "grounding",
+            with_payload(golden_record("grounding"), height=float("inf")),
+            "not valid JSON: Infinity is not a finite number",
+        ),
         "multiview_object_without_center": (
             "multiview",
             with_payload(
                 golden_record("multiview"),
                 objects=[{"id": "c1", "camera": "CAM_FRONT", "box": [720, 380, 880, 520]}],
             ),
+            "record 'drive-mv-0001': malformed payload: ",
         ),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_payload_is_one_json_error(self, capsys, tmp_path, case):
-        task, record = self.MALFORMED[case]
+        task, record, message = self.MALFORMED[case]
         src = tmp_path / "in.jsonl"
         write_jsonl(src, [golden_record(task, id="ok-1"), record])
         code, stdout, err = run(capsys, "convert", "--task", task, "-i", str(src), "-o", str(tmp_path / "out.jsonl"))
@@ -305,8 +325,28 @@ class TestConvert:
         error = json.loads(err)  # exactly one JSON line, no traceback
         assert error["error"] == "InvalidRecordError"
         assert error["exit_code"] == 1
-        assert error["message"].startswith(f"line 2: record {record['id']!r}: malformed payload: ")
+        assert error["message"].startswith(f"line 2: {message}")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+    def test_conversation_payload_converts_only_as_vqa(self, capsys, tmp_path):
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [golden_record("grounding")])
+        converted = tmp_path / "converted.jsonl"
+        assert run(capsys, "convert", "--task", "grounding", "-i", str(src), "-o", str(converted))[0] == 0
+        code, _, err = run(capsys, "convert", "--task", "grounding", "-i", str(converted), "-o", "-")
+        assert code == 1
+        assert "already a conversation" in json.loads(err)["message"]
+
+    def test_vqa_sample_is_validated_once(self, capsys, tmp_path, monkeypatch):
+        validations = []
+        validate = formats.ConversationSample.validate
+        monkeypatch.setattr(formats.ConversationSample, "validate", lambda self: validations.append(self.id) or validate(self))
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [TestValidateAgreesWithConvert.SEEDS["vqa"]])
+        code, out, _ = run(capsys, "convert", "--task", "vqa", "-i", str(src), "-o", "-")
+        assert code == 0
+        assert json.loads(out)["meta"] == {"task": "vqa"}
+        assert validations == ["vqa-0001"]
 
     def test_first_failing_line_in_file_order_is_reported(self, capsys, tmp_path):
         drawn = golden_record("region_drawn")
@@ -469,6 +509,175 @@ class TestValidate:
         assert json.loads(stdout.strip().splitlines()[-1])["errors"] == 0
 
 
+def vqa_record(turns, images=("a.png",)):
+    return {
+        "id": "vqa-0001", "schema_version": "1", "task": "vqa", "meta": {},
+        "payload": {"images": list(images), "turns": [list(turn) for turn in turns]},
+    }
+
+
+def multiview_scene(objects):
+    """A six-view record of 100x100 views whose text names no object."""
+    views = {f"CAM_{i}": f"v{i}.png" for i in range(6)}
+    return {
+        "id": "mv-0001", "schema_version": "1", "task": "multiview", "meta": {},
+        "payload": {"views": views, "view_dims": {cam: [100, 100] for cam in views}, "qa": [["q", "a"]],
+                    "objects": objects},
+    }
+
+
+def verdicts(record):
+    """Exit codes of ``validate`` and of ``convert --task <its task>`` on a file holding ``record``.
+
+    Runs in process with its own temporary directory and captured streams,
+    so property tests can call it once per example.  Anything but a
+    PipelineError escapes ``main`` and fails the calling test.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "in.jsonl"
+        write_jsonl(src, [record])
+        streams = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(streams[0]), contextlib.redirect_stderr(streams[1]):
+            validated = main(["validate", str(src)])
+            converted = main(["convert", "--task", record["task"], "-i", str(src), "-o", str(Path(tmp) / "out.jsonl")])
+    return validated, converted
+
+
+class TestValidateAgreesWithConvert:
+    # validate is a dry run of convert with the default template, so every
+    # input record gets one verdict from both commands.
+    SEEDS = {
+        name: golden_record(name)
+        for name in ("classification_free", "grounding", "region_inline", "region_drawn", "multiview", "video")
+    }
+    SEEDS["vqa"] = vqa_record([("user", "<image>\nWhat is <ref>this</ref>?"), ("assistant", "<box>[[1, 2, 3, 4]]</box>")])
+
+    # Inputs the two commands used to judge differently.
+    PROBES = {
+        "nan_box_corner": with_payload(golden_record("grounding"), box=[float("nan"), 90, 630, 450]),
+        "ref_in_expression": with_payload(golden_record("grounding"), expression="the <ref>bridge</ref>"),
+        "box_in_region_question": with_payload(golden_record("region_inline"), question="Is <box> red?"),
+        "unknown_ctag_placeholder": with_payload(golden_record("multiview"), qa=[["Where is <c9>?", "ahead"]]),
+        "video_answer_is_a_number": with_payload(golden_record("video"), qa=[["How many cars?", 5]]),
+        "vqa_box_off_the_grid": vqa_record([("user", "<image>\nsee <box>[[0,0,2000,5]]</box>"), ("assistant", "a")]),
+        "unnamed_center_outside_view": multiview_scene([{"id": "c1", "camera": "CAM_0", "center": [500, 5]}]),
+    }
+
+    # Fields of the wrong JSON type or arity, which both commands once accepted
+    # (a width of 10.9 was truncated to 10).
+    SMALL = {"box": [0, 0, 5, 5], "width": 10, "height": 10}
+    WRONG_TYPES = {
+        "width_float": with_payload(golden_record("grounding"), **{**SMALL, "width": 10.9}),
+        "width_string": with_payload(golden_record("grounding"), **{**SMALL, "width": "10"}),
+        "box_strings": with_payload(golden_record("grounding"), **{**SMALL, "box": ["0", "0", "5", "5"]}),
+        "box_bools": with_payload(golden_record("grounding"), **{**SMALL, "box": [False, 0, True, 5]}),
+        "center_three_numbers": multiview_scene([{"id": "c1", "camera": "CAM_0", "center": [50, 5, 1]}]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SEEDS))
+    def test_well_formed_records_pass_both(self, name):
+        assert verdicts(self.SEEDS[name]) == (0, 0)
+
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    def test_probes_fail_both(self, probe):
+        assert verdicts(self.PROBES[probe]) == (1, 1)
+
+    @pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+    def test_wrong_types_and_arities_fail_both(self, capsys, tmp_path, case):
+        record = self.WRONG_TYPES[case]
+        assert verdicts(record) == (1, 1)
+        if case.startswith("width"):  # stats reads raw dims through the same decode
+            src = tmp_path / "in.jsonl"
+            write_jsonl(src, [record])
+            code, _, err = run(capsys, "stats", str(src))
+            assert code == 1
+            assert "width and height must be 2 integers" in json.loads(err)["message"]
+
+    # Values a mutation puts in place of one part of a payload: wrong types
+    # and arities, non-finite numbers, reserved tokens, unknown c-tags and
+    # centres outside any view.
+    MUTANTS = st.one_of(
+        st.sampled_from([
+            None, True, 0, -1, 10.9, 1e6, float("nan"), float("inf"), "", "10", "<ref>", "</box>",
+            "<box>[[0, 0, 2000, 5]]</box>", "<c9>", "<c1>", "<image>", [], [1, 2, 3], [5000, 5], [-1, 3],
+            ["0", "0", "5", "5"], [False, 0, True, 5], [[1, 2]], [["q"]], {}, {"id": "c1"},
+        ]),
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+            lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+            max_leaves=6,
+        ),
+    )
+
+    @staticmethod
+    def paths(value, path=()):
+        """Every place inside a JSON value, as a key path."""
+        yield path
+        items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+        for key, item in items:
+            yield from TestValidateAgreesWithConvert.paths(item, (*path, key))
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_validate_passes_exactly_when_convert_does(self, data):
+        record = copy.deepcopy(self.SEEDS[data.draw(st.sampled_from(sorted(self.SEEDS)), label="seed")])
+        for _ in range(data.draw(st.integers(0, 3), label="mutations")):
+            path = data.draw(st.sampled_from(list(self.paths(record["payload"]))[1:]), label="path")
+            *parents, key = path
+            holder = record["payload"]
+            for step in parents:
+                holder = holder[step]
+            holder[key] = copy.deepcopy(data.draw(self.MUTANTS, label="value"))
+        validated, converted = verdicts(record)
+        assert validated in (0, 1)
+        assert validated == converted
+
+
+class TestLinesThatAreNotJson:
+    # NaN and Infinity are not JSON, and a line nested past the interpreter's
+    # recursion limit cannot be decoded: every command refuses the line as it reads it.
+    @staticmethod
+    def source(tmp_path, constant):
+        path = tmp_path / "in.jsonl"
+        bad = json.dumps(classification_record(1)).replace('"meadow",', f'"meadow", {constant},', 1)
+        path.write_text(json.dumps(classification_record(0)) + "\n" + bad + "\n", encoding="utf-8")
+        return str(path)
+
+    COMMANDS = {
+        "convert": lambda src, tmp_path: ["convert", "--task", "classification", "-i", src, "-o", str(tmp_path / "out.jsonl")],
+        "stats": lambda src, tmp_path: ["stats", src],
+        "mix": lambda src, tmp_path: TestNotUtf8.mix_argv(tmp_path, src),
+    }
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_non_finite_number_is_one_json_error(self, capsys, tmp_path, command, constant):
+        code, stdout, err = run(capsys, *self.COMMANDS[command](self.source(tmp_path, constant), tmp_path))
+        assert code == 1
+        assert stdout == ""
+        assert json.loads(err)["message"] == f"line 2: not valid JSON: {constant} is not a finite number"
+
+    def test_validate_reports_the_line(self, capsys, tmp_path):
+        code, stdout, _ = run(capsys, "validate", self.source(tmp_path, "NaN"))
+        assert code == 1
+        assert [json.loads(line) for line in stdout.splitlines()] == [
+            {"line": 2, "error": "not valid JSON: NaN is not a finite number"},
+            {"checked": 2, "errors": 1},
+        ]
+
+    @pytest.mark.parametrize("command", ["convert", "stats", "eval"])
+    def test_too_deeply_nested_line_is_one_json_error(self, capsys, tmp_path, command):
+        src = tmp_path / "deep.jsonl"
+        src.write_text("[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+        argv = {"convert": ["convert", "--task", "vqa", "-i", str(src), "-o", "-"],
+                "stats": ["stats", str(src)],
+                "eval": ["eval", "--metric", "bleu", "-i", str(src)]}[command]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 1
+        assert stdout == ""
+        assert json.loads(err)["message"].startswith("line 1: not valid JSON: maximum recursion depth exceeded")
+
+
 class TestStats:
     def test_token_totals_match_planner(self, capsys, tmp_path):
         records = [
@@ -629,7 +838,8 @@ class TestEval:
 
 
 class TestNotUtf8:
-    # A line that is not UTF-8 ends every reading command in one JSON error naming it.
+    # A line that is not UTF-8 ends every reading command but validate in one
+    # JSON error naming it; validate reports it like any other bad line.
     @staticmethod
     def bad_file(tmp_path, first_line):
         path = tmp_path / "bad.jsonl"
@@ -637,8 +847,8 @@ class TestNotUtf8:
         return str(path)
 
     @staticmethod
-    def mix_argv(tmp_path):
-        domain = TestNotUtf8.bad_file(tmp_path, classification_record(0))
+    def mix_argv(tmp_path, domain=None):
+        domain = domain or TestNotUtf8.bad_file(tmp_path, classification_record(0))
         manifest = tmp_path / "mix.json"
         manifest.write_text(json.dumps({"domain_sources": [{"id": "d", "path": domain}], "ratio": 0, "seed": 0}))
         return ["mix", "--manifest", str(manifest), "-o", str(tmp_path / "mixed.jsonl")]
@@ -647,7 +857,6 @@ class TestNotUtf8:
         "convert": lambda tmp_path: ["convert", "--task", "classification", "-i",
                                      TestNotUtf8.bad_file(tmp_path, classification_record(0)),
                                      "-o", str(tmp_path / "out.jsonl")],
-        "validate": lambda tmp_path: ["validate", TestNotUtf8.bad_file(tmp_path, classification_record(0))],
         "stats": lambda tmp_path: ["stats", TestNotUtf8.bad_file(tmp_path, classification_record(0))],
         "eval": lambda tmp_path: ["eval", "--metric", "bleu", "-i",
                                   TestNotUtf8.bad_file(tmp_path, {"prediction": "a", "references": ["a"]})],
@@ -662,12 +871,24 @@ class TestNotUtf8:
         assert json.loads(err) == {"error": "InvalidRecordError", "message": "line 2: not valid UTF-8", "exit_code": 1}
         assert not list(tmp_path.glob("*.tmp")) and not (tmp_path / "out.jsonl").exists()
 
+    def test_validate_reports_a_line_that_is_not_utf8_and_goes_on(self, capsys, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        good = json.dumps(classification_record(0)).encode("utf-8")
+        path.write_bytes(b"garbage\xff\n{\"bad json\n" + good + b"\n")
+        code, stdout, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert err == ""
+        lines = [json.loads(line) for line in stdout.splitlines()]
+        assert lines[0] == {"line": 1, "error": "line 1: not valid UTF-8"}
+        assert lines[1]["line"] == 2 and lines[1]["error"].startswith("not valid JSON")
+        assert lines[2:] == [{"checked": 3, "errors": 2}]
+
     def test_stdin_is_read_as_bytes(self, capsys, monkeypatch, tmp_path):
         data = Path(self.bad_file(tmp_path, classification_record(0))).read_bytes()
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
-        code, _, err = run(capsys, "validate", "-")
+        code, stdout, _ = run(capsys, "validate", "-")
         assert code == 1
-        assert json.loads(err)["message"] == "line 2: not valid UTF-8"
+        assert json.loads(stdout.splitlines()[0]) == {"line": 2, "error": "line 2: not valid UTF-8"}
 
     def test_crlf_input_converts_like_lf_input(self, capsys, tmp_path):
         lines = [json.dumps(classification_record(i)) for i in range(3)]
@@ -724,6 +945,13 @@ class TestProbedAttributes:
         assert callable(formats.ConversationSample.validate)
         for name in ("mcq_accuracy", "bleu", "rouge_l", "control_signal_metrics"):
             assert callable(getattr(metrics, name)), name
+
+    def test_validating_a_raw_record_reaches_the_patched_converter(self, monkeypatch):
+        calls = []
+        convert = formats.convert_grounding
+        monkeypatch.setattr(formats, "convert_grounding", lambda *a, **k: calls.append(a) or convert(*a, **k))
+        schema.validate_envelope(schema.Envelope(**golden_record("grounding")))
+        assert len(calls) == 1
 
     def test_mix_with_a_list_loader_returns_a_sized_stream(self):
         pools = {

@@ -334,6 +334,21 @@ class TestMultiView:
                 objects=(CTag(id="c1", camera="CAM_REAR", cx=1, cy=1),),
             )
 
+    @pytest.mark.parametrize(
+        "tag",
+        [
+            CTag(id="c1", camera="CAM_FRONT", cx=1601, cy=1),
+            CTag(id="c1", camera="CAM_FRONT", cx=1, cy=-1),
+            CTag(id="c1", camera="CAM_FRONT", cx=1, cy=1, box=PixelBox(0, 0, 10, 901)),
+        ],
+        ids=["center_right_of_view", "center_above_view", "box_below_view"],
+    )
+    def test_objects_must_lie_in_their_view(self, tag):
+        # Checked at construction, whether or not any text names the object.
+        views, dims = make_views()
+        with pytest.raises(OutOfBoundsError):
+            MultiViewRecord(views=views, view_dims=dims, qa=(("q", "a"),), objects=(tag,))
+
     def test_five_views_rejected(self):
         views, dims = make_views(MULTIVIEW_ORDER[:5])
         with pytest.raises(InvalidRecordError):

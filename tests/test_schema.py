@@ -15,7 +15,6 @@ from vlprep.schema import (
     read_envelopes,
     sample_to_payload,
     validate_envelope,
-    write_envelopes,
 )
 from vlprep.formats import ConversationSample, GroundingRecord
 
@@ -84,7 +83,7 @@ class TestIO:
     def test_write_read_file(self, tmp_path):
         path = tmp_path / "recs.jsonl"
         envs = [conversation_env(id=f"s{i}") for i in range(3)]
-        assert write_envelopes(path, envs) == 3
+        path.write_text("".join(dumps_envelope(env) + "\n" for env in envs), encoding="utf-8")
         assert read_envelopes(path) == envs
 
     def test_blank_lines_skipped(self):
@@ -117,7 +116,7 @@ class TestIO:
     def test_numbered_lines_gives_byte_offsets(self, tmp_path):
         path = tmp_path / "lines.jsonl"
         path.write_bytes("é1\r\n\n  \r\nñ2\nx3".encode("utf-8"))
-        assert list(numbered_lines(path)) == [(1, 0, "é1\r\n"), (4, 10, "ñ2\n"), (5, 14, "x3")]
+        assert list(numbered_lines(path)) == [(1, 0, "é1\r\n".encode()), (4, 10, "ñ2\n".encode()), (5, 14, b"x3")]
         # A handle with a binary buffer, like sys.stdin, is read as bytes too.
         handle = io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8")
         assert list(numbered_lines(handle)) == list(numbered_lines(path))
@@ -125,10 +124,10 @@ class TestIO:
     def test_line_that_is_not_utf8_is_named(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_bytes(dumps_envelope(conversation_env()).encode("utf-8") + b"\ngarbage\xff\n")
-        lines = numbered_lines(path)
-        assert next(lines)[0] == 1
+        envelopes = iter_envelopes(path)
+        assert next(envelopes)[0] == 1
         with pytest.raises(InvalidRecordError, match="^line 2: not valid UTF-8$"):
-            next(lines)
+            next(envelopes)
 
     def test_crlf_lines_decode_like_lf_lines(self):
         envs = [conversation_env(id=f"s{i}") for i in range(3)]
