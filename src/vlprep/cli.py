@@ -66,7 +66,6 @@ class PipelineConfig:
     prompt_suffix: str | None = None
     shuffle_options: bool = False
     seed: int = 0
-    manifest: str | None = None
 
     def __post_init__(self) -> None:
         if (

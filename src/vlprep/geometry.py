@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, MutableMapping, Sequence
+from typing import Mapping, MutableMapping
 
 from .errors import InvalidConfigError, InvalidRecordError, OutOfBoundsError
 
@@ -74,7 +74,6 @@ class TilePlan:
     cols: int
     rows: int
     has_thumbnail: bool
-    tile_size: int = TILE_SIZE
 
     def __post_init__(self) -> None:
         if self.cols < 1 or self.rows < 1:
@@ -94,7 +93,7 @@ class TilePlan:
     @property
     def canvas(self) -> ImageDims:
         """Pixel size of the resized canvas the grid covers."""
-        return ImageDims(self.cols * self.tile_size, self.rows * self.tile_size)
+        return ImageDims(self.cols * TILE_SIZE, self.rows * TILE_SIZE)
 
 
 @dataclass(frozen=True)
@@ -151,9 +150,6 @@ class MultiViewLayout:
     """Placement of six camera views on one wide canvas."""
 
     view_order: tuple[str, ...]
-    per_view_size: ImageDims
-    grid_cols: int
-    grid_rows: int
     canvas: ImageDims
 
 
@@ -287,31 +283,14 @@ def denormalize_box(nbox: NormalizedBox, dims: ImageDims) -> PixelBox:
     )
 
 
-def multiview_layout(
-    views: Mapping[str, ImageDims],
-    order: Sequence[str] | None = None,
-) -> MultiViewLayout:
+def multiview_layout(views: Mapping[str, ImageDims]) -> MultiViewLayout:
     """Lay six camera views out on the fixed 2688x896 canvas.
 
     Views are placed three per row; each view is resized to 896x448 by the
     downstream rasterizer.  When the cameras are exactly the canonical six,
-    the canonical order applies; otherwise insertion order is kept.  Pass
-    ``order`` to override either default.
+    the canonical order applies; otherwise insertion order is kept.
     """
     if len(views) != MULTIVIEW_GRID_COLS * MULTIVIEW_GRID_ROWS:
         raise InvalidRecordError(f"expected 6 views, got {len(views)}")
-    if order is not None:
-        if sorted(order) != sorted(views):
-            raise InvalidRecordError("view order must be a permutation of the camera names")
-        view_order = tuple(order)
-    elif set(views) == set(MULTIVIEW_ORDER):
-        view_order = MULTIVIEW_ORDER
-    else:
-        view_order = tuple(views)
-    return MultiViewLayout(
-        view_order=view_order,
-        per_view_size=ImageDims(MULTIVIEW_VIEW_WIDTH, MULTIVIEW_VIEW_HEIGHT),
-        grid_cols=MULTIVIEW_GRID_COLS,
-        grid_rows=MULTIVIEW_GRID_ROWS,
-        canvas=MULTIVIEW_CANVAS,
-    )
+    view_order = MULTIVIEW_ORDER if set(views) == set(MULTIVIEW_ORDER) else tuple(views)
+    return MultiViewLayout(view_order=view_order, canvas=MULTIVIEW_CANVAS)

@@ -63,15 +63,6 @@ class HiddenStateStack:
         return self.data.shape[2]
 
 
-@dataclass(frozen=True)
-class ProjectorShape:
-    """Input/output widths of the MLP that maps vision features to LLM width."""
-
-    tokens: int
-    in_features: int
-    out_features: int
-
-
 def pixel_unshuffle(grid: FeatureGrid, factor: int = 2) -> FeatureGrid:
     """Fold ``factor x factor`` spatial blocks into channels.
 
@@ -152,31 +143,6 @@ def distill_loss(student: HiddenStateStack, teacher: HiddenStateStack) -> tuple[
     # so the gradient is exactly zero when student == teacher.
     grad = -(t / denom[..., None] - (cos[..., None] * s) / ss[..., None]) / count
     return loss, grad
-
-
-def projector_shape(
-    vision_dim: int,
-    llm_dim: int,
-    tokens: int,
-    unshuffle_factor: int = 2,
-) -> ProjectorShape:
-    """Shape of the vision-to-LLM projector applied after pixel unshuffle.
-
-    ``tokens`` is the post-unshuffle token count; projection maps each token
-    from ``vision_dim * factor**2`` features (the folded channels) to
-    ``llm_dim`` and never changes the token count.
-    """
-    if min(vision_dim, llm_dim, tokens) < 1:
-        raise ShapeError(
-            f"projector dims must be positive, got vision={vision_dim} llm={llm_dim} tokens={tokens}"
-        )
-    if unshuffle_factor < 1:
-        raise ShapeError(f"unshuffle factor must be positive, got {unshuffle_factor}")
-    return ProjectorShape(
-        tokens=tokens,
-        in_features=vision_dim * unshuffle_factor * unshuffle_factor,
-        out_features=llm_dim,
-    )
 
 
 def render_overlay(image: np.ndarray, spec: OverlaySpec) -> np.ndarray:

@@ -2,9 +2,7 @@
 
 The tokenizer and all tie-breaking choices are pinned here so that scores
 are reproducible across runs of this toolkit; they are not guaranteed to
-match other toolkits' conventions.  Scores for judge-based or unpublished
-metrics are never computed, only merged from external files into a weighted
-total (see :data:`RESERVED_EXTERNAL_KEYS`).
+match other toolkits' conventions.
 """
 
 from __future__ import annotations
@@ -24,9 +22,6 @@ TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 OPTION_RE = re.compile(r"\s*([A-Za-z])\s*[.):]")
 
 DEFAULT_THRESHOLDS = (0.1, 0.5, 1.0, 5.0)
-
-# Keys reserved for externally computed scores (never produced here).
-RESERVED_EXTERNAL_KEYS = ("CIDEr", "Match", "ChatGPT")
 
 
 @dataclass(frozen=True)
@@ -60,21 +55,6 @@ class MetricReport:
     metrics: dict[str, float]
     count: int
     config: dict[str, str] = field(default_factory=dict)
-
-    def merge_external(self, scores: Mapping[str, float]) -> MetricReport:
-        """Return a copy with externally computed scores added.
-
-        Intended for the reserved keys; any name not already present is
-        accepted.  Colliding with a computed metric is a configuration error.
-        """
-        for name in scores:
-            if name in self.metrics:
-                raise InvalidConfigError(f"external score {name!r} collides with a computed metric")
-        return MetricReport(
-            metrics={**self.metrics, **{k: float(v) for k, v in scores.items()}},
-            count=self.count,
-            config=dict(self.config),
-        )
 
 
 def tokenize(text: str) -> list[str]:
@@ -234,13 +214,3 @@ def benchmark_average(scores: Mapping[str, float], ocrbench_key: str = "OCRBench
     adjusted = [v / 10.0 if name == ocrbench_key else v for name, v in scores.items()]
     return sum(adjusted) / len(adjusted)
 
-
-def weighted_score(scores: Mapping[str, float], weights: Mapping[str, float]) -> float:
-    """Weighted mean of named component scores with caller-supplied weights."""
-    missing = [name for name in weights if name not in scores]
-    if missing:
-        raise InvalidConfigError(f"weights reference absent scores: {missing}")
-    total_weight = sum(weights.values())
-    if total_weight <= 0:
-        raise InvalidConfigError("weights must sum to a positive value")
-    return sum(scores[name] * w for name, w in weights.items()) / total_weight

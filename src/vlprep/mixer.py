@@ -193,17 +193,6 @@ def _tagged(rec: Envelope, pass_index: int, k: int) -> Envelope:
     return dataclasses.replace(rec, meta={**rec.meta, "repeat_index": str(pass_index)})
 
 
-def repeat_dataset(records: Sequence[Envelope], k: int) -> list[Envelope]:
-    """Emit every record k times, pass by pass (a, b, c, a, b, c).
-
-    With k > 1 each copy carries a ``repeat_index`` meta tag ("0".."k-1");
-    k = 1 is the identity and leaves records untagged.
-    """
-    if k < 1:
-        raise InvalidConfigError(f"repeat count must be >= 1, got {k}")
-    return [_tagged(rec, pass_index, k) for pass_index in range(k) for rec in records]
-
-
 def _largest_remainder_quotas(total: int, weights: Sequence[float]) -> list[int]:
     """Split ``total`` proportionally to ``weights``; remainders break ties by order."""
     weight_sum = sum(weights)
@@ -362,25 +351,21 @@ def mix(manifest: MixManifest, loader: Loader = FilePool) -> tuple[MixStream, Mi
     domain_total = sum(len(run.indices) for run in runs)
 
     requested_general = _round_half_away(manifest.ratio_r * domain_total)
-    general_total = 0
+    quota_by_id = dict.fromkeys((s.source_id for s in manifest.general_sources), 0)
+    # The weights may sum to 0 when nothing is requested, so they are split only when something is.
     if requested_general > 0:
         weighted = [s for s in manifest.general_sources if s.weight > 0]
-        zero_weighted = [s for s in manifest.general_sources if s.weight == 0]
         quotas = _largest_remainder_quotas(requested_general, [s.weight for s in weighted])
-        quota_by_id = {s.source_id: q for s, q in zip(weighted, quotas)}
-        quota_by_id.update({s.source_id: 0 for s in zero_weighted})
-        for src in manifest.general_sources:
-            pool = loader(src.path)
-            quota = quota_by_id[src.source_id]
-            if quota:
-                rng = random.Random(derive_seed(manifest.seed, "sample", src.source_id))
-                runs.append(_Run(pool, _draw(len(pool), quota, rng, src, manifest.allow_replacement)))
-            general_total += quota
-            stats.append(SourceStat(src.source_id, "general", len(pool), quota, quota))
-    else:
-        for src in manifest.general_sources:
-            pool = loader(src.path)
-            stats.append(SourceStat(src.source_id, "general", len(pool), 0, 0))
+        quota_by_id.update(zip((s.source_id for s in weighted), quotas))
+    general_total = 0
+    for src in manifest.general_sources:
+        pool = loader(src.path)
+        quota = quota_by_id[src.source_id]
+        if quota:
+            rng = random.Random(derive_seed(manifest.seed, "sample", src.source_id))
+            runs.append(_Run(pool, _draw(len(pool), quota, rng, src, manifest.allow_replacement)))
+        general_total += quota
+        stats.append(SourceStat(src.source_id, "general", len(pool), quota, quota))
 
     order = array("q", range(domain_total + general_total))
     # shuffle reads only the length, so this is the permutation the records would get.

@@ -95,15 +95,14 @@ def loads_envelope(line: str) -> Envelope:
     return Envelope(**obj)
 
 
-def numbered_lines(source: str | Path | IO) -> Iterator[tuple[int, int, bytes | str]]:
-    r"""Yield (line number, offset, line) for each non-blank line of a path or open handle.
+def numbered_lines(source: str | Path | IO) -> Iterator[tuple[int, int, bytes]]:
+    r"""Yield (line number, byte offset, line) for each non-blank line of a path or open handle.
 
     Lines end at ``\n`` (a ``\r\n`` ending leaves a ``\r`` that JSON reads
-    as whitespace).  A path, or a handle with a binary ``buffer`` such as
-    ``sys.stdin``, yields undecoded bytes with byte offsets, and
-    :func:`line_text` decodes each line alone; a text handle such as
-    ``StringIO`` yields text with offsets in characters.  A path that cannot
-    be opened is a :class:`RecordIOError`.
+    as whitespace).  Lines are undecoded bytes, and :func:`line_text`
+    decodes each one alone.  A handle is read as bytes: a text handle such
+    as ``sys.stdin`` through its binary ``buffer``.  A path that cannot be
+    opened is a :class:`RecordIOError`.
     """
     if hasattr(source, "read"):
         handle = contextlib.nullcontext(getattr(source, "buffer", source))
@@ -121,17 +120,15 @@ def numbered_lines(source: str | Path | IO) -> Iterator[tuple[int, int, bytes | 
                 yield number, start, raw
 
 
-def line_text(number: int, line: bytes | str) -> str:
+def line_text(number: int, line: bytes) -> str:
     """A line of :func:`numbered_lines` as text; a line that is not UTF-8 is an error naming it."""
-    if isinstance(line, str):
-        return line
     try:
         return line.decode("utf-8")
     except UnicodeDecodeError:
         raise InvalidRecordError(f"line {number}: not valid UTF-8") from None
 
 
-def decode_line(number: int, line: bytes | str) -> Envelope:
+def decode_line(number: int, line: bytes) -> Envelope:
     """:func:`loads_envelope` on :func:`line_text`, with a decode error prefixed ``line N:``."""
     text = line_text(number, line)
     try:
@@ -211,6 +208,9 @@ def payload_to_record(
         )
     if task == "region":
         _require(payload, ("image", "width", "height", "region", "question", "answer"), task)
+        answer_is_object = payload.get("answer_is_object", False)
+        if not isinstance(answer_is_object, bool):
+            raise ValueError(f"answer_is_object must be true or false, got {answer_is_object!r}")
         return RegionRecord(
             image=payload["image"],
             dims=dims_from(payload),
@@ -218,7 +218,7 @@ def payload_to_record(
             question=payload["question"],
             answer=payload["answer"],
             mode=payload.get("mode", "inline-box"),
-            answer_is_object=bool(payload.get("answer_is_object", False)),
+            answer_is_object=answer_is_object,
         )
     if task == "multiview":
         _require(payload, ("views", "view_dims", "qa"), task)

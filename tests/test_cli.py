@@ -9,15 +9,13 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-import types
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import vlprep
-from vlprep import cli, formats, geometry, kernels, metrics, mixer, schema
+from vlprep import cli, formats, geometry, metrics, mixer, schema
 from vlprep.cli import _line_sink, main
 from vlprep.geometry import ImageDims, plan_tiles, token_count
 
@@ -62,8 +60,9 @@ def with_payload(record, **changes):
     return {**record, "payload": {**record["payload"], **changes}}
 
 
-def run_stdin(capsys, monkeypatch, text, *argv):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+def run_stdin(capsys, monkeypatch, data, *argv):
+    """Run the CLI with ``data`` on a stdin that, like the real one, has a binary buffer."""
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     return run(capsys, *argv)
 
 
@@ -210,11 +209,13 @@ class TestConvert:
 
     def test_unknown_config_key_is_a_config_error(self, capsys, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"task": "classification", "tempalte": "free"}))
-        code, _, err = run(capsys, "convert", "--config", str(config),
-                           "-i", "x.jsonl", "-o", "y.jsonl")
-        assert code == 2
-        assert "tempalte" in err
+        # "manifest" was a config field that no command read.
+        for key in ("tempalte", "manifest"):
+            config.write_text(json.dumps({"task": "classification", key: "free"}))
+            code, _, err = run(capsys, "convert", "--config", str(config),
+                               "-i", "x.jsonl", "-o", "y.jsonl")
+            assert code == 2
+            assert key in err
 
     def test_missing_input_is_an_io_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "convert", "--task", "classification",
@@ -250,7 +251,7 @@ class TestConvert:
         code, summary_file, _ = run(capsys, *flags, "-i", str(src), "-o", str(from_file))
         assert code == 0
         code, summary_stdin, _ = run_stdin(
-            capsys, monkeypatch, src.read_text(encoding="utf-8"), *flags, "-i", "-", "-o", str(from_stdin)
+            capsys, monkeypatch, src.read_bytes(), *flags, "-i", "-", "-o", str(from_stdin)
         )
         assert code == 0
         assert from_stdin.read_bytes() == from_file.read_bytes()
@@ -564,7 +565,8 @@ class TestValidateAgreesWithConvert:
     }
 
     # Fields of the wrong JSON type or arity, which both commands once accepted
-    # (a width of 10.9 was truncated to 10).
+    # (a width of 10.9 was truncated to 10, and an answer_is_object of "false"
+    # counted as true).
     SMALL = {"box": [0, 0, 5, 5], "width": 10, "height": 10}
     WRONG_TYPES = {
         "width_float": with_payload(golden_record("grounding"), **{**SMALL, "width": 10.9}),
@@ -572,6 +574,8 @@ class TestValidateAgreesWithConvert:
         "box_strings": with_payload(golden_record("grounding"), **{**SMALL, "box": ["0", "0", "5", "5"]}),
         "box_bools": with_payload(golden_record("grounding"), **{**SMALL, "box": [False, 0, True, 5]}),
         "center_three_numbers": multiview_scene([{"id": "c1", "camera": "CAM_0", "center": [50, 5, 1]}]),
+        "answer_is_object_string": with_payload(golden_record("region_inline"), answer_is_object="false"),
+        "answer_is_object_number": with_payload(golden_record("region_inline"), answer_is_object=1),
     }
 
     @pytest.mark.parametrize("name", sorted(SEEDS))
@@ -717,7 +721,7 @@ class TestStats:
         code, from_file, _ = run(capsys, "stats", str(src), "--max-tiles", "12")
         assert code == 0
         code, from_stdin, _ = run_stdin(
-            capsys, monkeypatch, src.read_text(encoding="utf-8"), "stats", "-", "--max-tiles", "12"
+            capsys, monkeypatch, src.read_bytes(), "stats", "-", "--max-tiles", "12"
         )
         assert code == 0
         assert from_stdin == from_file
@@ -885,8 +889,7 @@ class TestNotUtf8:
 
     def test_stdin_is_read_as_bytes(self, capsys, monkeypatch, tmp_path):
         data = Path(self.bad_file(tmp_path, classification_record(0))).read_bytes()
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
-        code, stdout, _ = run(capsys, "validate", "-")
+        code, stdout, _ = run_stdin(capsys, monkeypatch, data, "validate", "-")
         assert code == 1
         assert json.loads(stdout.splitlines()[0]) == {"line": 2, "error": "line 2: not valid UTF-8"}
 
@@ -1029,23 +1032,6 @@ class TestImportPath:
         assert "vlprep.formats" in imported
         assert not imported & set(self.LAZY_MODULES)
 
-    def test_kernel_names_resolve_from_the_package(self):
-        for name in (
-            "FeatureGrid",
-            "HiddenStateStack",
-            "ProjectorShape",
-            "distill_loss",
-            "pixel_shuffle",
-            "pixel_unshuffle",
-            "projector_shape",
-            "render_overlay",
-        ):
-            assert name in vlprep.__all__
-            assert getattr(vlprep, name) is getattr(kernels, name)
-        with pytest.raises(AttributeError):
-            vlprep.no_such_name
-
-    def test_all_names_public_objects_not_submodules(self):
-        assert len(set(vlprep.__all__)) == len(vlprep.__all__)
-        for name in vlprep.__all__:
-            assert not isinstance(getattr(vlprep, name), types.ModuleType), name
+    def test_package_import_loads_no_submodule(self):
+        probe = "import sys, vlprep; print(sorted(m for m in sys.modules if m.startswith('vlprep.')))"
+        assert run_python("-c", probe).stdout == "[]\n"

@@ -8,7 +8,6 @@ from vlprep.kernels import (
     distill_loss,
     pixel_shuffle,
     pixel_unshuffle,
-    projector_shape,
     self_check,
 )
 
@@ -173,22 +172,6 @@ class TestDistillLoss:
             HiddenStateStack(np.ones((2, 3)))
         with pytest.raises(ShapeError):
             HiddenStateStack(np.ones((0, 3, 4)))
-
-
-class TestProjectorShape:
-    def test_token_count_preserved(self):
-        shape = projector_shape(vision_dim=1024, llm_dim=2048, tokens=256)
-        assert shape.tokens == 256
-        assert shape.in_features == 1024 * 4
-        assert shape.out_features == 2048
-
-    def test_factor_one_identity_compatible(self):
-        shape = projector_shape(vision_dim=768, llm_dim=768, tokens=64, unshuffle_factor=1)
-        assert shape.in_features == shape.out_features == 768
-
-    def test_positive_dims_required(self):
-        with pytest.raises(ShapeError):
-            projector_shape(0, 10, 10)
 
 
 def test_self_check_all_green():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from vlprep.errors import InvalidConfigError, InvalidRecordError, UndefinedMetricError
 from vlprep.metrics import (
     DEFAULT_THRESHOLDS,
-    RESERVED_EXTERNAL_KEYS,
     EvalPair,
     SignalPair,
     benchmark_average,
@@ -17,7 +16,6 @@ from vlprep.metrics import (
     mcq_accuracy,
     rouge_l,
     tokenize,
-    weighted_score,
 )
 
 
@@ -237,30 +235,6 @@ class TestBenchmarkAverage:
 
     def test_custom_key(self):
         assert benchmark_average({"ocr": 100.0, "x": 10.0}, ocrbench_key="ocr") == 10.0
-
-
-class TestExternalScores:
-    def test_merge_reserved_keys(self):
-        report = control_signal_metrics([SignalPair("a", 1.0, 1.0)])
-        merged = report.merge_external({k: 0.5 for k in RESERVED_EXTERNAL_KEYS})
-        for k in RESERVED_EXTERNAL_KEYS:
-            assert merged.metrics[k] == 0.5
-        assert "rmse" in merged.metrics
-
-    def test_merge_collision_rejected(self):
-        report = control_signal_metrics([SignalPair("a", 1.0, 1.0)])
-        with pytest.raises(InvalidConfigError):
-            report.merge_external({"rmse": 0.1})
-
-    def test_weighted_score(self):
-        scores = {"a": 1.0, "b": 0.0}
-        assert weighted_score(scores, {"a": 3.0, "b": 1.0}) == pytest.approx(0.75, abs=1e-12)
-
-    def test_weighted_score_validation(self):
-        with pytest.raises(InvalidConfigError):
-            weighted_score({"a": 1.0}, {"missing": 1.0})
-        with pytest.raises(InvalidConfigError):
-            weighted_score({"a": 1.0}, {"a": 0.0})
 
 
 class TestPermutationInvariance:

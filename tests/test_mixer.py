@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -17,7 +18,6 @@ from vlprep.mixer import (
     manifest_from_dict,
     mix,
     parse_ratio,
-    repeat_dataset,
 )
 from vlprep.schema import Envelope, dumps_envelope, read_envelopes
 from vlprep.seeding import derive_seed
@@ -77,30 +77,6 @@ class TestParseRatio:
                 parse_ratio(bad)
 
 
-class TestRepeatDataset:
-    def test_identity_at_one(self):
-        recs = envelopes("a", 3)
-        out = repeat_dataset(recs, 1)
-        assert out == recs
-        assert all("repeat_index" not in r.meta for r in out)
-
-    def test_three_records_twice(self):
-        recs = envelopes("a", 3)
-        out = repeat_dataset(recs, 2)
-        assert len(out) == 6
-        assert Counter(r.id for r in out) == {"a-0": 2, "a-1": 2, "a-2": 2}
-        # pass-by-pass interleaving
-        assert [r.id for r in out] == ["a-0", "a-1", "a-2", "a-0", "a-1", "a-2"]
-        assert [r.meta["repeat_index"] for r in out] == ["0", "0", "0", "1", "1", "1"]
-
-    def test_empty_stream(self):
-        assert repeat_dataset([], 5) == []
-
-    def test_k_must_be_positive(self):
-        with pytest.raises(InvalidConfigError):
-            repeat_dataset(envelopes("a", 1), 0)
-
-
 class TestQuotaAllocation:
     def test_weights_three_one(self):
         m, loader = manifest(domain=32, general=(("g1", 100, 3.0), ("g2", 100, 1.0)), r=0.25)
@@ -151,6 +127,7 @@ class TestMix:
         assert report.general_total == 0
         assert sorted(r.id for r in stream) == sorted(f"d-{i}" for i in range(50))
         assert [r.id for r in stream] != [f"d-{i}" for i in range(50)]  # shuffled
+        assert all("repeat_index" not in r.meta for r in stream)  # a source repeated once is not tagged
 
     def test_repeat_flows_into_domain_count(self):
         m, loader = manifest(domain=10, r=1.0, repeat=3)
@@ -159,6 +136,9 @@ class TestMix:
         assert report.general_total == 30
         counts = Counter(r.id for r in stream if r.id.startswith("d-"))
         assert all(v == 3 for v in counts.values())
+        tags = Counter((r.id, r.meta.get("repeat_index")) for r in stream)
+        assert all(tags[f"d-{i}", str(k)] == 1 for i in range(10) for k in range(3))
+        assert all(tag is None for rid, tag in tags if rid.startswith("gen"))
 
     def test_byte_identical_across_runs(self):
         m, loader = manifest(domain=100, r=0.5, seed=99)
@@ -356,7 +336,11 @@ def record_draw(m: MixManifest, loader) -> list[Envelope]:
     """The mixture drawn and shuffled as a list of records: the reference for mix's positions."""
     stream = []
     for src in m.domain_sources:
-        stream.extend(repeat_dataset(loader(src.path), src.repeat))
+        pool = loader(src.path)
+        # Pass by pass (a, b, c, a, b, c); a repeated source tags pass k's copies repeat_index "k".
+        for k in range(src.repeat):
+            tag = {} if src.repeat == 1 else {"repeat_index": str(k)}
+            stream.extend(dataclasses.replace(env, meta={**env.meta, **tag}) for env in pool)
     requested = math.floor(m.ratio_r * len(stream) + 0.5)
     weighted = [s for s in m.general_sources if s.weight > 0]
     quotas = mixer._largest_remainder_quotas(requested, [s.weight for s in weighted]) if requested else []

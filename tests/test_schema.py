@@ -87,11 +87,11 @@ class TestIO:
         assert read_envelopes(path) == envs
 
     def test_blank_lines_skipped(self):
-        buf = io.StringIO(dumps_envelope(conversation_env()) + "\n\n   \n")
+        buf = io.BytesIO((dumps_envelope(conversation_env()) + "\n\n   \n").encode("utf-8"))
         assert len(read_envelopes(buf)) == 1
 
     def test_line_number_in_error(self):
-        buf = io.StringIO(dumps_envelope(conversation_env()) + "\n{bad\n")
+        buf = io.BytesIO((dumps_envelope(conversation_env()) + "\n{bad\n").encode("utf-8"))
         with pytest.raises(InvalidRecordError) as err:
             read_envelopes(buf)
         assert "line 2" in str(err.value)
@@ -107,7 +107,7 @@ class TestIO:
             dumps_envelope(conversation_env(id="b")),
             "{bad",
         ]) + "\n"
-        stream = iter_envelopes(io.StringIO(text))
+        stream = iter_envelopes(io.BytesIO(text.encode("utf-8")))
         assert [(n, env.id) for n, env in (next(stream), next(stream))] == [(1, "a"), (3, "b")]
         with pytest.raises(InvalidRecordError, match="^line 4: not valid JSON"):
             next(stream)
