@@ -4,7 +4,13 @@ Subcommands: convert, mix, validate, stats, eval, plan-tiles,
 validate-kernels.  All behavior comes from flags plus an optional JSON
 config file (flags win); environment variables are never consulted.  Errors
 are emitted as one JSON object on stderr and mapped to exit codes:
-0 success, 1 validation, 2 configuration, 3 I/O.  validate is a dry run of
+0 success, 1 validation, 2 configuration, 3 I/O.  Every JSON input is
+decoded by ``schema.JSON_DECODER``, which refuses NaN and the infinities.
+The settings files (``--config``, the mix manifest, ``--scores``) are each
+one JSON object, read by ``schema.read_json_object`` and type-checked: one
+that cannot be read is exit 3, any other fault exit 2.  A bad input line is
+named ``line N:`` (``<source>: line N:`` in mix), and a bad record
+``record '<id>':`` after that.  validate is a dry run of
 convert with the default template: a raw record passes exactly when convert
 would convert it, a conversation record gets the sample and special-token
 grammar checks, and each bad line is reported on stdout as the run goes on.
@@ -25,14 +31,13 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import math
 import os
 import shutil
 import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Sequence, get_args, get_type_hints
 
 from . import formats, metrics, schema
 from .errors import InvalidConfigError, InvalidRecordError, PipelineError, RecordIOError
@@ -78,20 +83,19 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | None) -> "PipelineConfig":
+        """The config at ``path``: each key a field, each value of its field's annotated type."""
         if path is None:
             return cls()
-        try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise RecordIOError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InvalidConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise InvalidConfigError(f"config {path} must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(obj) - known
+        obj = schema.read_json_object(path, "config")
+        annotations = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(obj) - set(annotations)
         if unknown:
             raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")
+        hints = get_type_hints(cls)
+        for key, value in obj.items():
+            # A bool is not an int here, as JSON true is not a number.
+            if type(value) not in (get_args(hints[key]) or (hints[key],)):
+                raise InvalidConfigError(f"config key {key!r} must be {annotations[key]}, got {value!r}")
         return cls(**obj)
 
 
@@ -199,11 +203,10 @@ def cmd_convert(args) -> int:
     # the records and discarded if the records fail.
     with contextlib.ExitStack() as sidecar, _line_sink(out_path) as out:
         overlays = None
-        for number, env in schema.iter_envelopes(_source(cfg.input or "-")):
-            try:
+        for number, _, line in schema.numbered_lines(_source(cfg.input or "-")):
+            with schema.at_line(number):
+                env = schema.loads_envelope(schema.line_text(line))
                 converted, overlay = _convert_one(env, cfg.task, template, records)
-            except InvalidRecordError as exc:
-                raise InvalidRecordError(f"line {number}: {exc}") from exc
             out.write(schema.dumps_envelope(converted) + "\n")
             records += 1
             if overlay is None:
@@ -234,7 +237,7 @@ def cmd_mix(args) -> int:
     with _line_sink(out_path) as out, contextlib.closing(iter(stream)) as records:
         for env in records:
             out.write(schema.dumps_envelope(env) + "\n")
-    report_obj = report.to_dict()
+    report_obj = dataclasses.asdict(report)
     if out_path != "-":
         with _line_sink(out_path + ".report.json") as out:
             out.write(json.dumps(report_obj, ensure_ascii=False) + "\n")
@@ -248,7 +251,7 @@ def cmd_validate(args) -> int:
     for number, _, line in schema.numbered_lines(_source(args.path)):
         checked += 1
         try:
-            schema.validate_envelope(schema.loads_envelope(schema.line_text(number, line)))
+            schema.validate_envelope(schema.loads_envelope(schema.line_text(line)))
         except InvalidRecordError as exc:
             errors += 1
             _print_json({"line": number, "error": str(exc)})
@@ -285,14 +288,13 @@ def cmd_stats(args) -> int:
     total_tokens = 0
     histogram: dict[str, int] = {}
     by_task: dict[str, int] = {}
-    for number, env in schema.iter_envelopes(_source(args.path)):
-        records += 1
-        by_task[env.task] = by_task.get(env.task, 0) + 1
-        try:
+    for number, _, line in schema.numbered_lines(_source(args.path)):
+        with schema.at_line(number):
+            env = schema.loads_envelope(schema.line_text(line))
             with schema.record_errors(env.id):
                 plans = _record_plans(env, cfg)
-        except InvalidRecordError as exc:
-            raise InvalidRecordError(f"line {number}: {exc}") from exc
+        records += 1
+        by_task[env.task] = by_task.get(env.task, 0) + 1
         for plan in plans:
             total_tokens += token_count(plan, cfg.tokens_per_tile)
             key = str(plan.total_tiles)
@@ -314,68 +316,47 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _json_objects(path: str) -> Iterator[tuple[int, dict]]:
+def _parsed_lines(path: str, parse: Callable[[dict], object]) -> list:
+    """``parse`` of each line's JSON object, in order."""
+    parsed = []
     for number, _, line in schema.numbered_lines(_source(path)):
-        try:
-            obj = json.loads(schema.line_text(number, line))
-        except (ValueError, RecursionError) as exc:
-            raise InvalidRecordError(f"line {number}: not valid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise InvalidRecordError(f"line {number}: expected a JSON object")
-        yield number, obj
+        with schema.at_line(number):
+            parsed.append(parse(schema.loads_object(schema.line_text(line))))
+    return parsed
 
 
-def _eval_pairs(path: str) -> list[metrics.EvalPair]:
-    pairs = []
-    for number, obj in _json_objects(path):
-        refs = obj.get("references", obj.get("reference"))
-        if isinstance(refs, str):
-            refs = [refs]
-        if refs is None or "prediction" not in obj:
-            raise InvalidRecordError(f"line {number}: eval line needs prediction and references: {obj}")
-        if not isinstance(obj["prediction"], str):
-            raise InvalidRecordError(f"line {number}: prediction must be a string, got {obj['prediction']!r}")
-        if not isinstance(refs, list) or not refs or not all(isinstance(ref, str) for ref in refs):
-            raise InvalidRecordError(
-                f"line {number}: references must be a string or a non-empty list of strings, got {refs!r}"
-            )
-        pairs.append(
-            metrics.EvalPair(
-                id=str(obj.get("id", "")), prediction=obj["prediction"], references=tuple(refs)
-            )
-        )
-    return pairs
+def _eval_pair(obj: dict) -> metrics.EvalPair:
+    refs = obj.get("references", obj.get("reference"))
+    if isinstance(refs, str):
+        refs = [refs]
+    if refs is None or "prediction" not in obj:
+        raise InvalidRecordError(f"eval line needs prediction and references: {obj}")
+    if not isinstance(obj["prediction"], str):
+        raise InvalidRecordError(f"prediction must be a string, got {obj['prediction']!r}")
+    if not isinstance(refs, list) or not refs or not all(isinstance(ref, str) for ref in refs):
+        raise InvalidRecordError(f"references must be a string or a non-empty list of strings, got {refs!r}")
+    return metrics.EvalPair(id=str(obj.get("id", "")), prediction=obj["prediction"], references=tuple(refs))
 
 
-def _signal_pairs(path: str) -> list[metrics.SignalPair]:
-    pairs = []
-    for number, obj in _json_objects(path):
-        if "predicted" not in obj or "truth" not in obj:
-            raise InvalidRecordError(f"line {number}: signal line needs predicted and truth: {obj}")
-        for key in ("predicted", "truth"):
-            value = obj[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise InvalidRecordError(f"line {number}: {key} must be a finite number, got {value!r}")
-        pairs.append(
-            metrics.SignalPair(
-                id=str(obj.get("id", "")),
-                predicted=float(obj["predicted"]),
-                truth=float(obj["truth"]),
-            )
-        )
-    return pairs
+def _signal_pair(obj: dict) -> metrics.SignalPair:
+    if "predicted" not in obj or "truth" not in obj:
+        raise InvalidRecordError(f"signal line needs predicted and truth: {obj}")
+    for key in ("predicted", "truth"):
+        if not schema.is_finite_number(obj[key]):
+            raise InvalidRecordError(f"{key} must be a finite number, got {obj[key]!r}")
+    return metrics.SignalPair(
+        id=str(obj.get("id", "")), predicted=float(obj["predicted"]), truth=float(obj["truth"])
+    )
 
 
 def cmd_eval(args) -> int:
     if args.metric == "avg":
         if not args.scores:
             raise InvalidConfigError("eval --metric avg requires --scores FILE")
-        try:
-            scores = json.loads(Path(args.scores).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise RecordIOError(f"cannot read {args.scores}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InvalidRecordError(f"scores file is not valid JSON: {exc}") from exc
+        scores = schema.read_json_object(args.scores, "scores")
+        bad = {name: score for name, score in scores.items() if not schema.is_finite_number(score)}
+        if bad:
+            raise InvalidConfigError(f"scores {args.scores}: values must be finite numbers, got {bad}")
         value = metrics.benchmark_average(scores, ocrbench_key=args.ocrbench_key)
         report = metrics.MetricReport(
             metrics={"average": value},
@@ -384,9 +365,9 @@ def cmd_eval(args) -> int:
         )
     elif args.metric == "signals":
         thresholds = tuple(float(t) for t in args.thresholds.split(",")) if args.thresholds else metrics.DEFAULT_THRESHOLDS
-        report = metrics.control_signal_metrics(_signal_pairs(args.input), thresholds)
+        report = metrics.control_signal_metrics(_parsed_lines(args.input, _signal_pair), thresholds)
     else:
-        pairs = _eval_pairs(args.input)
+        pairs = _parsed_lines(args.input, _eval_pair)
         if args.metric == "mcq":
             report = metrics.MetricReport(
                 metrics={"mcq_accuracy": metrics.mcq_accuracy(pairs)},

@@ -255,10 +255,10 @@ class SpecialToken:
     value: str | NormalizedBox
 
 
-def _guard_payload(text: str, what: str, record_id: str | None = None) -> str:
+def _guard_payload(text: str, what: str) -> str:
     hit = _MARKER_RE.search(text)
     if hit:
-        raise InvalidRecordError(f"{what} contains reserved token {hit.group(0)!r}", record_id)
+        raise InvalidRecordError(f"{what} contains reserved token {hit.group(0)!r}")
     return text
 
 
@@ -297,7 +297,7 @@ def convert_classification(
     else:
         options = list(rec.candidates)
         if len(options) > len(string.ascii_uppercase):
-            raise InvalidRecordError(f"MCQ supports at most 26 options, got {len(options)}", sample_id or None)
+            raise InvalidRecordError(f"MCQ supports at most 26 options, got {len(options)}")
         if template.shuffle_options:
             random.Random(derive_seed(template.seed, "mcq-shuffle", sample_id)).shuffle(options)
         lettered = [f"{string.ascii_uppercase[i]}. {opt}" for i, opt in enumerate(options)]
@@ -318,8 +318,8 @@ def convert_grounding(
     meta: dict[str, str] | None = None,
 ) -> ConversationSample:
     """Referring expression -> "Detect <ref>...</ref>" with a normalized box answer."""
-    _guard_payload(rec.expression, "referring expression", sample_id or None)
-    nbox = normalize_box(rec.box, rec.dims, record_id=sample_id or None)
+    _guard_payload(rec.expression, "referring expression")
+    nbox = normalize_box(rec.box, rec.dims)
     return ConversationSample(
         id=sample_id,
         images=(rec.image,),
@@ -347,12 +347,12 @@ def convert_region(
     drawn-annotation leaves the text token-free and returns an OverlaySpec
     for the rasterizer instead.
     """
-    _guard_payload(rec.question, "question", sample_id or None)
-    _guard_payload(rec.answer, "answer", sample_id or None)
-    ensure_box_within(rec.region, rec.dims, sample_id or None)
+    _guard_payload(rec.question, "question")
+    _guard_payload(rec.answer, "answer")
+    ensure_box_within(rec.region, rec.dims)
     overlay: OverlaySpec | None = None
     if rec.mode == "inline-box":
-        nbox = normalize_box(rec.region, rec.dims, record_id=sample_id or None)
+        nbox = normalize_box(rec.region, rec.dims)
         question = f"{rec.question}{format_box(nbox)}"
         answer = f"{format_ref(rec.answer)}{format_box(nbox)}" if rec.answer_is_object else rec.answer
     else:
@@ -379,27 +379,22 @@ def convert_region(
     return sample, overlay
 
 
-def _render_ctag(tag: CTag, dims: ImageDims, record_id: str | None) -> str:
-    cx, cy = normalize_point(tag.cx, tag.cy, dims, record_id)
+def _render_ctag(tag: CTag, dims: ImageDims) -> str:
+    cx, cy = normalize_point(tag.cx, tag.cy, dims)
     return f"<{tag.id},{tag.camera},[{cx},{cy}]>"
 
 
-def _expand_ctags(
-    text: str,
-    rec: MultiViewRecord,
-    with_boxes: bool,
-    record_id: str | None,
-) -> str:
+def _expand_ctags(text: str, rec: MultiViewRecord, with_boxes: bool) -> str:
     by_id = {tag.id: tag for tag in rec.objects}
 
     def replace(match: re.Match[str]) -> str:
         tag = by_id.get(match.group(1))
         if tag is None:
-            raise InvalidRecordError(f"text references unknown object {match.group(0)}", record_id)
+            raise InvalidRecordError(f"text references unknown object {match.group(0)}")
         dims = rec.view_dims[tag.camera]
-        rendered = _render_ctag(tag, dims, record_id)
+        rendered = _render_ctag(tag, dims)
         if with_boxes and tag.box is not None:
-            rendered += format_box(normalize_box(tag.box, dims, record_id=record_id))
+            rendered += format_box(normalize_box(tag.box, dims))
         return rendered
 
     return _CTAG_PLACEHOLDER_RE.sub(replace, text)
@@ -419,15 +414,14 @@ def convert_multiview(
     an object's normalized box is appended when the record carries one.
     """
     layout = multiview_layout(rec.view_dims)
-    rid = sample_id or None
     header = "\n".join(f"{cam}: {IMAGE_PLACEHOLDER}" for cam in layout.view_order)
     turns: list[tuple[str, str]] = []
     for i, (question, answer) in enumerate(rec.qa):
-        q_text = _expand_ctags(question, rec, with_boxes=False, record_id=rid)
+        q_text = _expand_ctags(question, rec, with_boxes=False)
         if i == 0:
             q_text = f"{header}\n{CTAG_SYSTEM_PROMPT}\n{q_text}"
         turns.append((USER, q_text))
-        turns.append((ASSISTANT, _expand_ctags(answer, rec, with_boxes=True, record_id=rid)))
+        turns.append((ASSISTANT, _expand_ctags(answer, rec, with_boxes=True)))
     return ConversationSample(
         id=sample_id,
         images=tuple(rec.views[cam] for cam in layout.view_order),

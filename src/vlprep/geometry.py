@@ -227,19 +227,15 @@ def _to_grid(coord: float, extent: int) -> int:
     return min(GRID_MAX, max(0, scaled))
 
 
-def ensure_box_within(box: PixelBox, dims: ImageDims, record_id: str | None = None) -> None:
+def ensure_box_within(box: PixelBox, dims: ImageDims) -> None:
     """Raise :class:`OutOfBoundsError` if ``box`` exceeds ``dims``."""
     if box.x2 > dims.width or box.y2 > dims.height:
-        raise OutOfBoundsError(
-            f"box {box.as_tuple()} exceeds image bounds {dims.width}x{dims.height}",
-            record_id=record_id,
-        )
+        raise OutOfBoundsError(f"box {box.as_tuple()} exceeds image bounds {dims.width}x{dims.height}")
 
 
 def normalize_box(
     box: PixelBox,
     dims: ImageDims,
-    record_id: str | None = None,
     counters: MutableMapping[str, int] | None = None,
 ) -> NormalizedBox:
     """Map a pixel box onto the 0-1000 grid (round half away from zero, clamp).
@@ -247,7 +243,7 @@ def normalize_box(
     Degenerate zero-area boxes are accepted; when a ``counters`` mapping is
     supplied its ``"degenerate_boxes"`` entry is incremented for each one.
     """
-    ensure_box_within(box, dims, record_id)
+    ensure_box_within(box, dims)
     if box.is_degenerate and counters is not None:
         counters["degenerate_boxes"] = counters.get("degenerate_boxes", 0) + 1
     return NormalizedBox(
@@ -258,18 +254,15 @@ def normalize_box(
     )
 
 
-def ensure_point_within(x: float, y: float, dims: ImageDims, record_id: str | None = None) -> None:
+def ensure_point_within(x: float, y: float, dims: ImageDims) -> None:
     """Raise :class:`OutOfBoundsError` if the point ``(x, y)`` lies outside ``dims``."""
     if not (0 <= x <= dims.width and 0 <= y <= dims.height):
-        raise OutOfBoundsError(
-            f"point ({x}, {y}) exceeds image bounds {dims.width}x{dims.height}",
-            record_id=record_id,
-        )
+        raise OutOfBoundsError(f"point ({x}, {y}) exceeds image bounds {dims.width}x{dims.height}")
 
 
-def normalize_point(x: float, y: float, dims: ImageDims, record_id: str | None = None) -> tuple[int, int]:
+def normalize_point(x: float, y: float, dims: ImageDims) -> tuple[int, int]:
     """Map a pixel point onto the 0-1000 grid with the box rounding rule."""
-    ensure_point_within(x, y, dims, record_id)
+    ensure_point_within(x, y, dims)
     return (_to_grid(x, dims.width), _to_grid(y, dims.height))
 
 

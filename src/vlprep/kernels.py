@@ -50,18 +50,6 @@ class HiddenStateStack:
             raise ShapeError(f"hidden state stack must be non-empty, got shape {arr.shape}")
         object.__setattr__(self, "data", arr)
 
-    @property
-    def num_layers(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def num_tokens(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[2]
-
 
 def pixel_unshuffle(grid: FeatureGrid, factor: int = 2) -> FeatureGrid:
     """Fold ``factor x factor`` spatial blocks into channels.

@@ -15,7 +15,6 @@ import bisect
 import contextlib
 import dataclasses
 import itertools
-import json
 import math
 import os
 import random
@@ -32,6 +31,13 @@ from .schema import Envelope
 from .seeding import GENERATOR_NAME, derive_seed
 
 
+def _check_id_and_path(source: DomainSource | GeneralSource, kind: str) -> None:
+    if not isinstance(source.source_id, str) or not source.source_id:
+        raise InvalidConfigError(f"{kind} source id must be a non-empty string, got {source.source_id!r}")
+    if not isinstance(source.path, str):
+        raise InvalidConfigError(f"{kind} source path must be a string, got {source.path!r}")
+
+
 @dataclass(frozen=True)
 class DomainSource:
     source_id: str
@@ -39,10 +45,11 @@ class DomainSource:
     repeat: int = 1
 
     def __post_init__(self) -> None:
-        if not self.source_id:
-            raise InvalidConfigError("domain source id must be non-empty")
-        if self.repeat < 1:
-            raise InvalidConfigError(f"repeat must be >= 1, got {self.repeat} for {self.source_id!r}")
+        _check_id_and_path(self, "domain")
+        if type(self.repeat) is not int or self.repeat < 1:
+            raise InvalidConfigError(
+                f"repeat must be an integer >= 1, got {self.repeat!r} for {self.source_id!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -52,10 +59,11 @@ class GeneralSource:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.source_id:
-            raise InvalidConfigError("general source id must be non-empty")
-        if self.weight < 0:
-            raise InvalidConfigError(f"weight must be >= 0, got {self.weight} for {self.source_id!r}")
+        _check_id_and_path(self, "general")
+        if not schema.is_finite_number(self.weight) or self.weight < 0:
+            raise InvalidConfigError(
+                f"weight must be a finite number >= 0, got {self.weight!r} for {self.source_id!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -71,6 +79,10 @@ class MixManifest:
         object.__setattr__(self, "general_sources", tuple(self.general_sources))
         if self.ratio_r < 0:
             raise InvalidConfigError(f"ratio_r must be >= 0, got {self.ratio_r}")
+        if type(self.seed) is not int:
+            raise InvalidConfigError(f"seed must be an integer, got {self.seed!r}")
+        if type(self.allow_replacement) is not bool:
+            raise InvalidConfigError(f"allow_replacement must be true or false, got {self.allow_replacement!r}")
         if not self.domain_sources:
             raise InvalidConfigError("at least one domain source is required")
         ids = [s.source_id for s in self.domain_sources] + [s.source_id for s in self.general_sources]
@@ -104,55 +116,43 @@ class MixReport:
     generator: str = GENERATOR_NAME
     counting: str = "records"
 
-    def to_dict(self) -> dict:
-        return {
-            "sources": [dataclasses.asdict(s) for s in self.sources],
-            "domain_total": self.domain_total,
-            "general_total": self.general_total,
-            "requested_general": self.requested_general,
-            "ratio_r": self.ratio_r,
-            "realized_ratio": self.realized_ratio,
-            "seed": self.seed,
-            "generator": self.generator,
-            "counting": self.counting,
-        }
-
 
 def parse_ratio(text: str | float | int) -> float:
     """Accept a general:domain ratio as "a:b" or a plain decimal."""
-    if isinstance(text, (int, float)) and not isinstance(text, bool):
-        value = float(text)
-        if value < 0:
-            raise InvalidConfigError(f"ratio must be >= 0, got {value}")
-        return value
-    raw = str(text).strip()
-    try:
-        if ":" in raw:
-            general, domain = raw.split(":")
-            numerator, denominator = float(general), float(domain)
-            if denominator <= 0:
-                raise InvalidConfigError(f"ratio {raw!r} has non-positive domain part")
-            value = numerator / denominator
-        else:
-            value = float(raw)
-    except ValueError:
-        raise InvalidConfigError(f"cannot parse ratio {raw!r}") from None
-    if value < 0:
-        raise InvalidConfigError(f"ratio must be >= 0, got {value}")
-    return value
+    if type(text) in (int, float):
+        value = text
+    else:
+        raw = str(text).strip()
+        try:
+            if ":" in raw:
+                general, domain = raw.split(":")
+                numerator, denominator = float(general), float(domain)
+                if denominator <= 0:
+                    raise InvalidConfigError(f"ratio {raw!r} has non-positive domain part")
+                value = numerator / denominator
+            else:
+                value = float(raw)
+        except ValueError:
+            raise InvalidConfigError(f"cannot parse ratio {raw!r}") from None
+    if not schema.is_finite_number(value) or value < 0:
+        raise InvalidConfigError(f"ratio must be a finite number >= 0, got {value}")
+    return float(value)
 
 
-def _source_from_dict(entry: dict, kind: str) -> DomainSource | GeneralSource:
+def _sources(entries: object, kind: str) -> tuple[DomainSource | GeneralSource, ...]:
+    if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
+        raise InvalidConfigError(f"{kind}_sources must be a list of objects, got {entries!r}")
     allowed = {"id", "path", "repeat"} if kind == "domain" else {"id", "path", "weight"}
-    unknown = set(entry) - allowed
-    if unknown:
-        raise InvalidConfigError(f"unknown {kind} source keys: {sorted(unknown)}")
-    for key in ("id", "path"):
-        if key not in entry:
-            raise InvalidConfigError(f"{kind} source missing {key!r}")
+    for entry in entries:
+        unknown = set(entry) - allowed
+        if unknown:
+            raise InvalidConfigError(f"unknown {kind} source keys: {sorted(unknown)}")
+        for key in ("id", "path"):
+            if key not in entry:
+                raise InvalidConfigError(f"{kind} source missing {key!r}")
     if kind == "domain":
-        return DomainSource(entry["id"], entry["path"], int(entry.get("repeat", 1)))
-    return GeneralSource(entry["id"], entry["path"], float(entry.get("weight", 1.0)))
+        return tuple(DomainSource(e["id"], e["path"], e.get("repeat", 1)) for e in entries)
+    return tuple(GeneralSource(e["id"], e["path"], e.get("weight", 1.0)) for e in entries)
 
 
 def manifest_from_dict(obj: dict) -> MixManifest:
@@ -164,26 +164,16 @@ def manifest_from_dict(obj: dict) -> MixManifest:
         if key not in obj:
             raise InvalidConfigError(f"manifest missing {key!r}")
     return MixManifest(
-        domain_sources=tuple(_source_from_dict(e, "domain") for e in obj["domain_sources"]),
-        general_sources=tuple(_source_from_dict(e, "general") for e in obj.get("general_sources", [])),
+        domain_sources=_sources(obj["domain_sources"], "domain"),
+        general_sources=_sources(obj.get("general_sources", []), "general"),
         ratio_r=parse_ratio(obj["ratio"]),
-        seed=int(obj["seed"]),
-        allow_replacement=bool(obj.get("allow_replacement", False)),
+        seed=obj["seed"],
+        allow_replacement=obj.get("allow_replacement", False),
     )
 
 
 def load_manifest(path: str | Path) -> MixManifest:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise RecordIOError(f"cannot read manifest {path}: {exc}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidConfigError(f"manifest {path} is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise InvalidConfigError(f"manifest {path} must be a JSON object")
-    return manifest_from_dict(obj)
+    return manifest_from_dict(schema.read_json_object(path, "manifest"))
 
 
 def _tagged(rec: Envelope, pass_index: int, k: int) -> Envelope:
@@ -210,8 +200,8 @@ class FilePool(Sequence[Envelope]):
     """The envelopes of one JSONL file, held as the byte offset of each line.
 
     Indexing reads every line once and checks it as :func:`read_envelopes`
-    would, with the same ``line N:`` errors, but keeps only its offset and
-    CRC-32.  ``pool[i]`` reads line i again and decodes it; a line whose
+    would, with errors named ``<path>: line N:``, but keeps only its offset
+    and CRC-32.  ``pool[i]`` reads line i again and decodes it; a line whose
     bytes changed since indexing is an :class:`InvalidRecordError`.  Since
     the file is read twice, it must be a regular file, not a pipe.
     """
@@ -222,10 +212,14 @@ class FilePool(Sequence[Envelope]):
         self.path = path
         self._offsets = array("q")
         self._crcs = array("L")
-        for number, offset, line in schema.numbered_lines(path):
-            schema.decode_line(number, line)
-            self._offsets.append(offset)
-            self._crcs.append(zlib.crc32(line))
+        try:
+            for number, offset, line in schema.numbered_lines(path):
+                with schema.at_line(number):
+                    schema.loads_envelope(schema.line_text(line))
+                self._offsets.append(offset)
+                self._crcs.append(zlib.crc32(line))
+        except InvalidRecordError as exc:
+            raise InvalidRecordError(f"{path}: {exc}") from exc
 
     def __len__(self) -> int:
         return len(self._offsets)

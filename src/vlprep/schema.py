@@ -4,7 +4,9 @@ One JSON object per line, UTF-8, keys in the canonical order
 (id, schema_version, task, meta, payload).  The payload is either a raw
 domain record (pre-conversion) or a conversation sample (post-conversion);
 the two are distinguished by the presence of a "turns" key.  Serialization
-is byte-deterministic so converted and mixed files diff cleanly.
+is byte-deterministic so converted and mixed files diff cleanly.  All JSON
+input, settings files included, is decoded here, and only :class:`at_line`
+and :func:`record_errors` name the line and the record of an error.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterator
 
 from . import formats
-from .errors import InvalidRecordError, RecordIOError, TokenParseError
+from .errors import InvalidConfigError, InvalidRecordError, RecordIOError, TokenParseError
 from .formats import (
     ClassificationRecord,
     ConversationSample,
@@ -77,22 +80,53 @@ def _reject_constant(name: str) -> None:
     raise ValueError(f"{name} is not a finite number")
 
 
-# One decoder for every line, reused: NaN, Infinity and -Infinity are not JSON.
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+# The one decoder for every JSON input, reused: NaN, Infinity and -Infinity are not JSON.
+JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-def loads_envelope(line: str) -> Envelope:
+def is_finite_number(value: object) -> bool:
+    """A JSON number a float holds: not a bool, NaN, an infinity or an integer past the float range."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def loads_object(text: str) -> dict:
+    """``text`` decoded by :data:`JSON_DECODER`; anything but a JSON object is an :class:`InvalidRecordError`."""
     try:
-        obj = _DECODER.decode(line)
+        obj = JSON_DECODER.decode(text)
     except (ValueError, RecursionError) as exc:  # a JSONDecodeError, a non-finite constant, or too deep
         raise InvalidRecordError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise InvalidRecordError("record line must be a JSON object")
+        raise InvalidRecordError("expected a JSON object")
+    return obj
+
+
+def loads_envelope(line: str) -> Envelope:
+    obj = loads_object(line)
     missing = [k for k in _ENVELOPE_KEYS if k not in obj]
     extra = [k for k in obj if k not in _ENVELOPE_KEYS]
     if missing or extra:
         raise InvalidRecordError(f"envelope keys wrong: missing {missing}, unexpected {extra}")
     return Envelope(**obj)
+
+
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in the settings file at ``path``, called ``what`` in errors.
+
+    A file that cannot be read is a :class:`RecordIOError`.  One that is not
+    UTF-8, not JSON (``NaN`` included) or not an object is an
+    :class:`InvalidConfigError`.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise RecordIOError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        obj = JSON_DECODER.decode(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError too
+        raise InvalidConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise InvalidConfigError(f"{what} {path} must be a JSON object")
+    return obj
 
 
 def numbered_lines(source: str | Path | IO) -> Iterator[tuple[int, int, bytes]]:
@@ -120,27 +154,41 @@ def numbered_lines(source: str | Path | IO) -> Iterator[tuple[int, int, bytes]]:
                 yield number, start, raw
 
 
-def line_text(number: int, line: bytes) -> str:
-    """A line of :func:`numbered_lines` as text; a line that is not UTF-8 is an error naming it."""
+def line_text(line: bytes) -> str:
+    """A line of :func:`numbered_lines` as text; a line that is not UTF-8 is an :class:`InvalidRecordError`."""
     try:
         return line.decode("utf-8")
     except UnicodeDecodeError:
-        raise InvalidRecordError(f"line {number}: not valid UTF-8") from None
+        raise InvalidRecordError("not valid UTF-8") from None
 
 
-def decode_line(number: int, line: bytes) -> Envelope:
-    """:func:`loads_envelope` on :func:`line_text`, with a decode error prefixed ``line N:``."""
-    text = line_text(number, line)
-    try:
-        return loads_envelope(text)
-    except InvalidRecordError as exc:
-        raise InvalidRecordError(f"line {number}: {exc}") from exc
+class at_line:
+    """Raise an :class:`InvalidRecordError` from the block again as ``line N: <message>``.
+
+    The one place a line number joins an error.  A class, not a generator
+    under ``contextlib.contextmanager``: it is entered once per record, and
+    the class costs about a third as much to enter and leave.
+    """
+
+    __slots__ = ("number",)
+
+    def __init__(self, number: int) -> None:
+        self.number = number
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, InvalidRecordError):
+            raise InvalidRecordError(f"line {self.number}: {exc}") from exc
 
 
 def iter_envelopes(source: str | Path | IO) -> Iterator[tuple[int, Envelope]]:
-    """(line number, envelope) for each line, decoded one at a time by :func:`decode_line`."""
+    """(line number, envelope) for each line, decoded one at a time by :func:`loads_envelope`."""
     for number, _, line in numbered_lines(source):
-        yield number, decode_line(number, line)
+        with at_line(number):
+            env = loads_envelope(line_text(line))
+        yield number, env
 
 
 def read_envelopes(source: str | Path | IO) -> list[Envelope]:

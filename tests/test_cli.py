@@ -373,6 +373,68 @@ class TestConvert:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "out.jsonl"]
 
 
+class TestRecordErrorMessages:
+    # case -> (golden input, extra convert flags, bad record, message after "line 2: record '<id>': ").
+    # Only schema.record_errors names the record; the converters and the
+    # geometry checks raise without it.
+    CASES = {
+        "grounding_box_out_of_bounds": (
+            "grounding",
+            (),
+            with_payload(golden_record("grounding", id="g-oob"), box=[0, 0, 1100, 100]),
+            "box (0.0, 0.0, 1100.0, 100.0) exceeds image bounds 1024x768",
+        ),
+        "region_question_with_reserved_token": (
+            "region_inline",
+            (),
+            with_payload(golden_record("region_inline", id="r-tok"), question="What is <box> here?"),
+            "question contains reserved token '<box>'",
+        ),
+        "multiview_unknown_object": (
+            "multiview",
+            (),
+            with_payload(golden_record("multiview", id="mv-c9"), qa=[["Where is <c9>?", "Ahead."]]),
+            "text references unknown object <c9>",
+        ),
+        "multiview_center_outside_its_view": (
+            "multiview",
+            (),
+            with_payload(
+                golden_record("multiview", id="mv-far"),
+                objects=[{"id": "c1", "camera": "CAM_FRONT", "center": [1700.0, 450.0]}],
+                qa=[["Where is <c1>?", "Ahead."]],
+            ),
+            "point (1700.0, 450.0) exceeds image bounds 1600x900",
+        ),
+        "mcq_with_27_options": (
+            "classification_mcq",
+            ("--template", "mcq"),
+            with_payload(
+                golden_record("classification_mcq", id="c-27"),
+                candidates=[f"option {i}" for i in range(27)],
+                truth="option 0",
+            ),
+            "MCQ supports at most 26 options, got 27",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_error_names_the_line_then_the_record(self, capsys, tmp_path, case):
+        name, flags, record, message = self.CASES[case]
+        task = record["task"]
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [golden_record(name, id="ok-1"), record])
+        code, stdout, err = run(capsys, "convert", "--task", task, *flags, "-i", str(src), "-o", "-")
+        assert code == 1
+        assert stdout == ""
+        expected = {
+            "error": "InvalidRecordError",
+            "message": f"line 2: record {record['id']!r}: {message}",
+            "exit_code": 1,
+        }
+        assert err == json.dumps(expected) + "\n"
+
+
 class TestConvertMemory:
     # convert holds one record at a time, so its peak must not grow with the
     # input: ten times the records may cost at most half as much again.
@@ -656,10 +718,13 @@ class TestLinesThatAreNotJson:
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_non_finite_number_is_one_json_error(self, capsys, tmp_path, command, constant):
-        code, stdout, err = run(capsys, *self.COMMANDS[command](self.source(tmp_path, constant), tmp_path))
+        src = self.source(tmp_path, constant)
+        code, stdout, err = run(capsys, *self.COMMANDS[command](src, tmp_path))
         assert code == 1
         assert stdout == ""
-        assert json.loads(err)["message"] == f"line 2: not valid JSON: {constant} is not a finite number"
+        # mix reads several sources, so its errors name the source as the manifest does.
+        where = f"{src}: " if command == "mix" else ""
+        assert json.loads(err)["message"] == f"{where}line 2: not valid JSON: {constant} is not a finite number"
 
     def test_validate_reports_the_line(self, capsys, tmp_path):
         code, stdout, _ = run(capsys, "validate", self.source(tmp_path, "NaN"))
@@ -819,7 +884,7 @@ class TestEval:
 
     WRONG_TYPES = {
         "predicted_text": ("signals", {"predicted": "abc", "truth": 1.0}, "predicted must be a finite number"),
-        "predicted_nan": ("signals", {"predicted": float("nan"), "truth": 1.0}, "predicted must be a finite number"),
+        "predicted_nan": ("signals", {"predicted": float("nan"), "truth": 1.0}, "not valid JSON: NaN is not a finite number"),
         "truth_bool": ("signals", {"predicted": 1.0, "truth": True}, "truth must be a finite number"),
         "prediction_number": ("bleu", {"prediction": 5, "references": ["a b"]}, "prediction must be a string"),
         "reference_number": ("rouge", {"prediction": "a b", "reference": 3}, "references must be a string or"),
@@ -872,7 +937,9 @@ class TestNotUtf8:
         code, stdout, err = run(capsys, *self.COMMANDS[command](tmp_path))
         assert code == 1
         assert stdout == ""
-        assert json.loads(err) == {"error": "InvalidRecordError", "message": "line 2: not valid UTF-8", "exit_code": 1}
+        where = f"{tmp_path / 'bad.jsonl'}: " if command == "mix" else ""
+        message = f"{where}line 2: not valid UTF-8"
+        assert json.loads(err) == {"error": "InvalidRecordError", "message": message, "exit_code": 1}
         assert not list(tmp_path.glob("*.tmp")) and not (tmp_path / "out.jsonl").exists()
 
     def test_validate_reports_a_line_that_is_not_utf8_and_goes_on(self, capsys, tmp_path):
@@ -883,7 +950,7 @@ class TestNotUtf8:
         assert code == 1
         assert err == ""
         lines = [json.loads(line) for line in stdout.splitlines()]
-        assert lines[0] == {"line": 1, "error": "line 1: not valid UTF-8"}
+        assert lines[0] == {"line": 1, "error": "not valid UTF-8"}
         assert lines[1]["line"] == 2 and lines[1]["error"].startswith("not valid JSON")
         assert lines[2:] == [{"checked": 3, "errors": 2}]
 
@@ -891,7 +958,7 @@ class TestNotUtf8:
         data = Path(self.bad_file(tmp_path, classification_record(0))).read_bytes()
         code, stdout, _ = run_stdin(capsys, monkeypatch, data, "validate", "-")
         assert code == 1
-        assert json.loads(stdout.splitlines()[0]) == {"line": 2, "error": "line 2: not valid UTF-8"}
+        assert json.loads(stdout.splitlines()[0]) == {"line": 2, "error": "not valid UTF-8"}
 
     def test_crlf_input_converts_like_lf_input(self, capsys, tmp_path):
         lines = [json.dumps(classification_record(i)) for i in range(3)]
@@ -903,6 +970,114 @@ class TestNotUtf8:
             assert run(capsys, "convert", "--task", "classification", "-i", str(src), "-o", str(out))[0] == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestSettingsFiles:
+    # The convert/stats/plan-tiles --config, the mix manifest and the eval
+    # scores are each read as one JSON object and type-checked.  A bad one ends
+    # in one JSON line on stderr: exit 3 if it cannot be read, else exit 2.
+    BASES = {
+        "config": {},
+        "manifest": {
+            "domain_sources": [{"id": "d", "path": "d.jsonl"}],
+            "general_sources": [{"id": "g", "path": "g.jsonl"}],
+            "ratio": 1,
+            "seed": 0,
+        },
+        "scores": {"MMB": 80.0, "OCRBench": 700},
+    }
+
+    # case -> (file, keys laid over its base); each is a wrong type or a value out of range.
+    PROBES = {
+        "config_min_tiles_text": ("config", {"min_tiles": "3"}),
+        "config_min_tiles_nan": ("config", {"min_tiles": float("nan")}),
+        "config_use_thumbnail_text": ("config", {"use_thumbnail": "false"}),
+        "config_seed_bool": ("config", {"seed": True}),
+        "config_task_number": ("config", {"task": 5}),
+        "manifest_repeat_text": ("manifest", {"domain_sources": [{"id": "d", "path": "d.jsonl", "repeat": "abc"}]}),
+        "manifest_repeat_float": ("manifest", {"domain_sources": [{"id": "d", "path": "d.jsonl", "repeat": 2.0}]}),
+        "manifest_domain_sources_number": ("manifest", {"domain_sources": 5}),
+        "manifest_general_source_not_object": ("manifest", {"general_sources": ["g.jsonl"]}),
+        "manifest_id_number": ("manifest", {"domain_sources": [{"id": 1, "path": "d.jsonl"}]}),
+        "manifest_path_list": ("manifest", {"domain_sources": [{"id": "d", "path": ["d.jsonl"]}]}),
+        "manifest_seed_text": ("manifest", {"seed": "x"}),
+        "manifest_seed_digits": ("manifest", {"seed": "3"}),
+        "manifest_seed_bool": ("manifest", {"seed": True}),
+        "manifest_seed_float": ("manifest", {"seed": 2.7}),
+        "manifest_ratio_nan": ("manifest", {"ratio": float("nan")}),
+        "manifest_ratio_nan_text": ("manifest", {"ratio": "nan"}),
+        "manifest_ratio_inf_text": ("manifest", {"ratio": "inf:1"}),
+        "manifest_allow_replacement_text": ("manifest", {"allow_replacement": "false"}),
+        "manifest_weight_nan_text": ("manifest", {"general_sources": [{"id": "g", "path": "g.jsonl", "weight": "nan"}]}),
+        "manifest_weight_bool": ("manifest", {"general_sources": [{"id": "g", "path": "g.jsonl", "weight": True}]}),
+        "scores_list": ("scores", ["OCRBench"]),
+        "scores_text": ("scores", {"OCRBench": "x"}),
+        "scores_nan": ("scores", {"OCRBench": float("nan")}),
+        "scores_bool": ("scores", {"MMB": True}),
+        "scores_past_float_range": ("scores", {"MMB": 10**400}),
+    }
+
+    @staticmethod
+    def run_with(capsys, monkeypatch, tmp_path, kind, content: bytes | None):
+        """Run the command that reads a ``kind`` file holding ``content`` (None: a directory)."""
+        monkeypatch.chdir(tmp_path)
+        write_jsonl(tmp_path / "d.jsonl", [classification_record(i) for i in range(4)])
+        write_jsonl(tmp_path / "g.jsonl", [classification_record(10 + i) for i in range(4)])
+        path = tmp_path / f"{kind}.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        argv = {
+            "config": ["plan-tiles", "448", "448", "--config", str(path)],
+            "manifest": ["mix", "--manifest", str(path), "-o", "mixed.jsonl"],
+            "scores": ["eval", "--metric", "avg", "--scores", str(path)],
+        }[kind]
+        return run(capsys, *argv)
+
+    @staticmethod
+    def one_error_line(err: str, code: int) -> str:
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+        error = json.loads(err)
+        assert error["exit_code"] == code
+        return error["message"]
+
+    @pytest.mark.parametrize("kind", sorted(BASES))
+    def test_base_files_pass(self, capsys, monkeypatch, tmp_path, kind):
+        # So a probe fails only by what it lays over its base.
+        code, _, err = self.run_with(capsys, monkeypatch, tmp_path, kind, json.dumps(self.BASES[kind]).encode())
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("case", sorted(PROBES))
+    def test_wrong_type_or_value_is_exit_2(self, capsys, monkeypatch, tmp_path, case):
+        kind, changes = self.PROBES[case]
+        content = {**self.BASES[kind], **changes} if isinstance(changes, dict) else changes
+        code, stdout, err = self.run_with(capsys, monkeypatch, tmp_path, kind, json.dumps(content).encode())
+        assert code == 2
+        assert stdout == ""
+        self.one_error_line(err, 2)
+        assert not (tmp_path / "mixed.jsonl").exists()
+
+    # content -> (exit code, how the message goes on after "<file> <path>")
+    UNREADABLE = {
+        "not_utf8": (b'{"seed": "\xff"}', 2, " is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+        "not_json": (b"{seed", 2, " is not valid JSON: "),
+        "nan": (b"NaN", 2, " is not valid JSON: NaN is not a finite number"),
+        "infinity_inside": (b'{"seed": -Infinity}', 2, " is not valid JSON: -Infinity is not a finite number"),
+        "not_an_object": (b"[1, 2]", 2, " must be a JSON object"),
+        "a_directory": (None, 3, ": "),
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    @pytest.mark.parametrize("kind", sorted(BASES))
+    def test_file_that_is_not_a_json_object(self, capsys, monkeypatch, tmp_path, kind, case):
+        content, code, rest = self.UNREADABLE[case]
+        got, stdout, err = self.run_with(capsys, monkeypatch, tmp_path, kind, content)
+        assert (got, stdout) == (code, "")
+        message = self.one_error_line(err, code)
+        path = tmp_path / f"{kind}.json"
+        assert message.startswith(f"cannot read {kind} {path}{rest}" if code == 3 else f"{kind} {path}{rest}")
 
 
 class TestLineSink:

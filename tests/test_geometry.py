@@ -183,11 +183,6 @@ class TestNormalize:
         nbox = normalize_box(PixelBox(1, 0, 2000, 1000), ImageDims(2000, 1000))
         assert nbox.x1 == 1
 
-    def test_out_of_bounds_carries_record_id(self):
-        with pytest.raises(OutOfBoundsError) as err:
-            normalize_box(PixelBox(0, 0, 700, 100), ImageDims(640, 480), record_id="r7")
-        assert "r7" in str(err.value)
-
     def test_point_midpoint(self):
         assert normalize_point(800, 450, ImageDims(1600, 900)) == (500, 500)
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import tracemalloc
 from collections import Counter
 
@@ -415,7 +416,7 @@ class TestFilePools:
         lines = path.read_text(encoding="utf-8").split("\n")
         lines[6] = '{"id": "broken"'
         path.write_text("\n".join(lines), encoding="utf-8")
-        with pytest.raises(InvalidRecordError, match="^line 7: not valid JSON"):
+        with pytest.raises(InvalidRecordError, match=f"^{re.escape(str(path))}: line 7: not valid JSON"):
             mix(m)
 
     @pytest.mark.parametrize("change", ["rewritten", "truncated"])

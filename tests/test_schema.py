@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -229,3 +230,17 @@ class TestValidateEnvelope:
         env = Envelope(id="v1", task="video", payload={"frames": "notalist", "qa": [["q", "a"]]})
         with pytest.raises(InvalidRecordError):
             validate_envelope(env)
+
+
+class TestOneJsonDecoder:
+    # Every JSON input goes through schema.JSON_DECODER, which refuses NaN and
+    # the infinities; a json.load or json.loads call would accept them again.
+    def test_no_other_json_decode_in_the_package(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "vlprep"
+        calls = [
+            f"{path.name}:{number}"
+            for path in sorted(src.glob("*.py"))
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+            if "json.loads(" in line or "json.load(" in line
+        ]
+        assert calls == []
