@@ -1,12 +1,15 @@
 """Command-line pipeline driver.
 
 Subcommands: convert, mix, validate, stats, eval, plan-tiles,
-validate-kernels.  All behavior comes from flags plus an optional JSON
-config file (flags win); environment variables are never consulted.  Errors
-are emitted as one JSON object on stderr and mapped to exit codes:
-0 success, 1 validation, 2 configuration, 3 I/O.  Every JSON input is
-decoded by ``schema.JSON_DECODER``, which refuses NaN and the infinities.
-The settings files (``--config``, the mix manifest, ``--scores``) are each
+validate-kernels.  All behavior comes from flags laid over an optional JSON
+config file; environment variables are never consulted.  The merged settings
+are checked once, before any record is read, and no path a command writes may
+name a path it reads or another path it writes.  Errors are emitted as one JSON
+object on stderr and mapped to exit codes: 0 success, 1 validation,
+2 configuration, 3 I/O.  Every JSON input is decoded by ``schema.JSON_DECODER``
+and every output encoded by ``schema.JSON_ENCODER``; both refuse NaN and the
+infinities, so an eval score past the float range is exit 1.  The settings
+files (``--config``, the mix manifest, ``--scores``) are each
 one JSON object, read by ``schema.read_json_object`` and type-checked: one
 that cannot be read is exit 3, any other fault exit 2.  A bad input line is
 named ``line N:`` (``<source>: line N:`` in mix), and a bad record
@@ -30,7 +33,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
 import os
 import shutil
 import sys
@@ -57,7 +59,7 @@ from .mixer import load_manifest, mix
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs shared across commands; a JSON config supplies defaults."""
+    """Knobs shared across commands, checked once as built by :func:`_config`."""
 
     task: str | None = None
     input: str | None = None
@@ -73,42 +75,44 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if (
-            self.input is not None
-            and self.output is not None
-            and self.input == self.output
-            and self.input != "-"
-        ):
-            raise InvalidConfigError(f"input and output must be distinct paths, both are {self.input!r}")
-
-    @classmethod
-    def from_file(cls, path: str | None) -> "PipelineConfig":
-        """The config at ``path``: each key a field, each value of its field's annotated type."""
-        if path is None:
-            return cls()
-        obj = schema.read_json_object(path, "config")
-        annotations = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = set(obj) - set(annotations)
-        if unknown:
-            raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")
-        hints = get_type_hints(cls)
-        for key, value in obj.items():
+        hints = get_type_hints(PipelineConfig)
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
             # A bool is not an int here, as JSON true is not a number.
-            if type(value) not in (get_args(hints[key]) or (hints[key],)):
-                raise InvalidConfigError(f"config key {key!r} must be {annotations[key]}, got {value!r}")
-        return cls(**obj)
+            if type(value) not in (get_args(hints[f.name]) or (hints[f.name],)):
+                raise InvalidConfigError(f"config key {f.name!r} must be {f.type}, got {value!r}")
+        if self.task is not None and self.task not in schema.KNOWN_TASKS:
+            raise InvalidConfigError(f"task must be one of {list(schema.KNOWN_TASKS)}, got {self.task!r}")
+        if not 1 <= self.min_tiles <= self.max_tiles:
+            raise InvalidConfigError(f"tile bounds need 1 <= min <= max, got {self.min_tiles}..{self.max_tiles}")
+        if self.tokens_per_tile < 1:
+            raise InvalidConfigError(f"tokens_per_tile must be positive, got {self.tokens_per_tile}")
 
 
 def _config(args) -> PipelineConfig:
-    """The ``--config`` file's settings with every flag that was given laid over them.
+    """The ``--config`` file's settings with every flag that was given laid over them, checked once.
 
-    A flag overrides the config field its argparse ``dest`` names; a flag
-    that was not given parses to None.
+    Each file key is a field.  A flag overrides the field its argparse
+    ``dest`` names; a flag that was not given parses to None.
     """
-    cfg = PipelineConfig.from_file(args.config)
-    fields = (f.name for f in dataclasses.fields(cfg))
-    given = {name: flag for name in fields if (flag := getattr(args, name, None)) is not None}
-    return dataclasses.replace(cfg, **given)
+    obj = {} if args.config is None else schema.read_json_object(args.config, "config")
+    names = [f.name for f in dataclasses.fields(PipelineConfig)]
+    unknown = set(obj) - set(names)
+    if unknown:
+        raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")
+    given = {name: flag for name in names if (flag := getattr(args, name, None)) is not None}
+    return PipelineConfig(**{**obj, **given})
+
+
+def _check_paths(reads: list[tuple[str, str | None]], writes: list[tuple[str, str | None]]) -> None:
+    """Refuse a run that writes a (role, path) it reads or writes elsewhere, compared by ``os.path.realpath``."""
+    seen: dict[str, str] = {}
+    for number, (role, path) in enumerate(reads + writes):
+        if path not in (None, "-"):  # unused, or stdin/stdout
+            real = os.path.realpath(path)
+            if number >= len(reads) and real in seen:
+                raise InvalidConfigError(f"{role} {path!r} is the same file as {seen[real]}")
+            seen.setdefault(real, f"{role} {path!r}")
 
 
 def _source(path: str):
@@ -161,16 +165,11 @@ def _summary_stream(output_path: str):
 
 
 def _print_json(obj, stream=None) -> None:
-    print(json.dumps(obj, ensure_ascii=False), file=stream or sys.stdout)
+    print(schema.dumps_object(obj), file=stream or sys.stdout)
 
 
 def _template_from(cfg: PipelineConfig) -> formats.PromptTemplate:
-    if cfg.template_style == "free":
-        base = formats.DEFAULT_FREE_TEMPLATE
-    elif cfg.template_style == "mcq":
-        base = formats.DEFAULT_MCQ_TEMPLATE
-    else:
-        raise InvalidConfigError(f"unknown template style {cfg.template_style!r}")
+    base = formats.DEFAULT_MCQ_TEMPLATE if cfg.template_style == "mcq" else formats.DEFAULT_FREE_TEMPLATE
     return formats.PromptTemplate(
         style=cfg.template_style,
         prefix=base.prefix if cfg.prompt_prefix is None else cfg.prompt_prefix,
@@ -184,9 +183,9 @@ def _convert_one(
     env: schema.Envelope, task: str, template: formats.PromptTemplate, index: int
 ) -> tuple[schema.Envelope, formats.OverlaySpec | None]:
     if env.task != task:
-        raise InvalidRecordError(f"task {env.task!r} does not match --task {task!r}", env.id)
+        raise InvalidRecordError(f"task {env.task!r} does not match --task {task!r}")
     if task != "vqa" and schema.is_conversation_payload(env.payload):
-        raise InvalidRecordError("payload is already a conversation; only --task vqa converts one", env.id)
+        raise InvalidRecordError("payload is already a conversation; only --task vqa converts one")
     sample, overlay = schema.envelope_to_sample(env, template, index)
     return schema.Envelope(id=env.id, task=task, payload=schema.sample_to_payload(sample), meta=sample.meta), overlay
 
@@ -197,6 +196,7 @@ def cmd_convert(args) -> int:
         raise InvalidConfigError("convert requires --task (or a config with one)")
     template = _template_from(cfg)
     out_path = cfg.output or "-"
+    _check_paths([("config", args.config), ("input", cfg.input)], [("output", out_path), ("overlays", args.overlays)])
 
     records = drawn = 0
     # The sidecar stack is left last, so the overlays are committed after
@@ -206,7 +206,8 @@ def cmd_convert(args) -> int:
         for number, _, line in schema.numbered_lines(_source(cfg.input or "-")):
             with schema.at_line(number):
                 env = schema.loads_envelope(schema.line_text(line))
-                converted, overlay = _convert_one(env, cfg.task, template, records)
+                with schema.record_errors(env.id):
+                    converted, overlay = _convert_one(env, cfg.task, template, records)
             out.write(schema.dumps_envelope(converted) + "\n")
             records += 1
             if overlay is None:
@@ -221,7 +222,7 @@ def cmd_convert(args) -> int:
                     "color": list(overlay.color),
                     "stroke_width": overlay.stroke_width,
                 }
-                overlays.write(json.dumps(entry, ensure_ascii=False) + "\n")
+                overlays.write(schema.dumps_object(entry) + "\n")
 
     _print_json(
         {"records": records, "by_task": {cfg.task: records} if records else {}, "overlays": drawn},
@@ -233,14 +234,17 @@ def cmd_convert(args) -> int:
 def cmd_mix(args) -> int:
     manifest = load_manifest(args.manifest)
     out_path = args.output or "-"
+    report_path = None if out_path == "-" else out_path + ".report.json"
+    sources = [("source", src.path) for src in (*manifest.domain_sources, *manifest.general_sources)]
+    _check_paths([("manifest", args.manifest), *sources], [("output", out_path), ("report", report_path)])
     stream, report = mix(manifest)
     with _line_sink(out_path) as out, contextlib.closing(iter(stream)) as records:
         for env in records:
             out.write(schema.dumps_envelope(env) + "\n")
     report_obj = dataclasses.asdict(report)
-    if out_path != "-":
-        with _line_sink(out_path + ".report.json") as out:
-            out.write(json.dumps(report_obj, ensure_ascii=False) + "\n")
+    if report_path is not None:
+        with _line_sink(report_path) as out:
+            out.write(schema.dumps_object(report_obj) + "\n")
     _print_json(report_obj, _summary_stream(out_path))
     return 0
 
@@ -364,7 +368,11 @@ def cmd_eval(args) -> int:
             config={"ocrbench_key": args.ocrbench_key},
         )
     elif args.metric == "signals":
-        thresholds = tuple(float(t) for t in args.thresholds.split(",")) if args.thresholds else metrics.DEFAULT_THRESHOLDS
+        thresholds = args.thresholds.split(",") if args.thresholds else metrics.DEFAULT_THRESHOLDS
+        try:
+            thresholds = tuple(map(float, thresholds))
+        except ValueError:
+            raise InvalidConfigError(f"--thresholds must be numbers, got {args.thresholds!r}") from None
         report = metrics.control_signal_metrics(_parsed_lines(args.input, _signal_pair), thresholds)
     else:
         pairs = _parsed_lines(args.input, _eval_pair)

@@ -29,7 +29,6 @@ class InvalidRecordError(PipelineError):
     """A record violates its schema or task invariants."""
 
     def __init__(self, message: str, record_id: str | None = None):
-        self.record_id = record_id
         if record_id:
             message = f"record {record_id!r}: {message}"
         super().__init__(message)

@@ -19,7 +19,7 @@ import re
 import string
 from dataclasses import dataclass, field
 
-from .errors import InvalidRecordError, TokenParseError
+from .errors import InvalidConfigError, InvalidRecordError, TokenParseError
 from .geometry import (
     ImageDims,
     NormalizedBox,
@@ -83,25 +83,21 @@ class ConversationSample:
         if not self.id:
             raise InvalidRecordError("sample id must be non-empty")
         if len(self.turns) < 2:
-            raise InvalidRecordError("conversation needs at least one user and one assistant turn", self.id)
+            raise InvalidRecordError("conversation needs at least one user and one assistant turn")
         for i, (role, text) in enumerate(self.turns):
             expected = USER if i % 2 == 0 else ASSISTANT
             if role != expected:
                 raise InvalidRecordError(
-                    f"turn {i} role {role!r}, expected {expected!r} (turns alternate starting with user)",
-                    self.id,
+                    f"turn {i} role {role!r}, expected {expected!r} (turns alternate starting with user)"
                 )
             if not isinstance(text, str):
-                raise InvalidRecordError(f"turn {i} text must be a string", self.id)
+                raise InvalidRecordError(f"turn {i} text must be a string")
         for ref in self.images:
             if not ref or not isinstance(ref, str):
-                raise InvalidRecordError("image references must be non-empty strings", self.id)
+                raise InvalidRecordError("image references must be non-empty strings")
         placeholders = sum(t.count(IMAGE_PLACEHOLDER) + t.count("<img>") for _, t in self.turns)
         if placeholders and placeholders != len(self.images):
-            raise InvalidRecordError(
-                f"{placeholders} image placeholders for {len(self.images)} images",
-                self.id,
-            )
+            raise InvalidRecordError(f"{placeholders} image placeholders for {len(self.images)} images")
 
 
 @dataclass(frozen=True)
@@ -131,6 +127,8 @@ class GroundingRecord:
     def __post_init__(self) -> None:
         if not self.expression:
             raise InvalidRecordError("referring expression must be non-empty")
+        _guard_payload(self.expression, "referring expression")
+        ensure_box_within(self.box, self.dims)
 
 
 REGION_MODES = ("inline-box", "drawn-annotation")
@@ -153,6 +151,9 @@ class RegionRecord:
             raise InvalidRecordError(f"mode must be one of {REGION_MODES}, got {self.mode!r}")
         if not self.question:
             raise InvalidRecordError("question must be non-empty")
+        _guard_payload(self.question, "question")
+        _guard_payload(self.answer, "answer")
+        ensure_box_within(self.region, self.dims)
 
 
 @dataclass(frozen=True)
@@ -227,7 +228,7 @@ class PromptTemplate:
 
     def __post_init__(self) -> None:
         if self.style not in ("free", "mcq"):
-            raise InvalidRecordError(f"template style must be 'free' or 'mcq', got {self.style!r}")
+            raise InvalidConfigError(f"template style must be 'free' or 'mcq', got {self.style!r}")
 
 
 DEFAULT_FREE_TEMPLATE = PromptTemplate(style="free", prefix=FREE_CLASS_PREFIX, suffix=FREE_CLASS_SUFFIX)
@@ -255,15 +256,10 @@ class SpecialToken:
     value: str | NormalizedBox
 
 
-def _guard_payload(text: str, what: str) -> str:
+def _guard_payload(text: str, what: str) -> None:
     hit = _MARKER_RE.search(text)
     if hit:
         raise InvalidRecordError(f"{what} contains reserved token {hit.group(0)!r}")
-    return text
-
-
-def format_ref(text: str) -> str:
-    return f"<ref>{_guard_payload(text, 'ref payload')}</ref>"
 
 
 def format_box(nbox: NormalizedBox) -> str:
@@ -318,7 +314,6 @@ def convert_grounding(
     meta: dict[str, str] | None = None,
 ) -> ConversationSample:
     """Referring expression -> "Detect <ref>...</ref>" with a normalized box answer."""
-    _guard_payload(rec.expression, "referring expression")
     nbox = normalize_box(rec.box, rec.dims)
     return ConversationSample(
         id=sample_id,
@@ -347,14 +342,11 @@ def convert_region(
     drawn-annotation leaves the text token-free and returns an OverlaySpec
     for the rasterizer instead.
     """
-    _guard_payload(rec.question, "question")
-    _guard_payload(rec.answer, "answer")
-    ensure_box_within(rec.region, rec.dims)
     overlay: OverlaySpec | None = None
     if rec.mode == "inline-box":
         nbox = normalize_box(rec.region, rec.dims)
         question = f"{rec.question}{format_box(nbox)}"
-        answer = f"{format_ref(rec.answer)}{format_box(nbox)}" if rec.answer_is_object else rec.answer
+        answer = f"<ref>{rec.answer}</ref>{format_box(nbox)}" if rec.answer_is_object else rec.answer
     else:
         question = rec.question
         answer = rec.answer

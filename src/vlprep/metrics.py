@@ -35,7 +35,7 @@ class EvalPair:
     def __post_init__(self) -> None:
         refs = tuple(self.references)
         if not refs:
-            raise InvalidRecordError("references must be non-empty", record_id=self.id)
+            raise InvalidRecordError("references must be non-empty")
         object.__setattr__(self, "references", refs)
 
 
@@ -192,7 +192,7 @@ def control_signal_metrics(
         raise UndefinedMetricError("control_signal_metrics is undefined on an empty corpus")
     if not thresholds:
         raise InvalidConfigError("at least one threshold is required")
-    if any(t <= 0 for t in thresholds):
+    if not all(t > 0 for t in thresholds):  # NaN is not > 0 either
         raise InvalidConfigError(f"thresholds must be positive, got {list(thresholds)}")
 
     errors = [p.predicted - p.truth for p in pairs]

@@ -5,8 +5,9 @@ One JSON object per line, UTF-8, keys in the canonical order
 domain record (pre-conversion) or a conversation sample (post-conversion);
 the two are distinguished by the presence of a "turns" key.  Serialization
 is byte-deterministic so converted and mixed files diff cleanly.  All JSON
-input, settings files included, is decoded here, and only :class:`at_line`
-and :func:`record_errors` name the line and the record of an error.
+input, settings files included, is decoded here, all JSON output is encoded
+by :func:`dumps_object`, and only :class:`at_line` and :func:`record_errors`
+name the line and the record of an error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 from typing import IO, Iterator
 
 from . import formats
-from .errors import InvalidConfigError, InvalidRecordError, RecordIOError, TokenParseError
+from .errors import InvalidConfigError, InvalidRecordError, PipelineError, RecordIOError, TokenParseError
 from .formats import (
     ClassificationRecord,
     ConversationSample,
@@ -73,15 +74,25 @@ def dumps_envelope(env: Envelope) -> str:
         "meta": env.meta,
         "payload": env.payload,
     }
-    return json.dumps(ordered, ensure_ascii=False)
+    return dumps_object(ordered)
 
 
 def _reject_constant(name: str) -> None:
     raise ValueError(f"{name} is not a finite number")
 
 
-# The one decoder for every JSON input, reused: NaN, Infinity and -Infinity are not JSON.
+# The one decoder for every JSON input and the one encoder for every JSON
+# output, reused: NaN, Infinity and -Infinity are not JSON.
 JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+JSON_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
+
+
+def dumps_object(obj: object) -> str:
+    """``obj`` as one line of JSON; a NaN or an infinity in it is a :class:`PipelineError` (exit 1)."""
+    try:
+        return JSON_ENCODER.encode(obj)
+    except ValueError as exc:
+        raise PipelineError(f"cannot write a non-finite number as JSON: {exc}") from None
 
 
 def is_finite_number(value: object) -> bool:
@@ -321,13 +332,11 @@ def is_conversation_payload(payload: dict) -> bool:
 
 @contextlib.contextmanager
 def record_errors(record_id: str) -> Iterator[None]:
-    """Raise every failure of the block as an :class:`InvalidRecordError` naming the record: a
-    payload field of the wrong type or shape, or a turn that breaks the special-token grammar."""
+    """Raise every failure of the block as an :class:`InvalidRecordError` naming the record: a failed
+    record check, a payload field of the wrong type or shape, or a turn that breaks the token grammar."""
     try:
         yield
     except InvalidRecordError as exc:
-        if exc.record_id:
-            raise
         raise type(exc)(str(exc), record_id) from exc
     except TokenParseError as exc:
         raise InvalidRecordError(f"special-token grammar: {exc}", record_id) from exc
@@ -342,30 +351,30 @@ def envelope_to_sample(
 
     A conversation payload, or any ``vqa`` payload, is validated and each turn
     parsed under the special-token grammar; a raw payload decodes into its
-    record and runs through its converter.  Failures are as :func:`record_errors` raises them.
+    record and runs through its converter.  Callers name the record with :func:`record_errors`.
     """
-    with record_errors(env.id):
-        if env.task == "vqa" or is_conversation_payload(env.payload):
-            sample = payload_to_sample(env)
-            if env.task == "vqa":
-                sample = formats.convert_vqa(sample)
-            else:
-                sample.validate()
-            for _, text in sample.turns:
-                parse_special_tokens(text)
-            return sample, None
-        record = payload_to_record(env.task, env.payload)
-        convert = getattr(formats, f"convert_{env.task}")
-        if env.task == "classification":
-            sample, overlay = convert(record, template, sample_id=env.id, meta=env.meta), None
-        elif env.task == "region":
-            sample, overlay = convert(record, sample_id=env.id, meta=env.meta, object_index=object_index)
+    if env.task == "vqa" or is_conversation_payload(env.payload):
+        sample = payload_to_sample(env)
+        if env.task == "vqa":
+            sample = formats.convert_vqa(sample)
         else:
-            sample, overlay = convert(record, sample_id=env.id, meta=env.meta), None
-        sample.validate()
-        return sample, overlay
+            sample.validate()
+        for _, text in sample.turns:
+            parse_special_tokens(text)
+        return sample, None
+    record = payload_to_record(env.task, env.payload)
+    convert = getattr(formats, f"convert_{env.task}")
+    if env.task == "classification":
+        sample, overlay = convert(record, template, sample_id=env.id, meta=env.meta), None
+    elif env.task == "region":
+        sample, overlay = convert(record, sample_id=env.id, meta=env.meta, object_index=object_index)
+    else:
+        sample, overlay = convert(record, sample_id=env.id, meta=env.meta), None
+    sample.validate()
+    return sample, overlay
 
 
 def validate_envelope(env: Envelope) -> None:
     """Check one envelope end to end: a dry run of :func:`envelope_to_sample` with its defaults."""
-    envelope_to_sample(env)
+    with record_errors(env.id):
+        envelope_to_sample(env)

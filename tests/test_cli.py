@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import gc
 import io
 import json
 import os
@@ -231,6 +232,18 @@ class TestConvert:
                          "-o", str(tmp_path / "out.jsonl"))
         assert code == 2
 
+    def test_unknown_config_task_is_a_config_error_before_any_record(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"task": "foo"}))
+        out = tmp_path / "out.jsonl"
+        code, stdout, err = run(capsys, "convert", "--config", str(config),
+                                "-i", str(GOLDEN_DIR / "grounding.input.jsonl"), "-o", str(out))
+        assert (code, stdout) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "InvalidConfigError"
+        assert error["message"].startswith("task must be one of ") and error["message"].endswith("got 'foo'")
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_workers_flag_and_config_key_are_retired(self, capsys, tmp_path):
         src = tmp_path / "in.jsonl"
         write_jsonl(src, [classification_record(0)])
@@ -454,9 +467,21 @@ class TestConvertMemory:
         return peak
 
     def test_peak_does_not_grow_with_record_count(self, capsys, tmp_path):
-        self.traced_peak(tmp_path, 20)  # first-use caches are not per-record memory
-        small = self.traced_peak(tmp_path, 400)
-        large = self.traced_peak(tmp_path, 4000)
+        # First-use caches are not per-record memory.  Among them are the
+        # interpreter's tuple free lists, which keep up to 2000 freed tuples of
+        # each length; a block kept there counts as traced if it was allocated
+        # while tracing, so a run that fills them looks like growth.  A first
+        # run fills them, and the measured runs, which start tracing afresh,
+        # do not count its blocks; the collector, whose full collections empty
+        # the lists, stays off throughout.  With it off, cyclic garbage made
+        # per record would show as growth too.
+        gc.disable()
+        try:
+            self.traced_peak(tmp_path, 4000)
+            small = self.traced_peak(tmp_path, 400)
+            large = self.traced_peak(tmp_path, 4000)
+        finally:
+            gc.enable()
         capsys.readouterr()
         assert large <= 1.5 * small, (small, large)
 
@@ -536,10 +561,69 @@ class TestMix:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*before, "outdir"])
         assert not any(outdir.iterdir())
 
+    def test_source_number_past_the_float_range_is_one_error(self, capsys, tmp_path):
+        # JSON reads 1e400 as an infinity, which has no JSON form to write back.
+        source = tmp_path / "big.jsonl"
+        record = json.dumps(golden_record("grounding"))
+        source.write_text(record.replace('"width":', '"extra": 1e400, "width":') + "\n")
+        manifest = tmp_path / "mix.json"
+        manifest.write_text(json.dumps({"domain_sources": [{"id": "d", "path": str(source)}], "ratio": 0, "seed": 0}))
+        out = tmp_path / "out.jsonl"
+        code, stdout, err = run(capsys, "mix", "--manifest", str(manifest), "-o", str(out))
+        assert (code, stdout) == (1, "")
+        assert json.loads(err)["message"].startswith("cannot write a non-finite number as JSON")
+        assert not out.exists() and not list(tmp_path.glob("*.tmp"))
+
     def test_missing_manifest_is_an_io_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "mix", "--manifest", str(tmp_path / "gone.json"),
                          "-o", str(tmp_path / "out.jsonl"))
         assert code == 3
+
+
+class TestNoWriteReplacesARead:
+    # No path a command writes (-o, --overlays, <out>.report.json) may name a
+    # path it reads (-i, --config, --manifest, a mix source) or another path it
+    # writes.  The check runs before any record is read, so nothing is written.
+    @staticmethod
+    def setup(tmp_path):
+        write_jsonl(tmp_path / "g.jsonl", [golden_record("grounding")])
+        region = with_payload(golden_record("region_inline"), mode="drawn-annotation")
+        write_jsonl(tmp_path / "r.jsonl", [region])
+        write_jsonl(tmp_path / "d.jsonl", [classification_record(i) for i in range(4)])
+        manifest = {"domain_sources": [{"id": "d", "path": "d.jsonl"}], "ratio": 0, "seed": 0}
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        os.symlink("g.jsonl", tmp_path / "link.jsonl")
+
+    PROBES = {
+        "output_is_the_input": ["convert", "--task", "grounding", "-i", "g.jsonl", "-o", "./g.jsonl"],
+        "output_is_a_link_to_the_input": ["convert", "--task", "grounding", "-i", "g.jsonl", "-o", "link.jsonl"],
+        "overlays_are_the_input": ["convert", "--task", "region", "-i", "r.jsonl", "-o", "out.jsonl",
+                                   "--overlays", "r.jsonl"],
+        "overlays_are_the_output": ["convert", "--task", "region", "-i", "r.jsonl", "-o", "out.jsonl",
+                                    "--overlays", "out.jsonl"],
+        "mix_output_is_a_source": ["mix", "--manifest", "m.json", "-o", "d.jsonl"],
+        "mix_output_is_the_manifest": ["mix", "--manifest", "m.json", "-o", "m.json"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(PROBES))
+    def test_is_exit_2_and_writes_nothing(self, capsys, monkeypatch, tmp_path, case):
+        monkeypatch.chdir(tmp_path)
+        self.setup(tmp_path)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        code, stdout, err = run(capsys, *self.PROBES[case])
+        assert (code, stdout) == (2, "")
+        assert err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "InvalidConfigError" and " is the same file as " in error["message"]
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_distinct_paths_run(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        self.setup(tmp_path)
+        argv = ["convert", "--task", "region", "-i", "r.jsonl", "-o", "out.jsonl", "--overlays", "ov.jsonl"]
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, "mix", "--manifest", "m.json", "-o", "mixed.jsonl")[0] == 0
+        assert (tmp_path / "ov.jsonl").exists() and (tmp_path / "mixed.jsonl.report.json").exists()
 
 
 class TestValidate:
@@ -801,6 +885,33 @@ class TestStats:
         assert stdout == ""
         assert json.loads(err)["message"].startswith("line 2: record 'g-bad': malformed payload: ValueError")
 
+    # Each is refused once, on the merged settings, before any record is read.
+    BAD_PLANNER_FLAGS = {
+        "min_tiles_zero": ("--min-tiles", "0"),
+        "tokens_per_tile_zero": ("--tokens-per-tile", "0"),
+        "min_above_max": ("--min-tiles", "5", "--max-tiles", "2"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_PLANNER_FLAGS))
+    def test_bad_planner_flags_on_an_empty_file(self, capsys, tmp_path, case):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        code, stdout, err = run(capsys, "stats", str(empty), *self.BAD_PLANNER_FLAGS[case])
+        assert (code, stdout) == (2, "")
+        assert json.loads(err)["error"] == "InvalidConfigError"
+
+    def test_flags_are_laid_over_the_config_before_it_is_checked(self, capsys, tmp_path):
+        config = tmp_path / "t.json"
+        config.write_text(json.dumps({"min_tiles": 5, "max_tiles": 2}))
+        code, out, _ = run(capsys, "stats", str(GOLDEN_DIR / "grounding.jsonl"),
+                           "--config", str(config), "--max-tiles", "12")
+        assert code == 0
+        assert json.loads(out)["planner"]["min_tiles"] == 5
+        assert json.loads(out)["planner"]["max_tiles"] == 12
+        code, _, err = run(capsys, "stats", str(GOLDEN_DIR / "grounding.jsonl"), "--config", str(config))
+        assert code == 2
+        assert json.loads(err)["error"] == "InvalidConfigError"
+
     def test_planner_flags_change_totals(self, capsys, tmp_path):
         src = tmp_path / "in.jsonl"
         write_jsonl(src, [{
@@ -881,6 +992,31 @@ class TestEval:
         path.write_text(json.dumps({"MMB": 80.0}))
         code, _, _ = run(capsys, "eval", "--metric", "avg", "--scores", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("thresholds", ["abc", "1,,2"])
+    def test_threshold_that_is_not_a_number_is_exit_2_before_the_pairs_are_read(self, capsys, tmp_path, thresholds):
+        # The pairs file does not exist: reading it first would be exit 3.
+        code, stdout, err = run(capsys, "eval", "--metric", "signals", "-i", str(tmp_path / "absent.jsonl"),
+                                "--thresholds", thresholds)
+        assert (code, stdout) == (2, "")
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert json.loads(err)["error"] == "InvalidConfigError"
+
+    def test_signal_error_past_the_float_range_is_exit_1(self, capsys, tmp_path):
+        src = tmp_path / "pairs.jsonl"
+        write_jsonl(src, [{"predicted": 1e308, "truth": -1e308}])
+        code, stdout, err = run(capsys, "eval", "--metric", "signals", "-i", str(src))
+        assert (code, stdout) == (1, "")
+        assert err.count("\n") == 1
+        assert json.loads(err)["message"].startswith("cannot write a non-finite number as JSON")
+
+    def test_average_past_the_float_range_is_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "scores.json"
+        path.write_text(json.dumps({"MMB": 1e308, "X": 1e308, "OCRBench": 700}))
+        code, stdout, err = run(capsys, "eval", "--metric", "avg", "--scores", str(path))
+        assert (code, stdout) == (1, "")
+        assert err.count("\n") == 1
+        assert json.loads(err)["exit_code"] == 1
 
     WRONG_TYPES = {
         "predicted_text": ("signals", {"predicted": "abc", "truth": 1.0}, "predicted must be a finite number"),
@@ -1163,6 +1299,18 @@ class TestPlanTiles:
         code, out, _ = run(capsys, "plan-tiles", "896", "448", "--max-tiles", "12")
         assert code == 0
         assert out.strip().startswith("2x1 tiles")
+
+    def test_invalid_bounds(self, capsys):
+        for flags in (("--min-tiles", "5", "--max-tiles", "4"), ("--min-tiles", "0")):
+            code, stdout, err = run(capsys, "plan-tiles", "448", "448", *flags)
+            assert (code, stdout) == (2, "")
+            assert json.loads(err)["message"].startswith("tile bounds need 1 <= min <= max, got ")
+
+    def test_flags_are_laid_over_the_config_before_it_is_checked(self, capsys, tmp_path):
+        config = tmp_path / "t.json"
+        config.write_text(json.dumps({"min_tiles": 5, "max_tiles": 2}))
+        code, out, _ = run(capsys, "plan-tiles", "896", "448", "--config", str(config), "--max-tiles", "12")
+        assert (code, out) == (0, "4x2 tiles + thumbnail, 2304 tokens\n")
 
 
 class TestValidateKernels:

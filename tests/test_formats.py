@@ -145,19 +145,16 @@ class TestGrounding:
         sample = convert_grounding(rec, sample_id="g2")
         assert "<box>[[0, 0, 1000, 1000]]</box>" in sample.turns[1][1]
 
+    # A record that exists is valid: its box and text are checked when it is built.
     def test_out_of_bounds_propagates(self):
-        rec = GroundingRecord(
-            image="a.png", expression="x", box=PixelBox(0, 0, 700, 100), dims=ImageDims(640, 480)
-        )
         with pytest.raises(OutOfBoundsError):
-            convert_grounding(rec, sample_id="g3")
+            GroundingRecord(image="a.png", expression="x", box=PixelBox(0, 0, 700, 100), dims=ImageDims(640, 480))
 
     def test_expression_with_markup_rejected(self):
-        rec = GroundingRecord(
-            image="a.png", expression="sneaky </ref>", box=PixelBox(0, 0, 1, 1), dims=ImageDims(10, 10)
-        )
-        with pytest.raises(InvalidRecordError):
-            convert_grounding(rec, sample_id="g4")
+        with pytest.raises(InvalidRecordError, match="reserved token '</ref>'"):
+            GroundingRecord(
+                image="a.png", expression="sneaky </ref>", box=PixelBox(0, 0, 1, 1), dims=ImageDims(10, 10)
+            )
 
 
 class TestRegion:
@@ -209,16 +206,16 @@ class TestRegion:
         assert a.color != b.color
 
     def test_out_of_bounds_region(self):
-        rec = RegionRecord(
-            image="v/1.png",
-            dims=ImageDims(100, 100),
-            region=PixelBox(0, 0, 150, 50),
-            question="q",
-            answer="a",
-            mode="drawn-annotation",
-        )
+        # Checked when the record is built, in either mode.
         with pytest.raises(OutOfBoundsError):
-            convert_region(rec, sample_id="r7")
+            RegionRecord(
+                image="v/1.png",
+                dims=ImageDims(100, 100),
+                region=PixelBox(0, 0, 150, 50),
+                question="q",
+                answer="a",
+                mode="drawn-annotation",
+            )
 
     def test_unknown_mode(self):
         with pytest.raises(InvalidRecordError):

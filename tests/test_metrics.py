@@ -207,6 +207,11 @@ class TestControlSignals:
         with pytest.raises(InvalidConfigError):
             control_signal_metrics([SignalPair("a", 1.0, 1.0)], thresholds=(0.0,))
 
+    def test_nan_threshold_is_refused(self):
+        # float("nan") parses, but no error is below it, so it is no threshold.
+        with pytest.raises(InvalidConfigError):
+            control_signal_metrics([SignalPair("a", 1.0, 1.0)], thresholds=(0.5, float("nan")))
+
 
 class TestBenchmarkAverage:
     def test_fixed_point(self):

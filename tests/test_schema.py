@@ -4,10 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from vlprep.errors import InvalidRecordError, RecordIOError
+from vlprep.errors import InvalidRecordError, PipelineError, RecordIOError
 from vlprep.schema import (
     Envelope,
     dumps_envelope,
+    dumps_object,
     iter_envelopes,
     loads_envelope,
     numbered_lines,
@@ -244,3 +245,21 @@ class TestOneJsonDecoder:
             if "json.loads(" in line or "json.load(" in line
         ]
         assert calls == []
+
+
+class TestOneJsonEncoder:
+    # Every JSON output goes through schema.JSON_ENCODER, which refuses NaN and
+    # the infinities; a json.dump or json.dumps call would write them again.
+    def test_no_other_json_encode_in_the_package(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "vlprep"
+        calls = [
+            f"{path.name}:{number}"
+            for path in sorted(src.glob("*.py"))
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+            if "json.dumps(" in line or "json.dump(" in line
+        ]
+        assert calls == []
+
+    def test_a_non_finite_number_is_one_error(self):
+        with pytest.raises(PipelineError, match="non-finite"):
+            dumps_object({"rmse": float("inf")})
