@@ -6,8 +6,8 @@ domain record (pre-conversion) or a conversation sample (post-conversion);
 the two are distinguished by the presence of a "turns" key.  Serialization
 is byte-deterministic so converted and mixed files diff cleanly.  All JSON
 input, settings files included, is decoded here, all JSON output is encoded
-by :func:`dumps_object`, and only :class:`at_line` and :func:`record_errors`
-name the line and the record of an error.
+by :func:`dumps_object`, and :class:`at_line` and :func:`record_errors` name
+the line and the record of an error (:func:`dumps_envelope` names its own).
 """
 
 from __future__ import annotations
@@ -67,14 +67,13 @@ class Envelope:
 
 
 def dumps_envelope(env: Envelope) -> str:
-    ordered = {
-        "id": env.id,
-        "schema_version": env.schema_version,
-        "task": env.task,
-        "meta": env.meta,
-        "payload": env.payload,
-    }
-    return dumps_object(ordered)
+    """``env`` as one line of JSON, its keys in schema order; a value that cannot be written names the record."""
+    ordered = {"id": env.id, "schema_version": env.schema_version, "task": env.task, "meta": env.meta,
+               "payload": env.payload}
+    try:
+        return dumps_object(ordered)
+    except PipelineError as exc:
+        raise InvalidRecordError(str(exc), env.id) from None
 
 
 def _reject_constant(name: str) -> None:

@@ -452,11 +452,11 @@ class TestConvertMemory:
     # convert holds one record at a time, so its peak must not grow with the
     # input: ten times the records may cost at most half as much again.
     @staticmethod
-    def traced_peak(tmp_path, count):
+    def traced_peak(tmp_path, count, prefix="mv"):
         record = golden_record("multiview")
-        src = tmp_path / f"mv-{count}.jsonl"
-        write_jsonl(src, [dict(record, id=f"mv-{i:05d}") for i in range(count)])
-        argv = ["convert", "--task", "multiview", "-i", str(src), "-o", str(tmp_path / f"out-{count}.jsonl")]
+        src = tmp_path / f"{prefix}-{count}.jsonl"
+        write_jsonl(src, [dict(record, id=f"{prefix}-{i:05d}") for i in range(count)])
+        argv = ["convert", "--task", "multiview", "-i", str(src), "-o", str(tmp_path / f"{prefix}-out-{count}.jsonl")]
         tracemalloc.start()
         try:
             code = main(argv)
@@ -474,10 +474,11 @@ class TestConvertMemory:
         # run fills them, and the measured runs, which start tracing afresh,
         # do not count its blocks; the collector, whose full collections empty
         # the lists, stays off throughout.  With it off, cyclic garbage made
-        # per record would show as growth too.
+        # per record would show as growth too.  The first run's ids are its
+        # own, so a cache kept per record is not filled before measuring.
         gc.disable()
         try:
-            self.traced_peak(tmp_path, 4000)
+            self.traced_peak(tmp_path, 4000, prefix="warm")
             small = self.traced_peak(tmp_path, 400)
             large = self.traced_peak(tmp_path, 4000)
         finally:
@@ -571,7 +572,7 @@ class TestMix:
         out = tmp_path / "out.jsonl"
         code, stdout, err = run(capsys, "mix", "--manifest", str(manifest), "-o", str(out))
         assert (code, stdout) == (1, "")
-        assert json.loads(err)["message"].startswith("cannot write a non-finite number as JSON")
+        assert json.loads(err)["message"].startswith("record 'rs-grd-0001': cannot write a non-finite number as JSON")
         assert not out.exists() and not list(tmp_path.glob("*.tmp"))
 
     def test_missing_manifest_is_an_io_error(self, capsys, tmp_path):
@@ -585,7 +586,7 @@ class TestNoWriteReplacesARead:
     # path it reads (-i, --config, --manifest, a mix source) or another path it
     # writes.  The check runs before any record is read, so nothing is written.
     @staticmethod
-    def setup(tmp_path):
+    def make_files(tmp_path):
         write_jsonl(tmp_path / "g.jsonl", [golden_record("grounding")])
         region = with_payload(golden_record("region_inline"), mode="drawn-annotation")
         write_jsonl(tmp_path / "r.jsonl", [region])
@@ -608,7 +609,7 @@ class TestNoWriteReplacesARead:
     @pytest.mark.parametrize("case", sorted(PROBES))
     def test_is_exit_2_and_writes_nothing(self, capsys, monkeypatch, tmp_path, case):
         monkeypatch.chdir(tmp_path)
-        self.setup(tmp_path)
+        self.make_files(tmp_path)
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
         code, stdout, err = run(capsys, *self.PROBES[case])
         assert (code, stdout) == (2, "")
@@ -619,7 +620,7 @@ class TestNoWriteReplacesARead:
 
     def test_distinct_paths_run(self, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)
-        self.setup(tmp_path)
+        self.make_files(tmp_path)
         argv = ["convert", "--task", "region", "-i", "r.jsonl", "-o", "out.jsonl", "--overlays", "ov.jsonl"]
         assert run(capsys, *argv)[0] == 0
         assert run(capsys, "mix", "--manifest", "m.json", "-o", "mixed.jsonl")[0] == 0
