@@ -16,12 +16,20 @@ named ``line N:`` (``<source>: line N:`` in mix), and a bad record
 ``record '<id>':`` after that.  validate is a dry run of
 convert with the default template: a raw record passes exactly when convert
 would convert it, a conversation record gets the sample and special-token
-grammar checks, and each bad line is reported on stdout as the run goes on.
+grammar checks, and each bad line is reported on stdout, in line order.
 
 convert, validate, stats and eval read their input one record at a time:
 convert, validate and stats hold one record, and eval holds the pairs its
 metric needs.  mix holds a byte offset per source line and a position per
 output record, and reads each record back as it writes it.
+
+convert, validate and stats on a regular file of at least
+``shards.MIN_BYTES``, and mix on sources of that size, run one process per
+usable CPU when there is more than one and ``os.fork`` exists: each takes a
+contiguous range of the input (mix: of each source's bytes, then of the
+output positions), and the workers' parts are joined in input order.  No
+output byte, error or exit code depends on it.
+
 File outputs are written to a uniquely named ``<out>.<random>.tmp`` sibling
 as records arrive and renamed into place on success.  A failed run removes
 the sibling, and with ``-o -`` prints no records, so only a killed process
@@ -37,11 +45,12 @@ import os
 import shutil
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence, get_args, get_type_hints
 
-from . import formats, metrics, schema
+from . import formats, metrics, schema, shards
 from .errors import InvalidConfigError, InvalidRecordError, PipelineError, RecordIOError
 from .geometry import (
     DEFAULT_MAX_TILES,
@@ -190,6 +199,18 @@ def _convert_one(
     return schema.Envelope(id=env.id, task=task, payload=schema.sample_to_payload(sample), meta=sample.meta), overlay
 
 
+class _OnFirstWrite:
+    """A sink that enters ``_line_sink(path)`` on ``stack`` at its first write, so a run that writes nothing leaves no file."""
+
+    def __init__(self, path: str, stack: contextlib.ExitStack) -> None:
+        self.path, self.stack, self.handle = path, stack, None
+
+    def write(self, text: str) -> None:
+        if self.handle is None:
+            self.handle = self.stack.enter_context(_line_sink(self.path))
+        self.handle.write(text)
+
+
 def cmd_convert(args) -> int:
     cfg = _config(args)
     if cfg.task is None:
@@ -198,24 +219,20 @@ def cmd_convert(args) -> int:
     out_path = cfg.output or "-"
     _check_paths([("config", args.config), ("input", cfg.input)], [("output", out_path), ("overlays", args.overlays)])
 
-    records = drawn = 0
-    # The sidecar stack is left last, so the overlays are committed after
-    # the records and discarded if the records fail.
-    with contextlib.ExitStack() as sidecar, _line_sink(out_path) as out:
-        overlays = None
-        for number, _, line in schema.numbered_lines(_source(cfg.input or "-")):
+    def convert(lines: shards.Lines, index: int, sinks) -> tuple[int, int]:
+        out, overlays = sinks
+        records = drawn = 0
+        for number, _, line in lines:
             with schema.at_line(number):
                 env = schema.loads_envelope(schema.line_text(line))
                 with schema.record_errors(env.id):
-                    converted, overlay = _convert_one(env, cfg.task, template, records)
+                    converted, overlay = _convert_one(env, cfg.task, template, index + records)
             out.write(schema.dumps_envelope(converted) + "\n")
             records += 1
             if overlay is None:
                 continue
             drawn += 1
             if args.overlays:
-                if overlays is None:
-                    overlays = sidecar.enter_context(_line_sink(args.overlays))
                 entry = {
                     "id": env.id,
                     "box": list(overlay.box.as_tuple()),
@@ -223,6 +240,13 @@ def cmd_convert(args) -> int:
                     "stroke_width": overlay.stroke_width,
                 }
                 overlays.write(schema.dumps_object(entry) + "\n")
+        return records, drawn
+
+    # The sidecar stack is left last, so the overlays are committed after
+    # the records and discarded if the records fail.
+    with contextlib.ExitStack() as sidecar, _line_sink(out_path) as out:
+        counts = shards.line_pass(_source(cfg.input or "-"), convert, (out, _OnFirstWrite(args.overlays, sidecar)))
+    records, drawn = map(sum, zip(*counts))
 
     _print_json(
         {"records": records, "by_task": {cfg.task: records} if records else {}, "overlays": drawn},
@@ -238,9 +262,15 @@ def cmd_mix(args) -> int:
     sources = [("source", src.path) for src in (*manifest.domain_sources, *manifest.general_sources)]
     _check_paths([("manifest", args.manifest), *sources], [("output", out_path), ("report", report_path)])
     stream, report = mix(manifest)
-    with _line_sink(out_path) as out, contextlib.closing(iter(stream)) as records:
-        for env in records:
-            out.write(schema.dumps_envelope(env) + "\n")
+    positions = shards.split(len(stream), stream.source_bytes)
+
+    def emit(k: int, sinks) -> None:
+        with contextlib.closing(stream.read(positions[k])) as records:
+            for env in records:
+                sinks[0].write(schema.dumps_envelope(env) + "\n")
+
+    with _line_sink(out_path) as out:
+        shards.run(len(positions), emit, (out,))
     report_obj = dataclasses.asdict(report)
     if report_path is not None:
         with _line_sink(report_path) as out:
@@ -250,15 +280,18 @@ def cmd_mix(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    checked = 0
-    errors = 0
-    for number, _, line in schema.numbered_lines(_source(args.path)):
-        checked += 1
-        try:
-            schema.validate_envelope(schema.loads_envelope(schema.line_text(line)))
-        except InvalidRecordError as exc:
-            errors += 1
-            _print_json({"line": number, "error": str(exc)})
+    def check(lines: shards.Lines, _, sinks) -> tuple[int, int]:
+        checked = errors = 0
+        for number, _, line in lines:
+            checked += 1
+            try:
+                schema.validate_envelope(schema.loads_envelope(schema.line_text(line)))
+            except InvalidRecordError as exc:
+                errors += 1
+                _print_json({"line": number, "error": str(exc)}, sinks[0])
+        return checked, errors
+
+    checked, errors = map(sum, zip(*shards.line_pass(_source(args.path), check, (sys.stdout,))))
     _print_json({"checked": checked, "errors": errors})
     return 0 if errors == 0 else 1
 
@@ -288,21 +321,32 @@ def _record_plans(env: schema.Envelope, cfg: PipelineConfig) -> list[TilePlan]:
 
 def cmd_stats(args) -> int:
     cfg = _config(args)
-    records = 0
-    total_tokens = 0
-    histogram: dict[str, int] = {}
-    by_task: dict[str, int] = {}
-    for number, _, line in schema.numbered_lines(_source(args.path)):
-        with schema.at_line(number):
-            env = schema.loads_envelope(schema.line_text(line))
-            with schema.record_errors(env.id):
-                plans = _record_plans(env, cfg)
-        records += 1
-        by_task[env.task] = by_task.get(env.task, 0) + 1
-        for plan in plans:
-            total_tokens += token_count(plan, cfg.tokens_per_tile)
-            key = str(plan.total_tiles)
-            histogram[key] = histogram.get(key, 0) + 1
+
+    def tally(lines: shards.Lines, *_) -> tuple[int, int, Counter, Counter]:
+        records = total_tokens = 0
+        histogram: Counter = Counter()
+        by_task: Counter = Counter()
+        for number, _, line in lines:
+            with schema.at_line(number):
+                env = schema.loads_envelope(schema.line_text(line))
+                with schema.record_errors(env.id):
+                    plans = _record_plans(env, cfg)
+            records += 1
+            by_task[env.task] += 1
+            for plan in plans:
+                total_tokens += token_count(plan, cfg.tokens_per_tile)
+                histogram[str(plan.total_tiles)] += 1
+        return records, total_tokens, histogram, by_task
+
+    records = total_tokens = 0
+    histogram: Counter = Counter()
+    by_task: Counter = Counter()
+    # Shards add in order, so by_task keeps the order of first appearance.
+    for shard_records, shard_tokens, shard_histogram, shard_tasks in shards.line_pass(_source(args.path), tally):
+        records += shard_records
+        total_tokens += shard_tokens
+        histogram += shard_histogram
+        by_task += shard_tasks
     _print_json(
         {
             "records": records,
@@ -373,8 +417,11 @@ def cmd_eval(args) -> int:
             thresholds = tuple(map(float, thresholds))
         except ValueError:
             raise InvalidConfigError(f"--thresholds must be numbers, got {args.thresholds!r}") from None
+        metrics.check_thresholds(thresholds)
         report = metrics.control_signal_metrics(_parsed_lines(args.input, _signal_pair), thresholds)
     else:
+        if args.metric == "bleu":
+            metrics.check_max_n(args.max_n)
         pairs = _parsed_lines(args.input, _eval_pair)
         if args.metric == "mcq":
             report = metrics.MetricReport(

@@ -105,6 +105,12 @@ def _closest_ref_length(pred_len: int, ref_lens: Sequence[int]) -> int:
     return min(ref_lens, key=lambda r: (abs(r - pred_len), r))
 
 
+def check_max_n(max_n: int) -> None:
+    """Refuse a BLEU order outside 1..4."""
+    if not 1 <= max_n <= 4:
+        raise InvalidConfigError(f"max_n must be in 1..4, got {max_n}")
+
+
 def bleu(pairs: Sequence[EvalPair], max_n: int = 4) -> float:
     """Corpus BLEU with uniform weights over orders 1..max_n.
 
@@ -115,8 +121,7 @@ def bleu(pairs: Sequence[EvalPair], max_n: int = 4) -> float:
     """
     if not pairs:
         raise UndefinedMetricError("bleu is undefined on an empty corpus")
-    if not 1 <= max_n <= 4:
-        raise InvalidConfigError(f"max_n must be in 1..4, got {max_n}")
+    check_max_n(max_n)
 
     matched = [0] * max_n
     possible = [0] * max_n
@@ -183,6 +188,14 @@ def rouge_l(pairs: Sequence[EvalPair], recall_only: bool = False) -> float:
     return total / len(pairs)
 
 
+def check_thresholds(thresholds: Sequence[float]) -> None:
+    """Refuse an empty threshold list or a threshold that is not positive."""
+    if not thresholds:
+        raise InvalidConfigError("at least one threshold is required")
+    if not all(t > 0 for t in thresholds):  # NaN is not > 0 either
+        raise InvalidConfigError(f"thresholds must be positive, got {list(thresholds)}")
+
+
 def control_signal_metrics(
     pairs: Sequence[SignalPair],
     thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
@@ -190,10 +203,7 @@ def control_signal_metrics(
     """RMSE plus threshold accuracies A_tau (fraction with |error| < tau)."""
     if not pairs:
         raise UndefinedMetricError("control_signal_metrics is undefined on an empty corpus")
-    if not thresholds:
-        raise InvalidConfigError("at least one threshold is required")
-    if not all(t > 0 for t in thresholds):  # NaN is not > 0 either
-        raise InvalidConfigError(f"thresholds must be positive, got {list(thresholds)}")
+    check_thresholds(thresholds)
 
     errors = [p.predicted - p.truth for p in pairs]
     rmse = math.sqrt(sum(e * e for e in errors) / len(errors))

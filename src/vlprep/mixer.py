@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-from . import schema
+from . import schema, shards
 from .errors import InsufficientDataError, InvalidConfigError, InvalidRecordError, RecordIOError
 from .geometry import _round_half_away
 from .schema import Envelope
@@ -196,14 +196,26 @@ def _largest_remainder_quotas(total: int, weights: Sequence[float]) -> list[int]
     return quotas
 
 
+def _index(lines: shards.Lines, *_) -> tuple[array, array]:
+    """The byte offset and CRC-32 of each line, every line checked as an envelope."""
+    offsets, crcs = array("q"), array("L")
+    for number, offset, line in lines:
+        with schema.at_line(number):
+            schema.loads_envelope(schema.line_text(line))
+        offsets.append(offset)
+        crcs.append(zlib.crc32(line))
+    return offsets, crcs
+
+
 class FilePool(Sequence[Envelope]):
     """The envelopes of one JSONL file, held as the byte offset of each line.
 
-    Indexing reads every line once and checks it as :func:`read_envelopes`
-    would, with errors named ``<path>: line N:``, but keeps only its offset
-    and CRC-32.  ``pool[i]`` reads line i again and decodes it; a line whose
-    bytes changed since indexing is an :class:`InvalidRecordError`.  Since
-    the file is read twice, it must be a regular file, not a pipe.
+    Indexing reads every line once, one shard of the file per process (see
+    :mod:`shards`), and checks it as :func:`read_envelopes` would, with
+    errors named ``<path>: line N:``, but keeps only its offset and CRC-32.
+    ``pool[i]`` reads line i again and decodes it; a line whose bytes changed
+    since indexing is an :class:`InvalidRecordError`.  Since the file is read
+    twice, it must be a regular file, not a pipe.
     """
 
     def __init__(self, path: str) -> None:
@@ -213,13 +225,12 @@ class FilePool(Sequence[Envelope]):
         self._offsets = array("q")
         self._crcs = array("L")
         try:
-            for number, offset, line in schema.numbered_lines(path):
-                with schema.at_line(number):
-                    schema.loads_envelope(schema.line_text(line))
-                self._offsets.append(offset)
-                self._crcs.append(zlib.crc32(line))
+            for offsets, crcs in shards.line_pass(path, _index):
+                self._offsets.extend(offsets)
+                self._crcs.extend(crcs)
         except InvalidRecordError as exc:
             raise InvalidRecordError(f"{path}: {exc}") from exc
+        self.nbytes = os.path.getsize(path)
 
     def __len__(self) -> int:
         return len(self._offsets)
@@ -266,13 +277,17 @@ class MixStream(Sequence[Envelope]):
 
     The unshuffled stream is ``runs`` end to end, and ``order[i]`` is the
     position in it of the i-th record.  Iteration reads each file-backed
-    pool through one handle, closed when the iteration ends or is closed.
+    pool through one handle, opened when the iteration starts and closed
+    when it ends or is closed.  ``source_bytes`` is the size of the files
+    behind the stream; other pools count nothing.
     """
 
     def __init__(self, runs: list[_Run], order: array) -> None:
         self._runs = runs
         self._ends = list(itertools.accumulate(len(run.indices) for run in runs))
         self._order = order
+        pools = {id(run.pool): run.pool for run in runs}.values()
+        self.source_bytes = sum(pool.nbytes for pool in pools if isinstance(pool, FilePool))
 
     def __len__(self) -> int:
         return len(self._order)
@@ -287,13 +302,17 @@ class MixStream(Sequence[Envelope]):
         return _tagged(run.pool[index], run.pass_index, run.repeat)
 
     def __iter__(self) -> Iterator[Envelope]:
+        return self.read(range(len(self)))
+
+    def read(self, records: range) -> Iterator[Envelope]:
+        """The records at ``records`` of the stream, in order."""
         with contextlib.ExitStack() as stack:
             fetch = {}
             for pool in (run.pool for run in self._runs):
                 if id(pool) in fetch:
                     continue
                 fetch[id(pool)] = stack.enter_context(pool.reader()) if isinstance(pool, FilePool) else pool.__getitem__
-            for position in self._order:
+            for position in itertools.islice(self._order, records.start, records.stop):
                 run, index = self._locate(position)
                 yield _tagged(fetch[id(run.pool)](index), run.pass_index, run.repeat)
 

@@ -139,14 +139,18 @@ def read_json_object(path: str | Path, what: str) -> dict:
     return obj
 
 
-def numbered_lines(source: str | Path | IO) -> Iterator[tuple[int, int, bytes]]:
+def numbered_lines(
+    source: str | Path | IO, start: int = 0, end: int | None = None, first: int = 1
+) -> Iterator[tuple[int, int, bytes]]:
     r"""Yield (line number, byte offset, line) for each non-blank line of a path or open handle.
 
     Lines end at ``\n`` (a ``\r\n`` ending leaves a ``\r`` that JSON reads
     as whitespace).  Lines are undecoded bytes, and :func:`line_text`
     decodes each one alone.  A handle is read as bytes: a text handle such
     as ``sys.stdin`` through its binary ``buffer``.  A path that cannot be
-    opened is a :class:`RecordIOError`.
+    opened is a :class:`RecordIOError`.  Given ``start`` and ``end``, only
+    the lines of a path that begin in bytes [start, end) are read, the one
+    at ``start`` numbered ``first``.
     """
     if hasattr(source, "read"):
         handle = contextlib.nullcontext(getattr(source, "buffer", source))
@@ -156,12 +160,16 @@ def numbered_lines(source: str | Path | IO) -> Iterator[tuple[int, int, bytes]]:
         except OSError as exc:
             raise RecordIOError(f"cannot read {source}: {exc}") from exc
     with handle as lines:
-        offset = 0
-        for number, raw in enumerate(lines, start=1):
-            start = offset
+        if start:
+            lines.seek(start)
+        offset = start
+        for number, raw in enumerate(lines, start=first):
+            if end is not None and offset >= end:
+                return
+            line_start = offset
             offset += len(raw)
             if raw.strip():
-                yield number, start, raw
+                yield number, line_start, raw
 
 
 def line_text(line: bytes) -> str:

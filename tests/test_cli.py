@@ -1003,6 +1003,20 @@ class TestEval:
         assert "Traceback" not in err and err.count("\n") == 1
         assert json.loads(err)["error"] == "InvalidConfigError"
 
+    @pytest.mark.parametrize(
+        "metric,flags",
+        [("bleu", ["--max-n", "7"]), ("bleu", ["--max-n", "0"]),
+         ("signals", ["--thresholds", "0"]), ("signals", ["--thresholds", "0.5,nan"]), ("signals", ["--thresholds", "-1"])],
+    )
+    def test_setting_out_of_range_is_exit_2_before_the_pairs_are_read(self, capsys, tmp_path, metric, flags):
+        # The pairs file is empty: reading it first would be exit 1, a metric undefined on no pairs.
+        src = tmp_path / "empty.jsonl"
+        src.write_text("")
+        code, stdout, err = run(capsys, "eval", "--metric", metric, "-i", str(src), *flags)
+        assert (code, stdout) == (2, "")
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert json.loads(err)["error"] == "InvalidConfigError"
+
     def test_signal_error_past_the_float_range_is_exit_1(self, capsys, tmp_path):
         src = tmp_path / "pairs.jsonl"
         write_jsonl(src, [{"predicted": 1e308, "truth": -1e308}])
@@ -1339,7 +1353,7 @@ def run_python(*args):
 class TestImportPath:
     # Every data command is a fresh process, and importing numpy was the
     # largest part of its start although only the kernels need it.
-    LAZY_MODULES = ("numpy", "concurrent.futures")
+    LAZY_MODULES = ("numpy", "concurrent.futures", "multiprocessing")
 
     def test_cli_import_leaves_lazy_modules_unloaded(self):
         probe = "import sys, vlprep.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
