@@ -23,9 +23,10 @@ convert, validate and stats hold one record, and eval holds the pairs its
 metric needs.  mix holds a byte offset per source line and a position per
 output record, and reads each record back as it writes it.
 
-convert, validate and stats on a regular file of at least
-``shards.MIN_BYTES``, and mix on sources of that size, run one process per
-usable CPU when there is more than one and ``os.fork`` exists: each takes a
+convert, validate and stats on a regular file, and mix on each source and
+on its output, run one process per usable CPU when ``os.fork`` exists, but
+no more processes than give each at least ``shards.MIN_SHARD_BYTES`` of
+input (so a file under twice that size runs in one process): each takes a
 contiguous range of the input (mix: of each source's bytes, then of the
 output positions), and the workers' parts are joined in input order.  No
 output byte, error or exit code depends on it.
@@ -137,7 +138,8 @@ def _line_sink(path: str):
     the end, so two runs writing one path never share a temporary file.
     ``-`` is spooled to an anonymous temporary file and copied to stdout at
     the end, so a failed run prints nothing.  On any failure the temporary
-    file is removed.
+    file is removed.  A file's handle names its directory as ``part_dir``,
+    so the parts of a sharded pass are made beside it (see :mod:`shards`).
     """
     if path == "-":
         with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
@@ -157,6 +159,7 @@ def _line_sink(path: str):
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             # mkstemp creates the file 0600; give the output the mode open() would.
             os.chmod(tmp, 0o666 & ~umask)
+            handle.part_dir = str(target.parent)
             yield handle
         try:
             os.replace(tmp, path)
@@ -202,8 +205,9 @@ def _convert_one(
 class _OnFirstWrite:
     """A sink that enters ``_line_sink(path)`` on ``stack`` at its first write, so a run that writes nothing leaves no file."""
 
-    def __init__(self, path: str, stack: contextlib.ExitStack) -> None:
+    def __init__(self, path: str | None, stack: contextlib.ExitStack) -> None:
         self.path, self.stack, self.handle = path, stack, None
+        self.part_dir = None if path in (None, "-") else str(Path(path).parent)
 
     def write(self, text: str) -> None:
         if self.handle is None:
@@ -262,7 +266,7 @@ def cmd_mix(args) -> int:
     sources = [("source", src.path) for src in (*manifest.domain_sources, *manifest.general_sources)]
     _check_paths([("manifest", args.manifest), *sources], [("output", out_path), ("report", report_path)])
     stream, report = mix(manifest)
-    positions = shards.split(len(stream), stream.source_bytes)
+    positions = shards.split(len(stream), stream.nbytes)
 
     def emit(k: int, sinks) -> None:
         with contextlib.closing(stream.read(positions[k])) as records:

@@ -278,16 +278,20 @@ class MixStream(Sequence[Envelope]):
     The unshuffled stream is ``runs`` end to end, and ``order[i]`` is the
     position in it of the i-th record.  Iteration reads each file-backed
     pool through one handle, opened when the iteration starts and closed
-    when it ends or is closed.  ``source_bytes`` is the size of the files
-    behind the stream; other pools count nothing.
+    when it ends or is closed.  ``nbytes`` is about how many bytes reading
+    the stream reads: each run's records at the mean line size of its file;
+    other pools count nothing.
     """
 
     def __init__(self, runs: list[_Run], order: array) -> None:
         self._runs = runs
         self._ends = list(itertools.accumulate(len(run.indices) for run in runs))
         self._order = order
-        pools = {id(run.pool): run.pool for run in runs}.values()
-        self.source_bytes = sum(pool.nbytes for pool in pools if isinstance(pool, FilePool))
+        self.nbytes = sum(
+            len(run.indices) * run.pool.nbytes // len(run.pool)
+            for run in runs
+            if isinstance(run.pool, FilePool) and run.indices
+        )
 
     def __len__(self) -> int:
         return len(self._order)

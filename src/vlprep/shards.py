@@ -1,25 +1,30 @@
 """One pass cut into contiguous shards, each run by its own process.
 
-A pass that reads at least :data:`MIN_BYTES` from a regular file is cut into
-one shard per usable CPU, when there is more than one and ``os.fork``
-exists; any other pass is one shard, run in this process by the same code.
-Shard 0 runs in this process and writes straight to the pass's sinks.  Each
-other shard runs in a forked worker, which opens its own files, writes its
-lines to anonymous temporary part files (unlinked from the start, so none
-outlives the run) and leaves a small result.  When every worker has ended,
-their parts are copied to the sinks in shard order, in fixed-size blocks,
-and the results are returned in shard order.  So no output byte depends on
-the number of shards.
+A pass over a regular file is cut into one shard per usable CPU, but into
+no more shards than leave each at least :data:`MIN_SHARD_BYTES`, when
+``os.fork`` exists; any other pass is one shard, run in this process by the
+same code.  Shard 0 runs in this process and writes straight to the pass's
+sinks.  Each other shard runs in a forked worker, which opens its own
+files, writes its lines to anonymous temporary part files (unlinked from
+the start, so none outlives the run) and sends a small result back through
+a pipe.  A sink that has a ``part_dir`` attribute gets its parts made in
+that directory, so a file output's parts use the file's own file system;
+any other sink's parts are made in the temporary directory.  As shard 0
+and then each worker in shard order succeeds, the worker's parts are copied
+to the sinks in fixed-size blocks, and the results are returned in shard
+order.  So no output byte depends on the number of shards.
 
 A shard that fails stops the pass: its error is raised here with the class,
-message and exit code it had in the shard, and of two failing shards the
-earlier one's is raised.  Workers still running then are killed, and every
-worker is waited for on every path.  A worker that ends without a result is
-a :class:`PipelineError` too.
+message and exit code it had in the shard.  Shard 0's error is raised as it
+happens; a worker's once shard 0 and every worker before it have
+succeeded, so of two failing shards the earlier one's is raised.  The
+workers still running then are killed, and every worker is waited for on
+every path.  A worker that ends without a result is a
+:class:`PipelineError` too.
 """
-
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
 import stat
@@ -30,10 +35,11 @@ from typing import IO, Callable, Iterator, Sequence, TypeVar
 from . import errors, schema
 from .errors import PipelineError
 
-# Below this many bytes a pass is cheaper in one process than the fork, the
-# part files and the copy.  Measured on 2 CPUs in fresh processes: at 128 KiB
-# one process was faster for `validate` and `convert`, at 256 KiB two were.
-MIN_BYTES = 256 * 1024
+# A shard smaller than this costs more in the fork, the part files and the
+# copy than it saves.  Measured on 2 CPUs in fresh processes: a 128 KiB input
+# was faster in one process for `validate` and `convert`, a 256 KiB input in
+# two shards of 128 KiB.
+MIN_SHARD_BYTES = 128 * 1024
 
 # Parts are copied in blocks of the text layer's own chunk size: with 64 KiB
 # blocks the parent's peak RSS grew by 4 MB over one `mix` copy.
@@ -52,9 +58,9 @@ def usable_cpus() -> int:
 
 def count(nbytes: int) -> int:
     """How many shards a pass over about ``nbytes`` bytes is cut into."""
-    if nbytes < MIN_BYTES or not hasattr(os, "fork"):
+    if not hasattr(os, "fork"):
         return 1
-    return usable_cpus()
+    return max(1, min(usable_cpus(), nbytes // MIN_SHARD_BYTES))
 
 
 def split(total: int, nbytes: int) -> list[range]:
@@ -136,49 +142,61 @@ def _rebuilt(name: str, message: str) -> Exception:
 
 
 class _Worker:
-    """A forked shard: its process id (None once waited for), its part per sink and its result file."""
+    """A forked shard: its process id (None once waited for), its part per sink and the pipe its result comes by."""
 
-    def __init__(self, sinks: Sequence) -> None:
+    def __init__(self) -> None:
         self.pid: int | None = None
-        self.parts = [tempfile.TemporaryFile("w+", encoding="utf-8", newline="") for _ in sinks]
-        self.result = tempfile.TemporaryFile()
+        self.files = contextlib.ExitStack()
 
-    def start(self, work: Callable[[int, Sequence[IO[str]]], T], k: int) -> None:
-        self.pid = os.fork()
-        if self.pid:
-            return
+    def start(self, work: Callable[[int, Sequence[IO[str]]], T], k: int, sinks: Sequence) -> None:
+        self.parts = [
+            self.files.enter_context(
+                tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=getattr(sink, "part_dir", None))
+            )
+            for sink in sinks
+        ]
+        read, write = os.pipe()
+        self.result = self.files.enter_context(os.fdopen(read, "rb"))
+        with os.fdopen(write, "wb") as pipe:  # closed here once forked, so the result ends when the worker does
+            self.pid = os.fork()
+            if self.pid:
+                return
+            import pickle
+
+            status = 1
+            try:  # the worker leaves only through os._exit: no atexit handler or caller's cleanup runs twice
+                try:
+                    outcome = ("ok", work(k, self.parts))
+                except PipelineError as exc:
+                    outcome = ("error", type(exc).__name__, str(exc))
+                except OSError as exc:
+                    outcome = ("error", "OSError", str(exc))
+                except Exception as exc:
+                    outcome = ("error", "PipelineError", f"shard {k} failed: {exc!r}")
+                for part in self.parts:
+                    part.flush()
+                pickle.dump(outcome, pipe)
+                pipe.flush()
+                status = 0
+            finally:
+                os._exit(status)
+
+    def outcome(self, k: int):
+        """Read the worker's result, wait for it, and return its value or raise its error."""
         import pickle
 
-        status = 1
-        try:  # the worker leaves only through os._exit: no atexit handler or caller's cleanup runs twice
-            try:
-                outcome = ("ok", work(k, self.parts))
-            except PipelineError as exc:
-                outcome = ("error", type(exc).__name__, str(exc))
-            except OSError as exc:
-                outcome = ("error", "OSError", str(exc))
-            except Exception as exc:
-                outcome = ("error", "PipelineError", f"shard {k} failed: {exc!r}")
-            for part in self.parts:
-                part.flush()
-            pickle.dump(outcome, self.result)
-            self.result.flush()
-            status = 0
-        finally:
-            os._exit(status)
-
-    def outcome(self, k: int) -> tuple:
-        """Wait for the worker and read its result."""
-        import pickle
-
+        try:
+            outcome = pickle.load(self.result)  # read before the wait: a result may not fit in the pipe
+        except (EOFError, pickle.UnpicklingError):
+            outcome = None
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
-        self.result.seek(0)
-        try:
-            return pickle.load(self.result)
-        except (EOFError, pickle.UnpicklingError):
+        if outcome is None:
             code = os.waitstatus_to_exitcode(status)
-            return ("error", "PipelineError", f"the worker for shard {k} ended (status {code}) with no result")
+            raise PipelineError(f"the worker for shard {k} ended (status {code}) with no result")
+        if outcome[0] == "error":
+            raise _rebuilt(*outcome[1:])
+        return outcome[1]
 
     def close(self) -> None:
         if self.pid is not None:
@@ -187,15 +205,14 @@ class _Worker:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
-        for handle in (*self.parts, self.result):
-            handle.close()
+        self.files.close()
 
 
 def run(shards: int, work: Callable[[int, Sequence[IO[str]]], T], sinks: Sequence = ()) -> list[T]:
     """``work(k, handles)`` for each shard ``k < shards``, shard 0 here with ``sinks``; the results in order.
 
     Each sink needs only ``write``.  A worker's ``handles`` are its parts,
-    copied to ``sinks`` after shard 0 when every shard has succeeded.
+    copied to ``sinks`` once it and every shard before it have succeeded.
     """
     if shards == 1:
         return [work(0, sinks)]
@@ -206,15 +223,11 @@ def run(shards: int, work: Callable[[int, Sequence[IO[str]]], T], sinks: Sequenc
         sys.stdout.flush()  # a worker must not inherit buffered output that it could write again
         sys.stderr.flush()
         for k in range(1, shards):
-            workers.append(_Worker(sinks))
-            workers[-1].start(work, k)
+            workers.append(_Worker())
+            workers[-1].start(work, k, sinks)
         results = [work(0, sinks)]
-        outcomes = [worker.outcome(k) for k, worker in enumerate(workers, start=1)]
-        for outcome in outcomes:
-            if outcome[0] == "error":
-                raise _rebuilt(*outcome[1:])
-            results.append(outcome[1])
-        for worker in workers:
+        for k, worker in enumerate(workers, start=1):
+            results.append(worker.outcome(k))
             for part, sink in zip(worker.parts, sinks):
                 part.seek(0)
                 shutil.copyfileobj(part, sink, _BLOCK)

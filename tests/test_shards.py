@@ -1,6 +1,6 @@
 """A pass cut into shards, run by forked workers, against the same pass in one process.
 
-Every test lowers ``shards.MIN_BYTES`` and sets the usable CPU count, so that
+Every test lowers ``shards.MIN_SHARD_BYTES`` and sets the usable CPU count, so that
 small files shard and a one-CPU machine still forks.  A run "with 1 CPU" is
 the one-process reference.  Each run also checks that no part file is left
 in the temporary directory, that no output directory holds a ``*.tmp`` file
@@ -10,13 +10,15 @@ and that every worker has been waited for.
 import io
 import json
 import os
+import signal
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 
-from vlprep import cli, shards
+from vlprep import cli, mixer, shards
 from vlprep.errors import InvalidConfigError, RecordIOError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -82,7 +84,7 @@ def outcome(capsys, monkeypatch, tmp_path, forked):
         runs.append(cpus)
         out_dir = tmp_path / f"out-{len(runs)}"
         out_dir.mkdir()
-        monkeypatch.setattr(shards, "MIN_BYTES", 0 if cpus > 1 else 1 << 62)
+        monkeypatch.setattr(shards, "MIN_SHARD_BYTES", 1 if cpus > 1 else 1 << 62)
         monkeypatch.setattr(shards, "usable_cpus", lambda: cpus)
         before = len(forked)
         code = cli.main([arg.replace("OUT", str(out_dir)) for arg in argv])
@@ -101,6 +103,23 @@ def outcome(capsys, monkeypatch, tmp_path, forked):
 def write_lines(path, lines, newline="\n", final=True):
     path.write_bytes((newline.join(lines) + (newline if final else "")).encode("utf-8"))
     return str(path)
+
+
+def write_manifest(tmp_path):
+    """A mix of two domain sources, one repeated twice, and two weighted general sources."""
+    paths = {}
+    for name, golden, count in (("a", "grounding", 30), ("b", "video", 12), ("g1", "multiview", 40),
+                                ("g2", "classification_free", 60)):
+        paths[name] = write_lines(tmp_path / f"{name}.jsonl", copies(golden, count))
+    manifest = tmp_path / "mix.json"
+    manifest.write_text(json.dumps({
+        "domain_sources": [{"id": "a", "path": paths["a"]}, {"id": "b", "path": paths["b"], "repeat": 2}],
+        "general_sources": [{"id": "g1", "path": paths["g1"], "weight": 1.0},
+                            {"id": "g2", "path": paths["g2"], "weight": 3.0}],
+        "ratio": "1:1",
+        "seed": 11,
+    }))
+    return str(manifest)
 
 
 class TestSameBytes:
@@ -135,7 +154,7 @@ class TestSameBytes:
         write_lines(src, lines, "\r\n" if shape == "crlf" else "\n", final=shape != "no final newline")
         if shape == "blank lines at every cut":
             data = src.read_bytes()
-            monkeypatch.setattr(shards, "MIN_BYTES", 0)
+            monkeypatch.setattr(shards, "MIN_SHARD_BYTES", 1)
             for cpus in (2, 3, 4):
                 monkeypatch.setattr(shards, "usable_cpus", lambda: cpus)
                 for cut in shards._cuts(str(src))[1:-1]:
@@ -189,25 +208,13 @@ class TestSameBytes:
             assert outcome(["stats", src, "--max-tiles", "12"], cpus) == one
 
     def test_mix(self, outcome, tmp_path):
-        paths = {}
-        for name, golden, count in (("a", "grounding", 30), ("b", "video", 12), ("g1", "multiview", 40),
-                                    ("g2", "classification_free", 60)):
-            paths[name] = write_lines(tmp_path / f"{name}.jsonl", copies(golden, count))
-        manifest = tmp_path / "mix.json"
-        manifest.write_text(json.dumps({
-            "domain_sources": [{"id": "a", "path": paths["a"]}, {"id": "b", "path": paths["b"], "repeat": 2}],
-            "general_sources": [{"id": "g1", "path": paths["g1"], "weight": 1.0},
-                                {"id": "g2", "path": paths["g2"], "weight": 3.0}],
-            "ratio": "1:1",
-            "seed": 11,
-        }))
-        argv = ["mix", "--manifest", str(manifest), "-o", "OUT/mixed.jsonl"]
+        argv = ["mix", "--manifest", write_manifest(tmp_path), "-o", "OUT/mixed.jsonl"]
         one = outcome(argv, 1)
         assert one[0] == 0 and sorted(one[3]) == ["mixed.jsonl", "mixed.jsonl.report.json"]
         assert one[3]["mixed.jsonl"].count(b'"repeat_index": "1"') == 12
         for cpus in (2, 3):
             assert outcome(argv, cpus) == one
-        code, stdout, err, _ = outcome(["mix", "--manifest", str(manifest), "-o", "-"], 2)
+        code, stdout, err, _ = outcome(["mix", "--manifest", argv[2], "-o", "-"], 2)
         assert (code, stdout.encode("utf-8"), err) == (0, one[3]["mixed.jsonl"], one[1])
 
 
@@ -245,6 +252,25 @@ class TestFailures:
         assert (one[1], one[3]) == ("", {}) and one[2].count("\n") == 1
         for cpus in (2, 3):
             assert outcome(argv, cpus) == one
+
+    def test_a_worker_error_stops_the_workers_after_it(self, outcome, monkeypatch, tmp_path):
+        convert = cli._convert_one
+
+        def failing(env, *rest):
+            if env.id == "grounding-010":  # the first record of shard 1 of 3
+                raise RecordIOError("cannot go on")
+            if env.id == "grounding-020":  # the first record of shard 2 of 3
+                time.sleep(60)
+            return convert(env, *rest)
+
+        monkeypatch.setattr(cli, "_convert_one", failing)
+        src = write_lines(tmp_path / "in.jsonl", copies("grounding", 30))
+        argv = ["convert", "--task", "grounding", "-i", src, "-o", "OUT/out.jsonl"]
+        started = time.monotonic()
+        three = outcome(argv, 3)
+        assert time.monotonic() - started < 30
+        assert three == outcome(argv, 1)
+        assert three[0] == 3 and json.loads(three[2])["message"] == "cannot go on"
 
     def test_a_worker_that_ends_without_a_result_is_one_json_error(self, outcome, monkeypatch, tmp_path):
         parent = os.getpid()
@@ -291,11 +317,71 @@ class TestFailures:
         assert outcome(argv, 2) == one
 
 
+class TestParts:
+    def test_a_file_output_needs_no_temporary_directory(self, outcome, monkeypatch, tmp_path):
+        # Parts of a file output are made beside it: a sharded run writes no byte
+        # to the temporary directory that the one-process run would not.
+        src = write_lines(tmp_path / "in.jsonl", copies("region_drawn", 20))
+        manifest = write_manifest(tmp_path)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        for argv in (
+            ["convert", "--task", "region", "-i", src, "-o", "OUT/out.jsonl", "--overlays", "OUT/overlays.jsonl"],
+            ["mix", "--manifest", manifest, "-o", "OUT/mixed.jsonl"],
+            ["stats", src],
+        ):
+            one = outcome(argv, 1)
+            assert one[0] == 0
+            assert outcome(argv, 2) == one
+
+    def test_a_result_larger_than_a_pipe_holds(self, monkeypatch, tmp_path, forked):
+        # Each worker sends about 100 KB of offsets and CRCs back, more than a pipe buffers.
+        line = '{"id": "r%05d", "schema_version": "1", "task": "vqa", "meta": {}, "payload": {}}'
+        src = write_lines(tmp_path / "in.jsonl", [line % i for i in range(16000)])
+        monkeypatch.setattr(shards, "MIN_SHARD_BYTES", 1)
+        monkeypatch.setattr(shards, "usable_cpus", lambda: 2)
+
+        def late(*_):
+            raise TimeoutError("the pass did not end")
+
+        previous = signal.signal(signal.SIGALRM, late)
+        signal.alarm(30)
+        try:
+            pool = mixer.FilePool(src)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(forked) == 1 and len(pool) == 16000
+        assert pool[12345].id == "r12345"
+
+    def test_shards_are_never_smaller_than_the_minimum(self, monkeypatch):
+        monkeypatch.setattr(shards, "usable_cpus", lambda: 64)
+        size = shards.MIN_SHARD_BYTES
+        assert [shards.count(n) for n in (0, size - 1, 2 * size - 1, 2 * size, 5 * size + 1)] == [1, 1, 1, 2, 5]
+        assert shards.count(1000 * size) == 64
+        monkeypatch.setattr(shards, "usable_cpus", lambda: 2)
+        assert shards.count(1000 * size) == 2
+
+    def test_mix_emission_is_split_by_the_bytes_it_reads(self, tmp_path):
+        # 8 of 400 general records are drawn: emission reads 24 lines, not the whole general file.
+        domain = write_lines(tmp_path / "d.jsonl", copies("grounding", 8))
+        general = write_lines(tmp_path / "g.jsonl", copies("grounding", 400))
+        manifest = mixer.manifest_from_dict({
+            "domain_sources": [{"id": "d", "path": domain, "repeat": 2}],
+            "general_sources": [{"id": "g", "path": general}],
+            "ratio": "1:2",
+            "seed": 3,
+        })
+        stream, _ = mixer.mix(manifest)
+        line = os.path.getsize(general) / 400  # every line of both files has this size
+        assert len(stream) == 24
+        assert abs(stream.nbytes - 24 * line) < line
+
+
 class TestOneProcess:
     def test_stdin_is_read_in_one_process(self, capsys, monkeypatch, forked):
         data = "\n".join(copies("grounding", 10)).encode("utf-8")
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
-        monkeypatch.setattr(shards, "MIN_BYTES", 0)
+        monkeypatch.setattr(shards, "MIN_SHARD_BYTES", 1)
         monkeypatch.setattr(shards, "usable_cpus", lambda: 2)
         assert cli.main(["validate", "-"]) == 0
         assert json.loads(capsys.readouterr().out) == {"checked": 10, "errors": 0}
@@ -304,8 +390,8 @@ class TestOneProcess:
     def test_a_small_file_a_pipe_one_cpu_or_no_fork_is_one_shard(self, monkeypatch, tmp_path):
         src = write_lines(tmp_path / "in.jsonl", copies("grounding", 10))
         monkeypatch.setattr(shards, "usable_cpus", lambda: 2)
-        assert shards._cuts(src) == [0, None]  # far below MIN_BYTES
-        monkeypatch.setattr(shards, "MIN_BYTES", 0)
+        assert shards._cuts(src) == [0, None]  # far below MIN_SHARD_BYTES
+        monkeypatch.setattr(shards, "MIN_SHARD_BYTES", 1)
         assert len(shards._cuts(src)) == 3
         if hasattr(os, "mkfifo"):
             os.mkfifo(tmp_path / "pipe")
