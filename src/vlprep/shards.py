@@ -22,6 +22,7 @@ workers still running then are killed, and every worker is waited for on
 every path.  A worker that ends without a result is a
 :class:`PipelineError` too.
 """
+
 from __future__ import annotations
 
 import contextlib
