@@ -31,10 +31,11 @@ contiguous range of the input (mix: of each source's bytes, then of the
 output positions), and the workers' parts are joined in input order.  No
 output byte, error or exit code depends on it.
 
-File outputs are written to a uniquely named ``<out>.<random>.tmp`` sibling
-as records arrive and renamed into place on success.  A failed run removes
-the sibling, and with ``-o -`` prints no records, so only a killed process
-leaves a ``*.tmp`` file behind.
+File outputs are written to a uniquely named ``<out>.<random>.tmp`` sibling,
+made before any record is read, as records arrive and renamed into place on
+success (the ``--overlays`` sidecar's only if an overlay was drawn).  A failed
+run removes the sibling, and with ``-o -`` prints no records, so only a
+killed process leaves a ``*.tmp`` file behind.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def _source(path: str):
 
 
 @contextlib.contextmanager
-def _line_sink(path: str):
+def _line_sink(path: str, keep_empty: bool = True):
     """Yield a text handle whose contents reach ``path`` only if the block succeeds.
 
     A file is written through a uniquely named ``<name>.<random>.tmp``
@@ -138,7 +139,8 @@ def _line_sink(path: str):
     the end, so two runs writing one path never share a temporary file.
     ``-`` is spooled to an anonymous temporary file and copied to stdout at
     the end, so a failed run prints nothing.  On any failure the temporary
-    file is removed.  A file's handle names its directory as ``part_dir``,
+    file is removed, as it is when nothing was written and not
+    ``keep_empty``.  A file's handle names its directory as ``part_dir``,
     so the parts of a sharded pass are made beside it (see :mod:`shards`).
     """
     if path == "-":
@@ -161,11 +163,12 @@ def _line_sink(path: str):
             os.chmod(tmp, 0o666 & ~umask)
             handle.part_dir = str(target.parent)
             yield handle
-        try:
-            os.replace(tmp, path)
-        except OSError as exc:
-            raise RecordIOError(f"cannot write {path}: {exc}") from exc
-        committed = True
+        if keep_empty or os.path.getsize(tmp):
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:
+                raise RecordIOError(f"cannot write {path}: {exc}") from exc
+            committed = True
     finally:
         if not committed:
             with contextlib.suppress(OSError):
@@ -202,19 +205,6 @@ def _convert_one(
     return schema.Envelope(id=env.id, task=task, payload=schema.sample_to_payload(sample), meta=sample.meta), overlay
 
 
-class _OnFirstWrite:
-    """A sink that enters ``_line_sink(path)`` on ``stack`` at its first write, so a run that writes nothing leaves no file."""
-
-    def __init__(self, path: str | None, stack: contextlib.ExitStack) -> None:
-        self.path, self.stack, self.handle = path, stack, None
-        self.part_dir = None if path in (None, "-") else str(Path(path).parent)
-
-    def write(self, text: str) -> None:
-        if self.handle is None:
-            self.handle = self.stack.enter_context(_line_sink(self.path))
-        self.handle.write(text)
-
-
 def cmd_convert(args) -> int:
     cfg = _config(args)
     if cfg.task is None:
@@ -223,15 +213,14 @@ def cmd_convert(args) -> int:
     out_path = cfg.output or "-"
     _check_paths([("config", args.config), ("input", cfg.input)], [("output", out_path), ("overlays", args.overlays)])
 
-    def convert(lines: shards.Lines, index: int, sinks) -> tuple[int, int]:
-        out, overlays = sinks
+    def convert(lines: shards.Lines, sinks) -> tuple[int, int]:
         records = drawn = 0
-        for number, _, line in lines:
+        for number, index, _, line in lines:
             with schema.at_line(number):
                 env = schema.loads_envelope(schema.line_text(line))
                 with schema.record_errors(env.id):
-                    converted, overlay = _convert_one(env, cfg.task, template, index + records)
-            out.write(schema.dumps_envelope(converted) + "\n")
+                    converted, overlay = _convert_one(env, cfg.task, template, index)
+            sinks[0].write(schema.dumps_envelope(converted) + "\n")
             records += 1
             if overlay is None:
                 continue
@@ -243,13 +232,14 @@ def cmd_convert(args) -> int:
                     "color": list(overlay.color),
                     "stroke_width": overlay.stroke_width,
                 }
-                overlays.write(schema.dumps_object(entry) + "\n")
+                sinks[1].write(schema.dumps_object(entry) + "\n")
         return records, drawn
 
-    # The sidecar stack is left last, so the overlays are committed after
-    # the records and discarded if the records fail.
+    # The sidecar is opened after the output, so its faults come second, and
+    # left last, so it is committed after the records and discarded if they fail.
     with contextlib.ExitStack() as sidecar, _line_sink(out_path) as out:
-        counts = shards.line_pass(_source(cfg.input or "-"), convert, (out, _OnFirstWrite(args.overlays, sidecar)))
+        sinks = (out, sidecar.enter_context(_line_sink(args.overlays, keep_empty=False))) if args.overlays else (out,)
+        counts = shards.line_pass(_source(cfg.input or "-"), convert, sinks)
     records, drawn = map(sum, zip(*counts))
 
     _print_json(
@@ -284,9 +274,9 @@ def cmd_mix(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    def check(lines: shards.Lines, _, sinks) -> tuple[int, int]:
+    def check(lines: shards.Lines, sinks) -> tuple[int, int]:
         checked = errors = 0
-        for number, _, line in lines:
+        for number, _, _, line in lines:
             checked += 1
             try:
                 schema.validate_envelope(schema.loads_envelope(schema.line_text(line)))
@@ -326,11 +316,11 @@ def _record_plans(env: schema.Envelope, cfg: PipelineConfig) -> list[TilePlan]:
 def cmd_stats(args) -> int:
     cfg = _config(args)
 
-    def tally(lines: shards.Lines, *_) -> tuple[int, int, Counter, Counter]:
+    def tally(lines: shards.Lines, _) -> tuple[int, int, Counter, Counter]:
         records = total_tokens = 0
         histogram: Counter = Counter()
         by_task: Counter = Counter()
-        for number, _, line in lines:
+        for number, _, _, line in lines:
             with schema.at_line(number):
                 env = schema.loads_envelope(schema.line_text(line))
                 with schema.record_errors(env.id):
@@ -371,7 +361,7 @@ def cmd_stats(args) -> int:
 def _parsed_lines(path: str, parse: Callable[[dict], object]) -> list:
     """``parse`` of each line's JSON object, in order."""
     parsed = []
-    for number, _, line in schema.numbered_lines(_source(path)):
+    for number, _, _, line in schema.numbered_lines(_source(path)):
         with schema.at_line(number):
             parsed.append(parse(schema.loads_object(schema.line_text(line))))
     return parsed

@@ -1,7 +1,9 @@
 """Exception types shared across the toolkit.
 
 Every error carries an ``exit_code`` so the CLI can map failures onto its
-documented exit statuses: 1 validation, 2 configuration, 3 I/O.
+documented exit statuses: 1 validation, 2 configuration, 3 I/O.  An error
+is its class and its message alone, so it survives a pickle round trip:
+a sharded pass sends a worker's error back whole (see :mod:`shards`).
 """
 
 from __future__ import annotations
@@ -39,12 +41,7 @@ class OutOfBoundsError(InvalidRecordError):
 
 
 class TokenParseError(PipelineError):
-    """Malformed special-token markup. ``offset`` is a byte offset into the
-    UTF-8 encoding of the text."""
-
-    def __init__(self, message: str, offset: int):
-        self.offset = offset
-        super().__init__(f"{message} (byte offset {offset})")
+    """Malformed special-token markup, named by a byte offset into the UTF-8 encoding of the text."""
 
 
 class ShapeError(PipelineError):
@@ -54,20 +51,9 @@ class ShapeError(PipelineError):
 class NumericDomainError(PipelineError):
     """Numerically undefined input, e.g. a zero-norm vector in a cosine."""
 
-    def __init__(self, message: str, layer: int | None = None, token: int | None = None):
-        self.layer = layer
-        self.token = token
-        if layer is not None and token is not None:
-            message = f"{message} (layer {layer}, token {token})"
-        super().__init__(message)
-
 
 class InsufficientDataError(PipelineError):
     """A sampling quota exceeds the available pool of a named source."""
-
-    def __init__(self, message: str, source_id: str):
-        self.source_id = source_id
-        super().__init__(f"source {source_id!r}: {message}")
 
 
 class UndefinedMetricError(PipelineError):

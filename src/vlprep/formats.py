@@ -459,8 +459,9 @@ def convert_vqa(sample: ConversationSample, meta: dict[str, str] | None = None) 
     )
 
 
-def _byte_offset(text: str, index: int) -> int:
-    return len(text[:index].encode("utf-8"))
+def _token_error(message: str, text: str, index: int) -> TokenParseError:
+    """``message`` about ``text[index]``, named by its byte offset in the UTF-8 encoding of ``text``."""
+    return TokenParseError(f"{message} (byte offset {len(text[:index].encode('utf-8'))})")
 
 
 def parse_special_tokens(text: str) -> list[SpecialToken]:
@@ -478,15 +479,14 @@ def parse_special_tokens(text: str) -> list[SpecialToken]:
         opener = markers[i]
         name = opener.group(0)
         if name.startswith("</"):
-            raise TokenParseError(f"unmatched closing tag {name}", _byte_offset(text, opener.start()))
+            raise _token_error(f"unmatched closing tag {name}", text, opener.start())
         kind = name[1:-1]
         if i + 1 == len(markers):
-            raise TokenParseError(f"unclosed tag {name}", _byte_offset(text, opener.start()))
+            raise _token_error(f"unclosed tag {name}", text, opener.start())
         closer = markers[i + 1]
         if closer.group(0) != f"</{kind}>":
-            raise TokenParseError(
-                f"expected </{kind}> to close {name}, found {closer.group(0)}",
-                _byte_offset(text, closer.start()),
+            raise _token_error(
+                f"expected </{kind}> to close {name}, found {closer.group(0)}", text, closer.start()
             )
         body = text[opener.end() : closer.start()]
         if kind == "ref":
@@ -494,13 +494,13 @@ def parse_special_tokens(text: str) -> list[SpecialToken]:
         else:
             match = _BOX_BODY_RE.fullmatch(body)
             if not match:
-                raise TokenParseError(
-                    f"malformed box body {body!r}", _byte_offset(text, opener.end())
+                raise _token_error(
+                    f"malformed box body {body!r}", text, opener.end()
                 )
             try:
                 nbox = NormalizedBox(*(int(g) for g in match.groups()))
             except InvalidRecordError as exc:
-                raise TokenParseError(str(exc), _byte_offset(text, opener.end())) from exc
+                raise _token_error(str(exc), text, opener.end()) from exc
             tokens.append(SpecialToken(kind="box", value=nbox))
         i += 2
     return tokens

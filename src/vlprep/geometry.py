@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, MutableMapping
+from typing import Iterable, Mapping, MutableMapping
 
 from .errors import InvalidRecordError, OutOfBoundsError
 
@@ -207,6 +207,14 @@ def plan_tiles(
 def token_count(plan: TilePlan, tokens_per_tile: int = TOKENS_PER_TILE) -> int:
     """Visual tokens consumed by a tile plan, thumbnail included."""
     return plan.total_tiles * tokens_per_tile
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right, as ``sum`` adds floats before Python 3.12, so no output varies by version."""
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 def _round_half_away(value: float) -> int:

@@ -116,7 +116,7 @@ def distill_loss(student: HiddenStateStack, teacher: HiddenStateStack) -> tuple[
         if zeros.size:
             layer, token = (int(v) for v in zeros[0])
             raise NumericDomainError(
-                f"{name} vector has zero norm, cosine undefined", layer=layer, token=token
+                f"{name} vector has zero norm, cosine undefined (layer {layer}, token {token})"
             )
 
     st = np.einsum("knd,knd->kn", s, t)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import InvalidConfigError, InvalidRecordError, UndefinedMetricError
+from .geometry import ordered_sum
 
 # Lowercase, with punctuation split into standalone tokens.
 TOKEN_RE = re.compile(r"\w+|[^\w\s]")
@@ -146,7 +147,7 @@ def bleu(pairs: Sequence[EvalPair], max_n: int = 4) -> float:
 
     if pred_total == 0 or any(m == 0 or p == 0 for m, p in zip(matched, possible)):
         return 0.0
-    log_mean = sum(math.log(m / p) for m, p in zip(matched, possible)) / max_n
+    log_mean = ordered_sum(math.log(m / p) for m, p in zip(matched, possible)) / max_n
     penalty = 1.0 if pred_total >= ref_total else math.exp(1.0 - ref_total / pred_total)
     return penalty * math.exp(log_mean)
 
@@ -206,7 +207,7 @@ def control_signal_metrics(
     check_thresholds(thresholds)
 
     errors = [p.predicted - p.truth for p in pairs]
-    rmse = math.sqrt(sum(e * e for e in errors) / len(errors))
+    rmse = math.sqrt(ordered_sum(e * e for e in errors) / len(errors))
     metrics = {"rmse": rmse}
     for tau in thresholds:
         metrics[f"A_{float(tau)}"] = sum(1 for e in errors if abs(e) < tau) / len(errors)
@@ -222,5 +223,5 @@ def benchmark_average(scores: Mapping[str, float], ocrbench_key: str = "OCRBench
     if ocrbench_key not in scores:
         raise InvalidConfigError(f"scores are missing the {ocrbench_key!r} entry")
     adjusted = [v / 10.0 if name == ocrbench_key else v for name, v in scores.items()]
-    return sum(adjusted) / len(adjusted)
+    return ordered_sum(adjusted) / len(adjusted)
 

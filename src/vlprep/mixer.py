@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Sequence
 
 from . import schema, shards
 from .errors import InsufficientDataError, InvalidConfigError, InvalidRecordError, RecordIOError
-from .geometry import _round_half_away
+from .geometry import _round_half_away, ordered_sum
 from .schema import Envelope
 from .seeding import GENERATOR_NAME, derive_seed
 
@@ -185,7 +185,7 @@ def _tagged(rec: Envelope, pass_index: int, k: int) -> Envelope:
 
 def _largest_remainder_quotas(total: int, weights: Sequence[float]) -> list[int]:
     """Split ``total`` proportionally to ``weights``; remainders break ties by order."""
-    weight_sum = sum(weights)
+    weight_sum = ordered_sum(weights)
     shares = [total * w / weight_sum for w in weights]
     quotas = [math.floor(s) for s in shares]
     leftover = total - sum(quotas)
@@ -196,10 +196,10 @@ def _largest_remainder_quotas(total: int, weights: Sequence[float]) -> list[int]
     return quotas
 
 
-def _index(lines: shards.Lines, *_) -> tuple[array, array]:
+def _index(lines: shards.Lines, _) -> tuple[array, array]:
     """The byte offset and CRC-32 of each line, every line checked as an envelope."""
     offsets, crcs = array("q"), array("L")
-    for number, offset, line in lines:
+    for number, _, offset, line in lines:
         with schema.at_line(number):
             schema.loads_envelope(schema.line_text(line))
         offsets.append(offset)
@@ -329,10 +329,9 @@ def _draw(n: int, quota: int, rng: random.Random, source: GeneralSource, allow_r
     """
     if quota <= n:
         return array("q", rng.sample(range(n), quota))
-    if not allow_replacement:
+    if not allow_replacement or n == 0:  # an empty pool has no record to draw again
         raise InsufficientDataError(
-            f"needs {quota} records but only {n} available",
-            source_id=source.source_id,
+            f"source {source.source_id!r}: needs {quota} records but only {n} available"
         )
     # Replacement mode: whole-pool passes, then a sampled remainder.
     out = array("q")

@@ -80,9 +80,18 @@ def _reject_constant(name: str) -> None:
     raise ValueError(f"{name} is not a finite number")
 
 
+def _finite_float(literal: str) -> float:
+    """``float(literal)``, refused as a constant is when it overflows to an infinity (``1e400``)."""
+    value = float(literal)
+    if math.isinf(value):
+        _reject_constant(literal)
+    return value
+
+
 # The one decoder for every JSON input and the one encoder for every JSON
-# output, reused: NaN, Infinity and -Infinity are not JSON.
-JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+# output, reused: NaN, Infinity and -Infinity are not JSON, nor is a float
+# literal past the float range, which no output could write back.
+JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
 JSON_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
 
 
@@ -140,17 +149,17 @@ def read_json_object(path: str | Path, what: str) -> dict:
 
 
 def numbered_lines(
-    source: str | Path | IO, start: int = 0, end: int | None = None, first: int = 1
-) -> Iterator[tuple[int, int, bytes]]:
-    r"""Yield (line number, byte offset, line) for each non-blank line of a path or open handle.
+    source: str | Path | IO, start: int = 0, end: int | None = None
+) -> Iterator[tuple[int, int, int, bytes]]:
+    r"""Yield (line number, record index, byte offset, line) for each non-blank line of a path or open handle.
 
     Lines end at ``\n`` (a ``\r\n`` ending leaves a ``\r`` that JSON reads
-    as whitespace).  Lines are undecoded bytes, and :func:`line_text`
-    decodes each one alone.  A handle is read as bytes: a text handle such
-    as ``sys.stdin`` through its binary ``buffer``.  A path that cannot be
-    opened is a :class:`RecordIOError`.  Given ``start`` and ``end``, only
-    the lines of a path that begin in bytes [start, end) are read, the one
-    at ``start`` numbered ``first``.
+    as whitespace), and the record index counts the non-blank lines before
+    the line.  Lines are undecoded bytes, and :func:`line_text` decodes each
+    one alone.  A handle is read as bytes: a text handle such as
+    ``sys.stdin`` through its binary ``buffer``.  A path that cannot be
+    opened is a :class:`RecordIOError`.  Every line is read and counted from
+    byte 0, but only those that begin in bytes [start, end) are yielded.
     """
     if hasattr(source, "read"):
         handle = contextlib.nullcontext(getattr(source, "buffer", source))
@@ -160,16 +169,16 @@ def numbered_lines(
         except OSError as exc:
             raise RecordIOError(f"cannot read {source}: {exc}") from exc
     with handle as lines:
-        if start:
-            lines.seek(start)
-        offset = start
-        for number, raw in enumerate(lines, start=first):
+        offset = index = 0
+        for number, raw in enumerate(lines, start=1):
             if end is not None and offset >= end:
                 return
             line_start = offset
             offset += len(raw)
             if raw.strip():
-                yield number, line_start, raw
+                if line_start >= start:
+                    yield number, index, line_start, raw
+                index += 1
 
 
 def line_text(line: bytes) -> str:
@@ -203,7 +212,7 @@ class at_line:
 
 def iter_envelopes(source: str | Path | IO) -> Iterator[tuple[int, Envelope]]:
     """(line number, envelope) for each line, decoded one at a time by :func:`loads_envelope`."""
-    for number, _, line in numbered_lines(source):
+    for number, _, _, line in numbered_lines(source):
         with at_line(number):
             env = loads_envelope(line_text(line))
         yield number, env

@@ -14,13 +14,13 @@ and then each worker in shard order succeeds, the worker's parts are copied
 to the sinks in fixed-size blocks, and the results are returned in shard
 order.  So no output byte depends on the number of shards.
 
-A shard that fails stops the pass: its error is raised here with the class,
-message and exit code it had in the shard.  Shard 0's error is raised as it
-happens; a worker's once shard 0 and every worker before it have
-succeeded, so of two failing shards the earlier one's is raised.  The
-workers still running then are killed, and every worker is waited for on
-every path.  A worker that ends without a result is a
-:class:`PipelineError` too.
+A shard that fails stops the pass: its error is raised here as the shard
+raised it, a worker's sent back pickled whole, so it is the error one
+process would raise.  Shard 0's error is raised as it happens; a worker's
+once shard 0 and every worker before it have succeeded, so of two failing
+shards the earlier one's is raised.  The workers still running then are
+killed, and every worker is waited for on every path.  A worker that ends
+without a result is a :class:`PipelineError` too.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import sys
 import tempfile
 from typing import IO, Callable, Iterator, Sequence, TypeVar
 
-from . import errors, schema
+from . import schema
 from .errors import PipelineError
 
 # A shard smaller than this costs more in the fork, the part files and the
@@ -47,7 +47,7 @@ MIN_SHARD_BYTES = 128 * 1024
 _BLOCK = 8192
 
 T = TypeVar("T")
-Lines = Iterator[tuple[int, int, bytes]]
+Lines = Iterator[tuple[int, int, int, bytes]]
 
 
 def usable_cpus() -> int:
@@ -97,116 +97,30 @@ def _cuts(source: str | IO) -> list[int | None]:
     return cuts + [None]
 
 
-def _lines_before(source: str | IO, cut: int) -> tuple[int, int]:
-    """(lines, non-blank lines) in the first ``cut`` bytes of ``source``, which end a line.
-
-    Read line by line through a buffered reader, so no more than one line is held.
-    """
-    lines = records = 0
-    if cut:
-        with open(source, "rb") as handle:
-            for raw in handle:
-                lines += 1
-                records += bool(raw.strip())
-                cut -= len(raw)
-                if cut <= 0:
-                    break
-    return lines, records
-
-
 def line_pass(
-    source: str | IO, work: Callable[[Lines, int, Sequence[IO[str]]], T], sinks: Sequence = ()
+    source: str | IO, work: Callable[[Lines, Sequence[IO[str]]], T], sinks: Sequence = ()
 ) -> list[T]:
-    """``work(lines, first_record, handles)`` for each byte range of ``source``; the results in order.
+    """``work(lines, handles)`` for each byte range of ``source``; the results in order.
 
-    ``lines`` is :func:`schema.numbered_lines` over the range, numbered as in
-    the whole input, and ``first_record`` is the count of non-blank lines
-    before the range.  The counts are taken in the shard's own process.
+    ``lines`` is :func:`schema.numbered_lines` over the range, numbered and
+    indexed as in the whole input.
     """
     cuts = _cuts(source)
 
     def shard(k: int, handles: Sequence[IO[str]]) -> T:
-        start, end = cuts[k], cuts[k + 1]
-        lines, records = _lines_before(source, start)
-        return work(schema.numbered_lines(source, start, end, lines + 1), records, handles)
+        return work(schema.numbered_lines(source, cuts[k], cuts[k + 1]), handles)
 
     return run(len(cuts) - 1, shard, sinks)
 
 
-def _rebuilt(name: str, message: str) -> Exception:
-    """The error a worker raised, as the CLI reports it: same class name, message and exit code."""
-    if name == "OSError":
-        return OSError(message)
-    cls = getattr(errors, name, PipelineError)
-    # Built without __init__, whose arguments differ by class: the message is already whole.
-    return cls.__new__(cls, message)
+def _stop(pid: int) -> None:
+    """Kill worker ``pid`` and wait for it, unless it has been waited for."""
+    import signal
 
-
-class _Worker:
-    """A forked shard: its process id (None once waited for), its part per sink and the pipe its result comes by."""
-
-    def __init__(self) -> None:
-        self.pid: int | None = None
-        self.files = contextlib.ExitStack()
-
-    def start(self, work: Callable[[int, Sequence[IO[str]]], T], k: int, sinks: Sequence) -> None:
-        self.parts = [
-            self.files.enter_context(
-                tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=getattr(sink, "part_dir", None))
-            )
-            for sink in sinks
-        ]
-        read, write = os.pipe()
-        self.result = self.files.enter_context(os.fdopen(read, "rb"))
-        with os.fdopen(write, "wb") as pipe:  # closed here once forked, so the result ends when the worker does
-            self.pid = os.fork()
-            if self.pid:
-                return
-            import pickle
-
-            status = 1
-            try:  # the worker leaves only through os._exit: no atexit handler or caller's cleanup runs twice
-                try:
-                    outcome = ("ok", work(k, self.parts))
-                except PipelineError as exc:
-                    outcome = ("error", type(exc).__name__, str(exc))
-                except OSError as exc:
-                    outcome = ("error", "OSError", str(exc))
-                except Exception as exc:
-                    outcome = ("error", "PipelineError", f"shard {k} failed: {exc!r}")
-                for part in self.parts:
-                    part.flush()
-                pickle.dump(outcome, pipe)
-                pipe.flush()
-                status = 0
-            finally:
-                os._exit(status)
-
-    def outcome(self, k: int):
-        """Read the worker's result, wait for it, and return its value or raise its error."""
-        import pickle
-
-        try:
-            outcome = pickle.load(self.result)  # read before the wait: a result may not fit in the pipe
-        except (EOFError, pickle.UnpicklingError):
-            outcome = None
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if outcome is None:
-            code = os.waitstatus_to_exitcode(status)
-            raise PipelineError(f"the worker for shard {k} ended (status {code}) with no result")
-        if outcome[0] == "error":
-            raise _rebuilt(*outcome[1:])
-        return outcome[1]
-
-    def close(self) -> None:
-        if self.pid is not None:
-            import signal
-
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        self.files.close()
+    with contextlib.suppress(ChildProcessError):  # waited for already
+        if os.waitpid(pid, os.WNOHANG) == (0, 0):  # still running
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def run(shards: int, work: Callable[[int, Sequence[IO[str]]], T], sinks: Sequence = ()) -> list[T]:
@@ -214,25 +128,59 @@ def run(shards: int, work: Callable[[int, Sequence[IO[str]]], T], sinks: Sequenc
 
     Each sink needs only ``write``.  A worker's ``handles`` are its parts,
     copied to ``sinks`` once it and every shard before it have succeeded.
+    One exit stack owns every part, every pipe and every worker not yet
+    waited for, so on every path each is closed, or killed and waited for.
     """
     if shards == 1:
         return [work(0, sinks)]
-    import pickle  # noqa: F401  loaded before the fork: a worker that loaded it would start 3 ms later
+    import pickle  # loaded before the fork: a worker that loaded it would start 3 ms later
 
-    workers: list[_Worker] = []
-    try:
+    with contextlib.ExitStack() as stack:
         sys.stdout.flush()  # a worker must not inherit buffered output that it could write again
         sys.stderr.flush()
+        workers = []
         for k in range(1, shards):
-            workers.append(_Worker())
-            workers[-1].start(work, k, sinks)
+            parts = [
+                stack.enter_context(
+                    tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=getattr(sink, "part_dir", None))
+                )
+                for sink in sinks
+            ]
+            read, write = os.pipe()
+            result = stack.enter_context(os.fdopen(read, "rb"))
+            with os.fdopen(write, "wb") as pipe:  # closed here once forked, so the result ends when the worker does
+                pid = os.fork()
+                if not pid:
+                    status = 1
+                    try:  # the worker leaves only through os._exit: no atexit handler or caller's cleanup runs twice
+                        try:
+                            value = work(k, parts)
+                            for part in parts:
+                                part.flush()
+                            outcome = (False, value)
+                        except Exception as exc:
+                            outcome = (True, exc)
+                        pickle.dump(outcome, pipe)
+                        pipe.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+                stack.callback(_stop, pid)
+            workers.append((pid, result, parts))
         results = [work(0, sinks)]
-        for k, worker in enumerate(workers, start=1):
-            results.append(worker.outcome(k))
-            for part, sink in zip(worker.parts, sinks):
+        for k, (pid, result, parts) in enumerate(workers, start=1):
+            try:
+                failed, value = pickle.load(result)  # read before the wait: a result may not fit in the pipe
+            except (EOFError, pickle.UnpicklingError):
+                failed = None
+            _, status = os.waitpid(pid, 0)
+            if failed is None:
+                code = os.waitstatus_to_exitcode(status)
+                raise PipelineError(f"the worker for shard {k} ended (status {code}) with no result")
+            if failed:
+                raise value
+            results.append(value)
+            for part, sink in zip(parts, sinks):
                 part.seek(0)
                 shutil.copyfileobj(part, sink, _BLOCK)
         return results
-    finally:
-        for worker in workers:
-            worker.close()

@@ -563,7 +563,7 @@ class TestMix:
         assert not any(outdir.iterdir())
 
     def test_source_number_past_the_float_range_is_one_error(self, capsys, tmp_path):
-        # JSON reads 1e400 as an infinity, which has no JSON form to write back.
+        # 1e400 would decode to an infinity, which is not JSON: the source is refused as it is indexed.
         source = tmp_path / "big.jsonl"
         record = json.dumps(golden_record("grounding"))
         source.write_text(record.replace('"width":', '"extra": 1e400, "width":') + "\n")
@@ -572,7 +572,31 @@ class TestMix:
         out = tmp_path / "out.jsonl"
         code, stdout, err = run(capsys, "mix", "--manifest", str(manifest), "-o", str(out))
         assert (code, stdout) == (1, "")
-        assert json.loads(err)["message"].startswith("record 'rs-grd-0001': cannot write a non-finite number as JSON")
+        assert json.loads(err)["message"] == f"{source}: line 1: not valid JSON: 1e400 is not a finite number"
+        assert not out.exists() and not list(tmp_path.glob("*.tmp"))
+        code, stdout, _ = run(capsys, "validate", str(source))
+        assert code == 1 and json.loads(stdout.splitlines()[0])["error"] == "not valid JSON: 1e400 is not a finite number"
+
+    def test_empty_general_source_with_replacement_is_one_error(self, capsys, tmp_path):
+        domain, general = tmp_path / "d.jsonl", tmp_path / "g.jsonl"
+        write_jsonl(domain, [classification_record(i) for i in range(3)])
+        general.write_text("")
+        manifest = tmp_path / "mix.json"
+        manifest.write_text(json.dumps({
+            "domain_sources": [{"id": "d", "path": str(domain)}],
+            "general_sources": [{"id": "g", "path": str(general)}],
+            "ratio": 1,
+            "seed": 0,
+            "allow_replacement": True,
+        }))
+        out = tmp_path / "out.jsonl"
+        code, stdout, err = run(capsys, "mix", "--manifest", str(manifest), "-o", str(out))
+        assert (code, stdout) == (1, "")
+        assert json.loads(err) == {
+            "error": "InsufficientDataError",
+            "message": "source 'g': needs 3 records but only 0 available",
+            "exit_code": 1,
+        }
         assert not out.exists() and not list(tmp_path.glob("*.tmp"))
 
     def test_missing_manifest_is_an_io_error(self, capsys, tmp_path):

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 
 import pytest
@@ -19,6 +21,7 @@ from vlprep.geometry import (
     multiview_layout,
     normalize_box,
     normalize_point,
+    ordered_sum,
     plan_tiles,
     token_count,
 )
@@ -264,3 +267,11 @@ def test_round_half_away_midpoints():
     dims = ImageDims(2000, 2000)
     nbox = normalize_box(PixelBox(1, 3, 5, 7), dims)
     assert nbox.as_tuple() == (1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("values", [[0.1] * 10, [1e16, 1.0, -1e16]])
+def test_ordered_sum_adds_left_to_right(values):
+    # A compensated sum, as Python 3.12's sum() is, gives 1.0 for both.
+    expected = functools.reduce(operator.add, values)
+    assert ordered_sum(values) == ordered_sum(iter(values)) == expected
+    assert expected != 1.0

@@ -174,6 +174,12 @@ class TestMix:
         counts = Counter(r.id for r in stream if r.id.startswith("tiny"))
         assert all(v >= 10 for v in counts.values())  # 10 full cycles
 
+    def test_replacement_mode_refuses_an_empty_pool(self):
+        m, loader = manifest(domain=3, general=(("empty", 0, 1.0),), r=1.0, allow=True)
+        with pytest.raises(InsufficientDataError) as err:
+            mix(m, loader)
+        assert str(err.value) == "source 'empty': needs 3 records but only 0 available"
+
     def test_realized_ratio_within_one_record(self):
         rng = random.Random(5)
         for _ in range(50):

@@ -118,10 +118,25 @@ class TestIO:
     def test_numbered_lines_gives_byte_offsets(self, tmp_path):
         path = tmp_path / "lines.jsonl"
         path.write_bytes("é1\r\n\n  \r\nñ2\nx3".encode("utf-8"))
-        assert list(numbered_lines(path)) == [(1, 0, "é1\r\n".encode()), (4, 10, "ñ2\n".encode()), (5, 14, b"x3")]
+        assert list(numbered_lines(path)) == [
+            (1, 0, 0, "é1\r\n".encode()), (4, 1, 10, "ñ2\n".encode()), (5, 2, 14, b"x3")
+        ]
         # A handle with a binary buffer, like sys.stdin, is read as bytes too.
         handle = io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8")
         assert list(numbered_lines(handle)) == list(numbered_lines(path))
+
+    def test_numbered_lines_of_a_range_are_numbered_and_indexed_as_in_the_whole_file(self, tmp_path):
+        path = tmp_path / "lines.jsonl"
+        data = b"a\n\n  \nb\r\nc\n\nd\ne"
+        path.write_bytes(data)
+        whole = list(numbered_lines(path))
+        assert [(number, index) for number, index, _, _ in whole] == [(1, 0), (4, 1), (5, 2), (7, 3), (8, 4)]
+        # Each range yields the lines that begin in it, whatever byte it starts or ends on.
+        for start in range(len(data) + 1):
+            for end in range(start, len(data) + 1):
+                expected = [line for line in whole if start <= line[2] < end]
+                assert list(numbered_lines(path, start, end)) == expected, (start, end)
+        assert list(numbered_lines(path, 4)) == whole[1:]
 
     def test_line_that_is_not_utf8_is_named(self, tmp_path):
         path = tmp_path / "bad.jsonl"

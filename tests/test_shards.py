@@ -10,6 +10,7 @@ and that every worker has been waited for.
 import io
 import json
 import os
+import pickle
 import signal
 import sys
 import tempfile
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from vlprep import cli, mixer, shards
+from vlprep import cli, errors, mixer, shards
 from vlprep.errors import InvalidConfigError, RecordIOError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -292,6 +293,58 @@ class TestFailures:
             "exit_code": 1,
         }
 
+    @pytest.mark.parametrize("first_line", ["valid", "not json"])
+    def test_overlays_into_a_missing_directory_fail_before_any_record_is_read(
+        self, capsys, monkeypatch, tmp_path, forked, first_line
+    ):
+        # No grounding record is drawn, so only opening the sidecar up front can fail.
+        lines = copies("grounding", 20)
+        if first_line == "not json":
+            lines[0] = "{not json"  # exit 1 if it were read first
+        src = write_lines(tmp_path / "in.jsonl", lines)
+        temp, out_dir = tmp_path / "temp", tmp_path / "out"
+        temp.mkdir()
+        out_dir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        sidecar = tmp_path / "missing" / "overlays.jsonl"
+        argv = ["convert", "--task", "grounding", "-i", src, "-o", str(out_dir / "out.jsonl"), "--overlays", str(sidecar)]
+        reported = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(shards, "MIN_SHARD_BYTES", 1 if cpus > 1 else 1 << 62)
+            monkeypatch.setattr(shards, "usable_cpus", lambda: cpus)
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err.count("\n")) == (3, "", 1)
+            error = json.loads(captured.err)
+            assert error["message"].startswith(f"cannot write {sidecar}: ")
+            reported.append((error["error"], error["exit_code"]))
+        assert reported == [("RecordIOError", 3)] * 2
+        assert forked == [] and list(out_dir.iterdir()) == [] and list(temp.iterdir()) == []
+        assert not sidecar.parent.exists()
+
+    def test_a_worker_raises_what_one_process_raises(self, monkeypatch):
+        # An error no handler expects keeps its class too.
+        monkeypatch.setattr(shards, "usable_cpus", lambda: 2)
+
+        def work(k, _):
+            if k == 1:
+                raise KeyError("missing")
+            return k
+
+        with pytest.raises(KeyError, match="missing"):
+            shards.run(2, work)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_every_error_class_survives_a_pickle_round_trip(self):
+        # A worker's error comes back through a pipe, pickled: a class whose
+        # __init__ takes more than the message could not be rebuilt.
+        classes = [cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, Exception)]
+        assert len(classes) >= 10
+        for cls in classes:
+            error = pickle.loads(pickle.dumps(cls("cannot go on")))
+            assert (type(error), str(error), error.exit_code) == (cls, "cannot go on", cls.exit_code)
+
     def test_mix_reports_an_earlier_short_source_before_a_later_bad_line(self, outcome, tmp_path):
         bad = copies("video", 20)
         bad[15] = "{not json"
@@ -318,6 +371,14 @@ class TestFailures:
 
 
 class TestParts:
+    def test_a_run_that_draws_nothing_writes_no_sidecar(self, outcome, tmp_path):
+        src = write_lines(tmp_path / "in.jsonl", copies("grounding", 20))
+        argv = ["convert", "--task", "grounding", "-i", src, "-o", "OUT/out.jsonl", "--overlays", "OUT/overlays.jsonl"]
+        one = outcome(argv, 1)
+        assert one[0] == 0 and list(one[3]) == ["out.jsonl"]
+        assert json.loads(one[1])["overlays"] == 0
+        assert outcome(argv, 2) == one
+
     def test_a_file_output_needs_no_temporary_directory(self, outcome, monkeypatch, tmp_path):
         # Parts of a file output are made beside it: a sharded run writes no byte
         # to the temporary directory that the one-process run would not.
