@@ -92,6 +92,10 @@ class PipelineConfig:
             # A bool is not an int here, as JSON true is not a number.
             if type(value) not in (get_args(hints[f.name]) or (hints[f.name],)):
                 raise InvalidConfigError(f"config key {f.name!r} must be {f.type}, got {value!r}")
+            # Argv bytes that are not UTF-8 arrive as lone surrogates, which no
+            # output can encode; only a path gives the OS its bytes back.
+            if type(value) is str and f.name not in ("input", "output") and schema.LONE_SURROGATE.search(value):
+                raise InvalidConfigError(f"config key {f.name!r} holds a lone surrogate: {value!r}")
         if self.task is not None and self.task not in schema.KNOWN_TASKS:
             raise InvalidConfigError(f"task must be one of {list(schema.KNOWN_TASKS)}, got {self.task!r}")
         if not 1 <= self.min_tiles <= self.max_tiles:
@@ -119,9 +123,10 @@ def _check_paths(reads: list[tuple[str, str | None]], writes: list[tuple[str, st
     """Refuse a run that writes a (role, path) it reads or writes elsewhere, compared by ``os.path.realpath``."""
     seen: dict[str, str] = {}
     for number, (role, path) in enumerate(reads + writes):
-        if path not in (None, "-"):  # unused, or stdin/stdout
-            real = os.path.realpath(path)
-            if number >= len(reads) and real in seen:
+        written = number >= len(reads)
+        if path is not None and (written or path != "-"):  # a read's "-" is stdin; every write's is one stdout
+            real = path if path == "-" else os.path.realpath(path)
+            if written and real in seen:
                 raise InvalidConfigError(f"{role} {path!r} is the same file as {seen[real]}")
             seen.setdefault(real, f"{role} {path!r}")
 
@@ -216,10 +221,10 @@ def cmd_convert(args) -> int:
     def convert(lines: shards.Lines, sinks) -> tuple[int, int]:
         records = drawn = 0
         for number, index, _, line in lines:
-            with schema.at_line(number):
+            with schema.at_line(number) as named:
                 env = schema.loads_envelope(schema.line_text(line))
-                with schema.record_errors(env.id):
-                    converted, overlay = _convert_one(env, cfg.task, template, index)
+                named.record = env.id
+                converted, overlay = _convert_one(env, cfg.task, template, index)
             sinks[0].write(schema.dumps_envelope(converted) + "\n")
             records += 1
             if overlay is None:
@@ -292,25 +297,20 @@ def cmd_validate(args) -> int:
 
 def _record_plans(env: schema.Envelope, cfg: PipelineConfig) -> list[TilePlan]:
     plan = lambda dims: plan_tiles(dims, cfg.min_tiles, cfg.max_tiles, cfg.use_thumbnail)  # noqa: E731
-    payload = env.payload
+    # A conversation is decoded but not checked: ConversationSample.validate
+    # and the token grammar would cost 1.3-3x what stats costs, and validate
+    # is the command that checks it.  A raw record is converted as convert
+    # converts it, so stats refuses it exactly when convert does.
+    if schema.is_conversation_payload(env.payload):
+        sample = schema.payload_to_sample(env)
+    else:
+        sample, _ = schema.envelope_to_sample(env)
     if env.task == "multiview":
         return [plan(MULTIVIEW_CANVAS)]
-    if env.task == "video":
-        if schema.is_conversation_payload(payload):
-            count = len(payload.get("images", []))
-        else:
-            count = len(payload.get("frames", []))
-        frame = ImageDims(TILE_SIZE, TILE_SIZE)
-        return [plan(frame)] * count
-    if "width" in payload and "height" in payload:
-        return [plan(schema.dims_from(payload))]
-    if "width" in env.meta and "height" in env.meta:
-        dims = ImageDims(int(env.meta["width"]), int(env.meta["height"]))
-    else:
-        dims = ImageDims(TILE_SIZE, TILE_SIZE)
-    if schema.is_conversation_payload(payload):
-        return [plan(dims)] * len(payload.get("images", []))
-    return [plan(dims)]
+    dims = ImageDims(TILE_SIZE, TILE_SIZE)
+    if env.task != "video" and "width" in sample.meta and "height" in sample.meta:
+        dims = ImageDims(int(sample.meta["width"]), int(sample.meta["height"]))
+    return [plan(dims)] * len(sample.images)
 
 
 def cmd_stats(args) -> int:
@@ -321,10 +321,10 @@ def cmd_stats(args) -> int:
         histogram: Counter = Counter()
         by_task: Counter = Counter()
         for number, _, _, line in lines:
-            with schema.at_line(number):
+            with schema.at_line(number) as named:
                 env = schema.loads_envelope(schema.line_text(line))
-                with schema.record_errors(env.id):
-                    plans = _record_plans(env, cfg)
+                named.record = env.id
+                plans = _record_plans(env, cfg)
             records += 1
             by_task[env.task] += 1
             for plan in plans:
@@ -332,15 +332,9 @@ def cmd_stats(args) -> int:
                 histogram[str(plan.total_tiles)] += 1
         return records, total_tokens, histogram, by_task
 
-    records = total_tokens = 0
-    histogram: Counter = Counter()
-    by_task: Counter = Counter()
-    # Shards add in order, so by_task keeps the order of first appearance.
-    for shard_records, shard_tokens, shard_histogram, shard_tasks in shards.line_pass(_source(args.path), tally):
-        records += shard_records
-        total_tokens += shard_tokens
-        histogram += shard_histogram
-        by_task += shard_tasks
+    # Each column adds its shards in order, so by_task keeps the order of first appearance.
+    parts = shards.line_pass(_source(args.path), tally)
+    records, total_tokens, histogram, by_task = (sum(column[1:], column[0]) for column in zip(*parts))
     _print_json(
         {
             "records": records,
@@ -441,6 +435,8 @@ def cmd_eval(args) -> int:
 
 def cmd_plan_tiles(args) -> int:
     cfg = _config(args)
+    if not all(1 <= dim <= sys.float_info.max for dim in (args.width, args.height)):
+        raise InvalidConfigError(f"width and height must be positive and fit a float, got {args.width}x{args.height}")
     plan = plan_tiles(ImageDims(args.width, args.height), cfg.min_tiles, cfg.max_tiles, cfg.use_thumbnail)
     tokens = token_count(plan, cfg.tokens_per_tile)
     suffix = " + thumbnail" if plan.has_thumbnail else ""

@@ -75,10 +75,6 @@ class ConversationSample:
     turns: tuple[tuple[str, str], ...]
     meta: dict[str, str] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "images", tuple(self.images))
-        object.__setattr__(self, "turns", tuple((r, t) for r, t in self.turns))
-
     def validate(self) -> None:
         if not self.id:
             raise InvalidRecordError("sample id must be non-empty")
@@ -107,13 +103,11 @@ class ClassificationRecord:
     truth: str
 
     def __post_init__(self) -> None:
-        cands = tuple(self.candidates)
-        object.__setattr__(self, "candidates", cands)
-        if not cands:
+        if not self.candidates:
             raise InvalidRecordError("candidates must be non-empty")
-        if len(set(cands)) != len(cands):
+        if len(set(self.candidates)) != len(self.candidates):
             raise InvalidRecordError("candidates must be distinct")
-        if self.truth not in cands:
+        if self.truth not in self.candidates:
             raise InvalidRecordError(f"truth {self.truth!r} not among candidates")
 
 
@@ -179,8 +173,6 @@ class MultiViewRecord:
     objects: tuple[CTag, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "qa", tuple((q, a) for q, a in self.qa))
-        object.__setattr__(self, "objects", tuple(self.objects))
         if len(self.views) != 6:
             raise InvalidRecordError(f"expected 6 views, got {len(self.views)}")
         if set(self.view_dims) != set(self.views):
@@ -206,8 +198,6 @@ class VideoRecord:
     qa: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "frames", tuple(self.frames))
-        object.__setattr__(self, "qa", tuple((q, a) for q, a in self.qa))
         if not 1 <= len(self.frames) <= MAX_VIDEO_FRAMES:
             raise InvalidRecordError(
                 f"frame count must be 1..{MAX_VIDEO_FRAMES}, got {len(self.frames)}"

@@ -6,8 +6,8 @@ domain record (pre-conversion) or a conversation sample (post-conversion);
 the two are distinguished by the presence of a "turns" key.  Serialization
 is byte-deterministic so converted and mixed files diff cleanly.  All JSON
 input, settings files included, is decoded here, all JSON output is encoded
-by :func:`dumps_object`, and :class:`at_line` and :func:`record_errors` name
-the line and the record of an error (:func:`dumps_envelope` names its own).
+by :func:`dumps_object`, and :class:`at_line` names the line and the record
+of an error.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,13 +68,9 @@ class Envelope:
 
 
 def dumps_envelope(env: Envelope) -> str:
-    """``env`` as one line of JSON, its keys in schema order; a value that cannot be written names the record."""
-    ordered = {"id": env.id, "schema_version": env.schema_version, "task": env.task, "meta": env.meta,
-               "payload": env.payload}
-    try:
-        return dumps_object(ordered)
-    except PipelineError as exc:
-        raise InvalidRecordError(str(exc), env.id) from None
+    """``env`` as one line of JSON, its keys in schema order."""
+    return dumps_object({"id": env.id, "schema_version": env.schema_version, "task": env.task, "meta": env.meta,
+                         "payload": env.payload})
 
 
 def _reject_constant(name: str) -> None:
@@ -93,6 +90,9 @@ def _finite_float(literal: str) -> float:
 # literal past the float range, which no output could write back.
 JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
 JSON_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
+# A code point no UTF-8 output can encode.  A pair of \u escapes decodes to
+# one code point above U+FFFF, so what this finds in a string is unpaired.
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def dumps_object(obj: object) -> str:
@@ -103,6 +103,17 @@ def dumps_object(obj: object) -> str:
         raise PipelineError(f"cannot write a non-finite number as JSON: {exc}") from None
 
 
+def _decoded(text: str) -> object:
+    r"""``text`` decoded by :data:`JSON_DECODER`; a string in it that holds a lone surrogate is a ``ValueError``.
+
+    Only a ``\u`` escape can write one in JSON, so only text that holds ``\u`` pays for the check.
+    """
+    obj = JSON_DECODER.decode(text)
+    if "\\u" in text and (hit := LONE_SURROGATE.search(JSON_ENCODER.encode(obj))):
+        raise ValueError(f"lone surrogate {hit.group()!r} in a string")
+    return obj
+
+
 def is_finite_number(value: object) -> bool:
     """A JSON number a float holds: not a bool, NaN, an infinity or an integer past the float range."""
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
@@ -111,8 +122,8 @@ def is_finite_number(value: object) -> bool:
 def loads_object(text: str) -> dict:
     """``text`` decoded by :data:`JSON_DECODER`; anything but a JSON object is an :class:`InvalidRecordError`."""
     try:
-        obj = JSON_DECODER.decode(text)
-    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, a non-finite constant, or too deep
+        obj = _decoded(text)
+    except (ValueError, RecursionError) as exc:  # not JSON, a non-finite constant, a lone surrogate, or too deep
         raise InvalidRecordError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InvalidRecordError("expected a JSON object")
@@ -132,15 +143,15 @@ def read_json_object(path: str | Path, what: str) -> dict:
     """The JSON object in the settings file at ``path``, called ``what`` in errors.
 
     A file that cannot be read is a :class:`RecordIOError`.  One that is not
-    UTF-8, not JSON (``NaN`` included) or not an object is an
-    :class:`InvalidConfigError`.
+    UTF-8, not JSON (``NaN`` and lone surrogates included) or not an object
+    is an :class:`InvalidConfigError`.
     """
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise RecordIOError(f"cannot read {what} {path}: {exc}") from exc
     try:
-        obj = JSON_DECODER.decode(data.decode("utf-8"))
+        obj = _decoded(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError too
         raise InvalidConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -192,22 +203,35 @@ def line_text(line: bytes) -> str:
 class at_line:
     """Raise an :class:`InvalidRecordError` from the block again as ``line N: <message>``.
 
-    The one place a line number joins an error.  A class, not a generator
-    under ``contextlib.contextmanager``: it is entered once per record, and
-    the class costs about a third as much to enter and leave.
+    The one place a line number and a record id join an error.  Once the
+    block sets ``record``, a token-grammar or payload-shape failure becomes
+    one too, and each names the record (a record check keeps its message,
+    and its class when ``number`` is None, which names no line).  A class,
+    not a generator under ``contextlib.contextmanager``: it is entered once
+    per record, and the class costs about a third as much to enter and leave.
     """
 
-    __slots__ = ("number",)
+    __slots__ = ("number", "record")
 
-    def __init__(self, number: int) -> None:
+    def __init__(self, number: int | None) -> None:
         self.number = number
+        self.record: str | None = None
 
-    def __enter__(self) -> None:
-        return None
+    def __enter__(self) -> at_line:
+        return self
 
     def __exit__(self, kind, exc, traceback) -> None:
         if isinstance(exc, InvalidRecordError):
-            raise InvalidRecordError(f"line {self.number}: {exc}") from exc
+            named = exc if self.record is None else type(exc)(str(exc), self.record)
+        elif self.record is not None and isinstance(exc, TokenParseError):
+            named = InvalidRecordError(f"special-token grammar: {exc}", self.record)
+        elif self.record is not None and isinstance(exc, (TypeError, ValueError, KeyError, OverflowError)):
+            named = InvalidRecordError(f"malformed payload: {exc!r}", self.record)
+        else:
+            return
+        if self.number is not None:
+            named = InvalidRecordError(f"line {self.number}: {named}")
+        raise named from exc
 
 
 def iter_envelopes(source: str | Path | IO) -> Iterator[tuple[int, Envelope]]:
@@ -346,20 +370,6 @@ def is_conversation_payload(payload: dict) -> bool:
     return "turns" in payload
 
 
-@contextlib.contextmanager
-def record_errors(record_id: str) -> Iterator[None]:
-    """Raise every failure of the block as an :class:`InvalidRecordError` naming the record: a failed
-    record check, a payload field of the wrong type or shape, or a turn that breaks the token grammar."""
-    try:
-        yield
-    except InvalidRecordError as exc:
-        raise type(exc)(str(exc), record_id) from exc
-    except TokenParseError as exc:
-        raise InvalidRecordError(f"special-token grammar: {exc}", record_id) from exc
-    except (TypeError, ValueError, KeyError, OverflowError) as exc:
-        raise InvalidRecordError(f"malformed payload: {exc!r}", record_id) from exc
-
-
 def envelope_to_sample(
     env: Envelope, template: formats.PromptTemplate = formats.DEFAULT_FREE_TEMPLATE, object_index: int = 0
 ) -> tuple[ConversationSample, formats.OverlaySpec | None]:
@@ -367,7 +377,7 @@ def envelope_to_sample(
 
     A conversation payload, or any ``vqa`` payload, is validated and each turn
     parsed under the special-token grammar; a raw payload decodes into its
-    record and runs through its converter.  Callers name the record with :func:`record_errors`.
+    record and runs through its converter.  Callers name the record with :class:`at_line`.
     """
     if env.task == "vqa" or is_conversation_payload(env.payload):
         sample = payload_to_sample(env)
@@ -392,5 +402,6 @@ def envelope_to_sample(
 
 def validate_envelope(env: Envelope) -> None:
     """Check one envelope end to end: a dry run of :func:`envelope_to_sample` with its defaults."""
-    with record_errors(env.id):
+    with at_line(None) as named:
+        named.record = env.id
         envelope_to_sample(env)

@@ -33,7 +33,12 @@ def run(capsys, *argv):
 def write_jsonl(path, records):
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            line = json.dumps(record, ensure_ascii=False)
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate, which only a \u escape can write
+                line = json.dumps(record)
+            handle.write(line + "\n")
 
 
 def classification_record(index):
@@ -388,7 +393,7 @@ class TestConvert:
 
 class TestRecordErrorMessages:
     # case -> (golden input, extra convert flags, bad record, message after "line 2: record '<id>': ").
-    # Only schema.record_errors names the record; the converters and the
+    # Only schema.at_line names the record; the converters and the
     # geometry checks raise without it.
     CASES = {
         "grounding_box_out_of_bounds": (
@@ -628,6 +633,8 @@ class TestNoWriteReplacesARead:
                                     "--overlays", "out.jsonl"],
         "mix_output_is_a_source": ["mix", "--manifest", "m.json", "-o", "d.jsonl"],
         "mix_output_is_the_manifest": ["mix", "--manifest", "m.json", "-o", "m.json"],
+        "overlays_and_output_are_stdout": ["convert", "--task", "region", "-i", "r.jsonl", "-o", "-",
+                                           "--overlays", "-"],
     }
 
     @pytest.mark.parametrize("case", sorted(PROBES))
@@ -701,6 +708,9 @@ def multiview_scene(objects):
 def verdicts(record):
     """Exit codes of ``validate`` and of ``convert --task <its task>`` on a file holding ``record``.
 
+    ``stats`` runs on the file too.  It converts a raw record as convert
+    does, so it must pass exactly when convert does; a conversation it
+    decodes but does not check, so it must pass whenever convert does.
     Runs in process with its own temporary directory and captured streams,
     so property tests can call it once per example.  Anything but a
     PipelineError escapes ``main`` and fails the calling test.
@@ -712,6 +722,11 @@ def verdicts(record):
         with contextlib.redirect_stdout(streams[0]), contextlib.redirect_stderr(streams[1]):
             validated = main(["validate", str(src)])
             converted = main(["convert", "--task", record["task"], "-i", str(src), "-o", str(Path(tmp) / "out.jsonl")])
+            counted = main(["stats", str(src)])
+    if "turns" in record["payload"]:
+        assert (counted, converted) in ((0, 0), (0, 1), (1, 1))
+    else:
+        assert counted == converted
     return validated, converted
 
 
@@ -769,13 +784,14 @@ class TestValidateAgreesWithConvert:
             assert "width and height must be 2 integers" in json.loads(err)["message"]
 
     # Values a mutation puts in place of one part of a payload: wrong types
-    # and arities, non-finite numbers, reserved tokens, unknown c-tags and
-    # centres outside any view.
+    # and arities, non-finite numbers, reserved tokens, unknown c-tags,
+    # centres outside any view and strings holding a lone surrogate.
     MUTANTS = st.one_of(
         st.sampled_from([
             None, True, 0, -1, 10.9, 1e6, float("nan"), float("inf"), "", "10", "<ref>", "</box>",
             "<box>[[0, 0, 2000, 5]]</box>", "<c9>", "<c1>", "<image>", [], [1, 2, 3], [5000, 5], [-1, 3],
             ["0", "0", "5", "5"], [False, 0, True, 5], [[1, 2]], [["q"]], {}, {"id": "c1"},
+            "\ud800", "a\udcff",
         ]),
         st.recursive(
             st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -834,6 +850,31 @@ class TestLinesThatAreNotJson:
         # mix reads several sources, so its errors name the source as the manifest does.
         where = f"{src}: " if command == "mix" else ""
         assert json.loads(err)["message"] == f"{where}line 2: not valid JSON: {constant} is not a finite number"
+
+    # A string holding a lone surrogate can be written in JSON only as a \u
+    # escape, and no output can encode it, so it is refused as the line is read.
+    @pytest.mark.parametrize("command", [*sorted(COMMANDS), "eval"])
+    def test_lone_surrogate_is_one_json_error(self, capsys, tmp_path, command):
+        if command == "eval":
+            src = str(tmp_path / "pairs.jsonl")
+            write_jsonl(src, [{"prediction": "a", "references": ["a"]}, {"prediction": "a\udcff", "references": ["a"]}])
+            argv = ["eval", "--metric", "bleu", "-i", src]
+        else:
+            src = self.source(tmp_path, '"\\udcff"')
+            argv = self.COMMANDS[command](src, tmp_path)
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        where = f"{src}: " if command == "mix" else ""
+        assert json.loads(err)["message"] == f"{where}line 2: not valid JSON: lone surrogate '\\udcff' in a string"
+        assert not list(tmp_path.glob("*.tmp")) and not (tmp_path / "out.jsonl").exists()
+
+    def test_validate_reports_a_lone_surrogate(self, capsys, tmp_path):
+        code, stdout, _ = run(capsys, "validate", self.source(tmp_path, '"\\ud800"'))
+        assert code == 1
+        assert [json.loads(line) for line in stdout.splitlines()] == [
+            {"line": 2, "error": "not valid JSON: lone surrogate '\\ud800' in a string"},
+            {"checked": 2, "errors": 1},
+        ]
 
     def test_validate_reports_the_line(self, capsys, tmp_path):
         code, stdout, _ = run(capsys, "validate", self.source(tmp_path, "NaN"))
@@ -909,6 +950,34 @@ class TestStats:
         assert code == 1
         assert stdout == ""
         assert json.loads(err)["message"].startswith("line 2: record 'g-bad': malformed payload: ValueError")
+
+    # stats plans the sample convert makes, so a field convert refuses is refused here too.
+    WRONG_SHAPES = {
+        "frames_text": (with_payload(golden_record("video"), frames="abcd"), "frames must be a list of strings"),
+        "images_text": (with_payload(vqa_record([("user", "q"), ("assistant", "a")]), images="ab"),
+                        "images must be a list of strings"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
+    def test_a_string_is_not_a_list_of_images(self, capsys, tmp_path, case):
+        record, message = self.WRONG_SHAPES[case]
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [record])
+        code, stdout, err = run(capsys, "stats", str(src))
+        assert (code, stdout) == (1, "")
+        assert json.loads(err)["message"].startswith(f"line 1: record '{record['id']}': {message}, got ")
+
+    def test_raw_input_counts_as_its_converted_output(self, capsys, tmp_path):
+        # A classification record's stray width and height do not size its image: convert drops them.
+        stray = tmp_path / "stray.input.jsonl"
+        write_jsonl(stray, [with_payload(classification_record(0), width=1344, height=896)])
+        argv = ["convert", "--task", "classification", "-i", str(stray), "-o", str(tmp_path / "stray.jsonl")]
+        assert run(capsys, *argv)[0] == 0
+        names = [(tmp_path, "stray")] + [(GOLDEN_DIR, name) for name, _ in TestGoldenFiles.CASES]
+        for folder, name in names:
+            code, from_raw, _ = run(capsys, "stats", str(folder / f"{name}.input.jsonl"))
+            assert code == 0, name
+            assert from_raw == run(capsys, "stats", str(folder / f"{name}.jsonl"))[1], name
 
     # Each is refused once, on the merged settings, before any record is read.
     BAD_PLANNER_FLAGS = {
@@ -1240,6 +1309,7 @@ class TestSettingsFiles:
         "not_json": (b"{seed", 2, " is not valid JSON: "),
         "nan": (b"NaN", 2, " is not valid JSON: NaN is not a finite number"),
         "infinity_inside": (b'{"seed": -Infinity}', 2, " is not valid JSON: -Infinity is not a finite number"),
+        "lone_surrogate": (b'{"seed": "\\ud800"}', 2, " is not valid JSON: lone surrogate '\\ud800' in a string"),
         "not_an_object": (b"[1, 2]", 2, " must be a JSON object"),
         "a_directory": (None, 3, ": "),
     }
@@ -1253,6 +1323,19 @@ class TestSettingsFiles:
         message = self.one_error_line(err, code)
         path = tmp_path / f"{kind}.json"
         assert message.startswith(f"cannot read {kind} {path}{rest}" if code == 3 else f"{kind} {path}{rest}")
+
+    def test_argv_text_that_is_not_utf8_is_exit_2(self, capsys, tmp_path):
+        # Argv bytes that are not UTF-8 reach Python as lone surrogates (0xff as U+DCFF).  Text
+        # a record would hold is refused; a path goes back to the OS as the bytes it was.
+        src = tmp_path / os.fsdecode(b"in\xff.jsonl")
+        out = tmp_path / os.fsdecode(b"out\xff.jsonl")
+        write_jsonl(src, [classification_record(0)])
+        argv = ["convert", "--task", "classification", "-i", str(src), "-o", str(out)]
+        code, stdout, err = run(capsys, *argv, "--prompt-prefix", "a\udcff")
+        assert (code, stdout) == (2, "")
+        assert self.one_error_line(err, 2) == "config key 'prompt_prefix' holds a lone surrogate: 'a\\udcff'"
+        assert not out.exists()
+        assert run(capsys, *argv)[0] == 0 and out.exists()
 
 
 class TestLineSink:
@@ -1344,6 +1427,13 @@ class TestPlanTiles:
             code, stdout, err = run(capsys, "plan-tiles", "448", "448", *flags)
             assert (code, stdout) == (2, "")
             assert json.loads(err)["message"].startswith("tile bounds need 1 <= min <= max, got ")
+
+    def test_dimension_out_of_range_is_exit_2(self, capsys):
+        past = "1" + "0" * 400
+        for dims in ((past, "5"), ("5", past), ("0", "5"), ("5", "-3")):
+            code, stdout, err = run(capsys, "plan-tiles", "--", *dims)
+            assert (code, stdout) == (2, "")
+            assert json.loads(err)["message"].startswith("width and height must be positive and fit a float, got ")
 
     def test_flags_are_laid_over_the_config_before_it_is_checked(self, capsys, tmp_path):
         config = tmp_path / "t.json"

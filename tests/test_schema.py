@@ -11,6 +11,7 @@ from vlprep.schema import (
     dumps_object,
     iter_envelopes,
     loads_envelope,
+    loads_object,
     numbered_lines,
     payload_to_record,
     payload_to_sample,
@@ -260,6 +261,13 @@ class TestOneJsonDecoder:
             if "json.loads(" in line or "json.load(" in line
         ]
         assert calls == []
+
+    def test_a_lone_surrogate_is_refused_and_a_pair_is_one_character(self):
+        # A lone surrogate can be written only as a \u escape, and no UTF-8 output can encode it.
+        assert loads_object('{"s": "\\ud83d\\ude00"}') == {"s": "\U0001F600"}
+        for text in ('{"s": "\\ud800"}', '{"\\udcff": 1}', '{"s": ["\\ude00\\ud83d"]}'):
+            with pytest.raises(InvalidRecordError, match="^not valid JSON: lone surrogate "):
+                loads_object(text)
 
 
 class TestOneJsonEncoder:
