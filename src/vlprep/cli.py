@@ -36,6 +36,14 @@ made before any record is read, as records arrive and renamed into place on
 success (the ``--overlays`` sidecar's only if an overlay was drawn).  A failed
 run removes the sibling, and with ``-o -`` prints no records, so only a
 killed process leaves a ``*.tmp`` file behind.
+
+Each command loads only the modules it runs: ``cli`` imports ``errors`` and
+``geometry`` alone, so ``plan-tiles`` starts on the planner.  ``schema``,
+``formats``, ``shards``, ``metrics``, ``mix`` and ``load_manifest`` load on
+first use (a PEP 562 ``__getattr__``) and are bound here as plain attributes,
+since the benchmark's traced runs patch ``cli.schema`` and ``cli.mix`` by name;
+:func:`main` binds those a command lists in its parser defaults, and leaves a
+name already bound (a patch) alone.
 """
 
 from __future__ import annotations
@@ -43,20 +51,19 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import importlib
 import os
-import shutil
 import sys
-import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence, get_args, get_type_hints
 
-from . import formats, metrics, schema, shards
-from .errors import InvalidConfigError, InvalidRecordError, PipelineError, RecordIOError
+from .errors import KNOWN_TASKS, LONE_SURROGATE, InvalidConfigError, InvalidRecordError, PipelineError, RecordIOError
 from .geometry import (
     DEFAULT_MAX_TILES,
     DEFAULT_MIN_TILES,
+    MAX_TILES_LIMIT,
     MULTIVIEW_CANVAS,
     TILE_SIZE,
     TOKENS_PER_TILE,
@@ -65,7 +72,23 @@ from .geometry import (
     plan_tiles,
     token_count,
 )
-from .mixer import load_manifest, mix
+
+# The module each lazy name is loaded from; a name that is not the module's own is an attribute of it.
+_LAZY = {"mix": "mixer", "load_manifest": "mixer", **{m: m for m in ("schema", "formats", "shards", "metrics")}}
+
+
+def _bound(name: str):
+    """``name``'s value here; a lazy name is loaded and bound first, and a value already bound (a patch) stays."""
+    if name in globals():
+        return globals()[name]
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f".{_LAZY[name]}", __package__)
+    globals()[name] = value = value if _LAZY[name] == name else getattr(value, name)
+    return value
+
+
+__getattr__ = _bound  # PEP 562: ``cli.schema`` from outside loads it as a command does
 
 
 @dataclass(frozen=True)
@@ -94,12 +117,14 @@ class PipelineConfig:
                 raise InvalidConfigError(f"config key {f.name!r} must be {f.type}, got {value!r}")
             # Argv bytes that are not UTF-8 arrive as lone surrogates, which no
             # output can encode; only a path gives the OS its bytes back.
-            if type(value) is str and f.name not in ("input", "output") and schema.LONE_SURROGATE.search(value):
+            if type(value) is str and f.name not in ("input", "output") and LONE_SURROGATE.search(value):
                 raise InvalidConfigError(f"config key {f.name!r} holds a lone surrogate: {value!r}")
-        if self.task is not None and self.task not in schema.KNOWN_TASKS:
-            raise InvalidConfigError(f"task must be one of {list(schema.KNOWN_TASKS)}, got {self.task!r}")
+        if self.task is not None and self.task not in KNOWN_TASKS:
+            raise InvalidConfigError(f"task must be one of {list(KNOWN_TASKS)}, got {self.task!r}")
         if not 1 <= self.min_tiles <= self.max_tiles:
             raise InvalidConfigError(f"tile bounds need 1 <= min <= max, got {self.min_tiles}..{self.max_tiles}")
+        if self.max_tiles > MAX_TILES_LIMIT:
+            raise InvalidConfigError(f"max_tiles must be at most {MAX_TILES_LIMIT}, got {self.max_tiles}")
         if self.tokens_per_tile < 1:
             raise InvalidConfigError(f"tokens_per_tile must be positive, got {self.tokens_per_tile}")
 
@@ -110,7 +135,7 @@ def _config(args) -> PipelineConfig:
     Each file key is a field.  A flag overrides the field its argparse
     ``dest`` names; a flag that was not given parses to None.
     """
-    obj = {} if args.config is None else schema.read_json_object(args.config, "config")
+    obj = {} if args.config is None else _bound("schema").read_json_object(args.config, "config")
     names = [f.name for f in dataclasses.fields(PipelineConfig)]
     unknown = set(obj) - set(names)
     if unknown:
@@ -148,6 +173,8 @@ def _line_sink(path: str, keep_empty: bool = True):
     ``keep_empty``.  A file's handle names its directory as ``part_dir``,
     so the parts of a sharded pass are made beside it (see :mod:`shards`).
     """
+    import shutil
+    import tempfile
     if path == "-":
         with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
             yield spool
@@ -185,7 +212,7 @@ def _summary_stream(output_path: str):
 
 
 def _print_json(obj, stream=None) -> None:
-    print(schema.dumps_object(obj), file=stream or sys.stdout)
+    print(_bound("schema").dumps_object(obj), file=stream or sys.stdout)
 
 
 def _template_from(cfg: PipelineConfig) -> formats.PromptTemplate:
@@ -471,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     convert = sub.add_parser("convert", help="convert raw domain records to conversation form")
-    convert.add_argument("--task", choices=list(schema.KNOWN_TASKS))
+    convert.add_argument("--task", choices=list(KNOWN_TASKS))
     convert.add_argument("--input", "-i", help="input records path or - for stdin")
     convert.add_argument("--output", "-o", help="output path or - for stdout")
     convert.add_argument(
@@ -485,21 +512,21 @@ def build_parser() -> argparse.ArgumentParser:
     convert.add_argument("--seed", type=int, help="root seed for seeded choices")
     convert.add_argument("--overlays", help="sidecar path for drawn-annotation overlay specs")
     convert.add_argument("--config", help="JSON config file supplying defaults")
-    convert.set_defaults(func=cmd_convert)
+    convert.set_defaults(func=cmd_convert, needs=("schema", "formats", "shards"))
 
     mix_cmd = sub.add_parser("mix", help="build a seeded domain/general mixture")
     mix_cmd.add_argument("--manifest", required=True, help="mix manifest JSON path")
     mix_cmd.add_argument("--output", "-o", help="output path or - for stdout")
-    mix_cmd.set_defaults(func=cmd_mix)
+    mix_cmd.set_defaults(func=cmd_mix, needs=("schema", "shards", "mix", "load_manifest"))
 
     validate = sub.add_parser("validate", help="check every record parses and holds its invariants")
     validate.add_argument("path", help="records path or - for stdin")
-    validate.set_defaults(func=cmd_validate)
+    validate.set_defaults(func=cmd_validate, needs=("schema", "shards"))
 
     stats = sub.add_parser("stats", help="token and tile accounting over a record file")
     stats.add_argument("path", help="records path or - for stdin")
     _add_planner_flags(stats)
-    stats.set_defaults(func=cmd_stats)
+    stats.set_defaults(func=cmd_stats, needs=("schema", "shards"))
 
     eval_cmd = sub.add_parser("eval", help="score predictions against references")
     eval_cmd.add_argument("--metric", required=True, choices=["mcq", "bleu", "rouge", "signals", "avg"])
@@ -509,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_cmd.add_argument("--thresholds", help="comma-separated A_tau thresholds")
     eval_cmd.add_argument("--scores", help="JSON score map for --metric avg")
     eval_cmd.add_argument("--ocrbench-key", default="OCRBench", help="score key on the 0-1000 scale")
-    eval_cmd.set_defaults(func=cmd_eval)
+    eval_cmd.set_defaults(func=cmd_eval, needs=("schema", "metrics"))
 
     plan = sub.add_parser("plan-tiles", help="tile plan and token count for given dims")
     plan.add_argument("width", type=int)
@@ -529,6 +556,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in getattr(args, "needs", ()):
+            _bound(name)
         return args.func(args)
     except PipelineError as exc:
         _print_json(

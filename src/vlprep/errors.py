@@ -8,6 +8,14 @@ a sharded pass sends a worker's error back whole (see :mod:`shards`).
 
 from __future__ import annotations
 
+import re
+
+# Two facts settings are checked against before ``cli`` loads a module that reads records.
+KNOWN_TASKS = ("classification", "grounding", "region", "multiview", "video", "vqa")
+# A code point no UTF-8 output can encode.  A pair of \u escapes decodes to
+# one code point above U+FFFF, so what this finds in a string is unpaired.
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
 
 class PipelineError(Exception):
     """Base class for all toolkit errors."""

@@ -23,6 +23,8 @@ TILE_SIZE = 448
 TOKENS_PER_TILE = 256
 DEFAULT_MIN_TILES = 1
 DEFAULT_MAX_TILES = 40
+# The largest max_tiles a run may ask for: the candidate table grows as max_tiles * ln(max_tiles).
+MAX_TILES_LIMIT = 10_000
 GRID_MAX = 1000
 
 # Canonical six-camera order: front row left-to-right, then back row.

@@ -190,11 +190,11 @@ def rouge_l(pairs: Sequence[EvalPair], recall_only: bool = False) -> float:
 
 
 def check_thresholds(thresholds: Sequence[float]) -> None:
-    """Refuse an empty threshold list or a threshold that is not positive."""
+    """Refuse an empty threshold list or a threshold that is not a positive finite number."""
     if not thresholds:
         raise InvalidConfigError("at least one threshold is required")
-    if not all(t > 0 for t in thresholds):  # NaN is not > 0 either
-        raise InvalidConfigError(f"thresholds must be positive, got {list(thresholds)}")
+    if not all(0 < t < math.inf for t in thresholds):  # NaN is in no range either
+        raise InvalidConfigError(f"thresholds must be positive finite numbers, got {list(thresholds)}")
 
 
 def control_signal_metrics(

@@ -15,13 +15,13 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterator
 
 from . import formats
+from .errors import KNOWN_TASKS, LONE_SURROGATE
 from .errors import InvalidConfigError, InvalidRecordError, PipelineError, RecordIOError, TokenParseError
 from .formats import (
     ClassificationRecord,
@@ -36,7 +36,6 @@ from .formats import (
 from .geometry import ImageDims, PixelBox
 
 SCHEMA_VERSION = "1"
-KNOWN_TASKS = ("classification", "grounding", "region", "multiview", "video", "vqa")
 _ENVELOPE_KEYS = ("id", "schema_version", "task", "meta", "payload")
 
 
@@ -90,9 +89,6 @@ def _finite_float(literal: str) -> float:
 # literal past the float range, which no output could write back.
 JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
 JSON_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
-# A code point no UTF-8 output can encode.  A pair of \u escapes decodes to
-# one code point above U+FFFF, so what this finds in a string is unpaired.
-LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def dumps_object(obj: object) -> str:

@@ -1099,7 +1099,8 @@ class TestEval:
     @pytest.mark.parametrize(
         "metric,flags",
         [("bleu", ["--max-n", "7"]), ("bleu", ["--max-n", "0"]),
-         ("signals", ["--thresholds", "0"]), ("signals", ["--thresholds", "0.5,nan"]), ("signals", ["--thresholds", "-1"])],
+         ("signals", ["--thresholds", "0"]), ("signals", ["--thresholds", "0.5,nan"]), ("signals", ["--thresholds", "-1"]),
+         ("signals", ["--thresholds", "1e999"]), ("signals", ["--thresholds", "0.5,inf"])],
     )
     def test_setting_out_of_range_is_exit_2_before_the_pairs_are_read(self, capsys, tmp_path, metric, flags):
         # The pairs file is empty: reading it first would be exit 1, a metric undefined on no pairs.
@@ -1428,6 +1429,25 @@ class TestPlanTiles:
             assert (code, stdout) == (2, "")
             assert json.loads(err)["message"].startswith("tile bounds need 1 <= min <= max, got ")
 
+    def test_max_tiles_past_the_limit_is_exit_2_before_any_plan(self, capsys, tmp_path):
+        # The candidate table grows as max_tiles * ln(max_tiles), so no test plans with a large bound.
+        config = tmp_path / "t.json"
+        config.write_text(json.dumps({"max_tiles": 10**9}))
+        records = tmp_path / "r.jsonl"
+        write_jsonl(records, [golden_record("grounding")])
+        for argv in (("plan-tiles", "448", "448", "--max-tiles", str(10**9)),
+                     ("stats", str(records), "--config", str(config))):
+            code, stdout, err = run(capsys, *argv)
+            assert (code, stdout) == (2, "")
+            assert json.loads(err)["message"] == f"max_tiles must be at most {geometry.MAX_TILES_LIMIT}, got {10**9}"
+
+    def test_max_tiles_at_the_limit_is_accepted(self, capsys, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")  # no record, so nothing is planned
+        code, out, _ = run(capsys, "stats", str(empty), "--max-tiles", str(geometry.MAX_TILES_LIMIT))
+        assert code == 0
+        assert json.loads(out)["planner"]["max_tiles"] == geometry.MAX_TILES_LIMIT == 10_000
+
     def test_dimension_out_of_range_is_exit_2(self, capsys):
         past = "1" + "0" * 400
         for dims in ((past, "5"), ("5", past), ("0", "5"), ("5", "-3")):
@@ -1451,7 +1471,7 @@ class TestValidateKernels:
         assert all("PASS" in line for line in lines)
 
 
-def run_python(*args):
+def run_python(*args, check=True):
     """Run a fresh interpreter on this checkout's sources."""
     path = os.pathsep.join(p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH", "")) if p)
     return subprocess.run(
@@ -1460,8 +1480,26 @@ def run_python(*args):
         capture_output=True,
         text=True,
         timeout=60,
-        check=True,
+        check=check,
     )
+
+
+# ``python -m vlprep.cli`` as runpy runs it, writing the names in sys.modules at
+# exit to the file named by the first argument.  Unlike ``-X importtime``, this
+# also sees the modules that importlib.import_module loads.
+CLI_REPORTING_MODULES = """
+import atexit, json, runpy, sys
+report = sys.argv.pop(1)
+atexit.register(lambda: open(report, "w").write(json.dumps(sorted(sys.modules))))
+runpy.run_module("vlprep.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def run_cli_fresh(tmp_path, *argv):
+    """``vlprep <argv>`` in a fresh interpreter: the finished process and the modules it had loaded."""
+    report = tmp_path / "modules.json"
+    proc = run_python("-c", CLI_REPORTING_MODULES, str(report), *argv, check=False)
+    return proc, set(json.loads(report.read_text()))
 
 
 class TestImportPath:
@@ -1473,16 +1511,59 @@ class TestImportPath:
         probe = "import sys, vlprep.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
         assert run_python("-c", probe, *self.LAZY_MODULES).stdout == "[]\n"
 
-    def test_plan_tiles_command_leaves_lazy_modules_unloaded(self):
-        proc = run_python("-X", "importtime", "-m", "vlprep.cli", "plan-tiles", "448", "448")
-        assert proc.stdout == "1x1 tiles, 256 tokens\n"
-        imported = {
-            line.rsplit("|", 1)[1].strip()
-            for line in proc.stderr.splitlines()
-            if line.startswith("import time:")
-        }
-        assert "vlprep.formats" in imported
-        assert not imported & set(self.LAZY_MODULES)
+    def test_plan_tiles_command_leaves_lazy_modules_unloaded(self, tmp_path):
+        proc, loaded = run_cli_fresh(tmp_path, "plan-tiles", "448", "448")
+        assert (proc.returncode, proc.stdout) == (0, "1x1 tiles, 256 tokens\n")
+        # The planner is all plan-tiles runs, so it starts on geometry alone.
+        assert {name for name in loaded if name.startswith("vlprep")} == {"vlprep", "vlprep.errors", "vlprep.geometry"}
+        assert not loaded & set(self.LAZY_MODULES)
+
+    @pytest.mark.parametrize(
+        "argv,unused",
+        [
+            ("convert --task grounding -i {domain} -o {tmp}/out.jsonl", {"vlprep.mixer", "vlprep.metrics"}),
+            ("validate {domain}", {"vlprep.mixer", "vlprep.metrics"}),
+            ("stats {domain}", {"vlprep.mixer", "vlprep.metrics"}),
+            ("mix --manifest {tmp}/mix.json -o {tmp}/mixed.jsonl", {"vlprep.metrics"}),
+            ("eval --metric mcq -i {tmp}/pairs.jsonl", {"vlprep.mixer", "vlprep.shards"}),
+        ],
+    )
+    def test_data_command_runs_without_the_modules_it_never_calls(self, tmp_path, argv, unused):
+        domain, general = GOLDEN_DIR / "grounding.input.jsonl", GOLDEN_DIR / "classification_free.input.jsonl"
+        manifest = {"domain_sources": [{"id": "d", "path": str(domain)}],
+                    "general_sources": [{"id": "g", "path": str(general)}], "ratio": 0.5, "seed": 1}
+        (tmp_path / "mix.json").write_text(json.dumps(manifest))
+        write_jsonl(tmp_path / "pairs.jsonl", [{"id": "1", "prediction": "A", "references": ["A. cat"]}])
+        proc, loaded = run_cli_fresh(tmp_path, *(part.format(domain=domain, tmp=tmp_path) for part in argv.split()))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert not loaded & unused
+
+    @pytest.mark.parametrize("argv", [("plan-tiles", "0", "5"), ("eval", "--metric", "avg")])
+    def test_an_error_is_one_json_line_in_a_fresh_process(self, tmp_path, argv):
+        proc, _ = run_cli_fresh(tmp_path, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (2, "", 1)
+        assert json.loads(proc.stderr)["exit_code"] == 2
+
+    def test_plan_tiles_reads_its_config_in_a_fresh_process(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"max_tiles": 6}))
+        proc, _ = run_cli_fresh(tmp_path, "plan-tiles", "2000", "500", "--config", str(config))
+        assert (proc.returncode, proc.stdout) == (0, "4x1 tiles + thumbnail, 1280 tokens\n")
+
+    def test_patching_a_probed_attribute_first_restores_the_original(self):
+        # The benchmark's traced runs patch these before any command has run.
+        probe = (
+            "from unittest import mock\n"
+            "from vlprep import cli\n"
+            "names = ('schema', 'mix', 'plan_tiles', 'token_count')\n"
+            "for name in names:\n"
+            "    with mock.patch.object(cli, name, 'patched'):\n"
+            "        assert getattr(cli, name) == 'patched'\n"
+            "from vlprep import geometry, mixer, schema\n"
+            "originals = (schema, mixer.mix, geometry.plan_tiles, geometry.token_count)\n"
+            "print([getattr(cli, name) is original for name, original in zip(names, originals)])\n"
+        )
+        assert run_python("-c", probe).stdout == "[True, True, True, True]\n"
 
     def test_package_import_loads_no_submodule(self):
         probe = "import sys, vlprep; print(sorted(m for m in sys.modules if m.startswith('vlprep.')))"
