@@ -20,16 +20,20 @@ grammar checks, and each bad line is reported on stdout, in line order.
 
 convert, validate, stats and eval read their input one record at a time:
 convert, validate and stats hold one record, and eval holds the pairs its
-metric needs.  mix holds a byte offset per source line and a position per
-output record, and reads each record back as it writes it.
+metric needs, parsed in this process.  mix holds a byte offset per source
+line and a position per output record, and reads each record back as it
+writes it.
 
 convert, validate and stats on a regular file, and mix on each source and
 on its output, run one process per usable CPU when ``os.fork`` exists, but
 no more processes than give each at least ``shards.MIN_SHARD_BYTES`` of
 input (so a file under twice that size runs in one process): each takes a
 contiguous range of the input (mix: of each source's bytes, then of the
-output positions), and the workers' parts are joined in input order.  No
-output byte, error or exit code depends on it.
+output positions), and the workers' parts are joined in input order.
+``metrics.bleu`` counts contiguous ranges of eval's parsed pairs the same
+way and adds their integer counts; ROUGE-L, the other metrics and eval's
+parse run in this process, where a worker did not pay.  No output byte,
+error or exit code depends on it.
 
 File outputs are written to a uniquely named ``<out>.<random>.tmp`` sibling,
 made before any record is read, as records arrive and renamed into place on
@@ -322,7 +326,8 @@ def cmd_validate(args) -> int:
     return 0 if errors == 0 else 1
 
 
-def _record_plans(env: schema.Envelope, cfg: PipelineConfig) -> list[TilePlan]:
+def _record_plans(env: schema.Envelope, cfg: PipelineConfig) -> list[tuple[TilePlan, int]]:
+    """``(plan, count)`` pairs: ``count`` of the record's images are planned as ``plan``; none for no image."""
     plan = lambda dims: plan_tiles(dims, cfg.min_tiles, cfg.max_tiles, cfg.use_thumbnail)  # noqa: E731
     # A conversation is decoded but not checked: ConversationSample.validate
     # and the token grammar would cost 1.3-3x what stats costs, and validate
@@ -333,11 +338,11 @@ def _record_plans(env: schema.Envelope, cfg: PipelineConfig) -> list[TilePlan]:
     else:
         sample, _ = schema.envelope_to_sample(env)
     if env.task == "multiview":
-        return [plan(MULTIVIEW_CANVAS)]
+        return [(plan(MULTIVIEW_CANVAS), 1)]
     dims = ImageDims(TILE_SIZE, TILE_SIZE)
     if env.task != "video" and "width" in sample.meta and "height" in sample.meta:
         dims = ImageDims(int(sample.meta["width"]), int(sample.meta["height"]))
-    return [plan(dims)] * len(sample.images)
+    return [(plan(dims), len(sample.images))] if sample.images else []
 
 
 def cmd_stats(args) -> int:
@@ -354,9 +359,9 @@ def cmd_stats(args) -> int:
                 plans = _record_plans(env, cfg)
             records += 1
             by_task[env.task] += 1
-            for plan in plans:
-                total_tokens += token_count(plan, cfg.tokens_per_tile)
-                histogram[str(plan.total_tiles)] += 1
+            for plan, count in plans:
+                total_tokens += token_count(plan, cfg.tokens_per_tile) * count
+                histogram[str(plan.total_tiles)] += count
         return records, total_tokens, histogram, by_task
 
     # Each column adds its shards in order, so by_task keeps the order of first appearance.

@@ -176,6 +176,9 @@ def _candidate_grids(min_tiles: int, max_tiles: int) -> tuple[tuple[int, int, fl
     )
 
 
+# A run plans a few distinct inputs again and again (stats: the 448x448 video
+# frame, the 2688x896 multiview canvas); the bound keeps a sweep from holding every plan.
+@functools.lru_cache(maxsize=1024)
 def plan_tiles(
     dims: ImageDims,
     min_tiles: int = DEFAULT_MIN_TILES,

@@ -11,6 +11,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .errors import InvalidConfigError, InvalidRecordError, UndefinedMetricError
@@ -97,8 +98,9 @@ def mcq_accuracy(pairs: Sequence[EvalPair]) -> float:
     return hits / len(pairs)
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _grams(tokens: list[str], max_n: int) -> Counter:
+    """Every n-gram of ``tokens`` for n in 1..max_n, as n-tuples, in one Counter (a tuple's length is its order)."""
+    return Counter(chain.from_iterable(zip(*[tokens[i:] for i in range(n)]) for n in range(1, max_n + 1)))
 
 
 def _closest_ref_length(pred_len: int, ref_lens: Sequence[int]) -> int:
@@ -112,6 +114,25 @@ def check_max_n(max_n: int) -> None:
         raise InvalidConfigError(f"max_n must be in 1..4, got {max_n}")
 
 
+def _bleu_counts(pairs: Sequence[EvalPair], max_n: int) -> list[int]:
+    """``[pred_total, ref_total, matched_1..max_n, possible_1..max_n]`` of ``pairs``, each an integer sum."""
+    totals = [0] * (2 + 2 * max_n)
+    for pair in pairs:
+        pred = tokenize(pair.prediction)
+        refs = [tokenize(r) for r in pair.references]
+        union = _grams(refs[0], max_n)
+        for ref in refs[1:]:
+            union |= _grams(ref, max_n)
+        totals[0] += len(pred)
+        totals[1] += _closest_ref_length(len(pred), [len(r) for r in refs])
+        for gram, count in _grams(pred, max_n).items():  # a loop, not Counter &, which builds a Counter
+            clip = union.get(gram, 0)
+            totals[1 + len(gram)] += count if count < clip else clip
+        for n in range(1, min(max_n, len(pred)) + 1):
+            totals[1 + max_n + n] += len(pred) - n + 1
+    return totals
+
+
 def bleu(pairs: Sequence[EvalPair], max_n: int = 4) -> float:
     """Corpus BLEU with uniform weights over orders 1..max_n.
 
@@ -119,31 +140,24 @@ def bleu(pairs: Sequence[EvalPair], max_n: int = 4) -> float:
     mean; the brevity penalty exp(1 - r/c) applies when the total prediction
     length c falls below the total effective reference length r.  Any order
     with zero matches sends the score to 0.0.
+
+    Each text is tokenized once into one Counter of its n-grams of every
+    order, and a prediction n-gram's count is clipped to its largest count
+    in any reference (Papineni et al. 2002): its count in the max-union
+    (``|``) of the references' Counters.  A prediction of c tokens has
+    c - n + 1 possible n-grams.  The counts are integers, summed over
+    contiguous chunks of ``pairs``, one per process of a :mod:`shards` pass
+    over the texts' size, so the score's bits do not depend on the chunks.
     """
     if not pairs:
         raise UndefinedMetricError("bleu is undefined on an empty corpus")
     check_max_n(max_n)
+    from . import shards  # only bleu fans out, so eval --metric mcq does not load the shard layer
 
-    matched = [0] * max_n
-    possible = [0] * max_n
-    pred_total = 0
-    ref_total = 0
-    for pair in pairs:
-        pred = tokenize(pair.prediction)
-        refs = [tokenize(r) for r in pair.references]
-        pred_total += len(pred)
-        ref_total += _closest_ref_length(len(pred), [len(r) for r in refs])
-        for n in range(1, max_n + 1):
-            pred_grams = _ngrams(pred, n)
-            if not pred_grams:
-                continue
-            clip: Counter = Counter()
-            for ref in refs:
-                ref_grams = _ngrams(ref, n)
-                for gram, count in pred_grams.items():
-                    clip[gram] = max(clip[gram], min(count, ref_grams[gram]))
-            matched[n - 1] += sum(clip.values())
-            possible[n - 1] += sum(pred_grams.values())
+    chunks = shards.split(len(pairs), sum(len(p.prediction) + sum(map(len, p.references)) for p in pairs))
+    parts = shards.run(len(chunks), lambda k, _: _bleu_counts(pairs[chunks[k].start : chunks[k].stop], max_n))
+    pred_total, ref_total, *counts = map(sum, zip(*parts))
+    matched, possible = counts[:max_n], counts[max_n:]
 
     if pred_total == 0 or any(m == 0 or p == 0 for m, p in zip(matched, possible)):
         return 0.0
@@ -152,16 +166,25 @@ def bleu(pairs: Sequence[EvalPair], max_n: int = 4) -> float:
     return penalty * math.exp(log_mean)
 
 
-def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+def _lcs_length(pred: Sequence[str], ref: Sequence[str]) -> int:
+    """Length of the longest common subsequence, by the bit-parallel recurrence.
+
+    Allison & Dix (1986); Hyyrö (2004), "Bit-parallel LCS-length computation
+    revisited".  Bit j of ``masks[x]`` marks ``ref[j] == x``; after each
+    prediction token, a zero bit j of ``v`` marks where the LCS of the
+    prediction so far with ``ref[: j + 1]`` is one longer than with ``ref[:j]``.
+    Each prediction token costs a few operations on ``len(ref)``-bit ints,
+    not a row of ``len(ref)`` table cells, and the length is exact.
+    """
+    masks: dict[str, int] = {}
+    for j, x in enumerate(ref):
+        masks[x] = masks.get(x, 0) | 1 << j
+    full = v = (1 << len(ref)) - 1
+    for x in pred:
+        if x in masks:  # a token absent from ref leaves v as it is
+            u = v & masks[x]
+            v = ((v + u) | (v - u)) & full
+    return len(ref) - v.bit_count()
 
 
 def rouge_l(pairs: Sequence[EvalPair], recall_only: bool = False) -> float:

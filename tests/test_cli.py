@@ -979,6 +979,19 @@ class TestStats:
             assert code == 0, name
             assert from_raw == run(capsys, "stats", str(folder / f"{name}.jsonl"))[1], name
 
+    def test_a_record_with_no_image_adds_no_histogram_key(self, capsys, tmp_path):
+        # A record's images are tallied as (plan, count) pairs, and Counter[k] += 0 would add "k": 0.
+        src = tmp_path / "in.jsonl"
+        turns = [("user", "q"), ("assistant", "a")]
+        write_jsonl(src, [vqa_record(turns, images=()), vqa_record(turns, images=("a.png", "b.png", "c.png"))])
+        code, out, _ = run(capsys, "stats", str(src))
+        summary = json.loads(out)
+        assert (code, summary["records"], summary["visual_tokens"]) == (0, 2, 3 * 256)
+        assert summary["tile_histogram"] == {"1": 3}
+        write_jsonl(src, [vqa_record(turns, images=())])
+        code, out, _ = run(capsys, "stats", str(src))
+        assert (code, json.loads(out)["visual_tokens"], json.loads(out)["tile_histogram"]) == (0, 0, {})
+
     # Each is refused once, on the merged settings, before any record is read.
     BAD_PLANNER_FLAGS = {
         "min_tiles_zero": ("--min-tiles", "0"),
@@ -1521,11 +1534,11 @@ class TestImportPath:
     @pytest.mark.parametrize(
         "argv,unused",
         [
-            ("convert --task grounding -i {domain} -o {tmp}/out.jsonl", {"vlprep.mixer", "vlprep.metrics"}),
-            ("validate {domain}", {"vlprep.mixer", "vlprep.metrics"}),
-            ("stats {domain}", {"vlprep.mixer", "vlprep.metrics"}),
+            ("convert --task grounding -i {domain} -o {tmp}/out.jsonl", {"vlprep.mixer", "vlprep.metrics", "hashlib"}),
+            ("validate {domain}", {"vlprep.mixer", "vlprep.metrics", "hashlib"}),
+            ("stats {domain}", {"vlprep.mixer", "vlprep.metrics", "hashlib"}),
             ("mix --manifest {tmp}/mix.json -o {tmp}/mixed.jsonl", {"vlprep.metrics"}),
-            ("eval --metric mcq -i {tmp}/pairs.jsonl", {"vlprep.mixer", "vlprep.shards"}),
+            ("eval --metric mcq -i {tmp}/pairs.jsonl", {"vlprep.mixer", "vlprep.shards", "hashlib"}),
         ],
     )
     def test_data_command_runs_without_the_modules_it_never_calls(self, tmp_path, argv, unused):

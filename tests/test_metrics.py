@@ -1,12 +1,15 @@
 import math
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vlprep.errors import InvalidConfigError, InvalidRecordError, UndefinedMetricError
+from vlprep.geometry import ordered_sum
 from vlprep.metrics import (
+    _lcs_length,
     DEFAULT_THRESHOLDS,
     EvalPair,
     SignalPair,
@@ -24,6 +27,79 @@ def pair(pred: str, *refs: str) -> EvalPair:
 
 
 words = st.lists(st.sampled_from("a b c d e f g".split()), min_size=1, max_size=12)
+
+
+def dp_lcs_length(a, b):
+    """The LCS length by the textbook dynamic program: the oracle for the bit-parallel kernel."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+def ngrams(tokens, n):
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def loop_bleu(pairs, max_n):
+    """Corpus BLEU clipped one order and one reference at a time: the oracle for the union clip."""
+    matched = [0] * max_n
+    possible = [0] * max_n
+    pred_total = ref_total = 0
+    for p in pairs:
+        pred = tokenize(p.prediction)
+        refs = [tokenize(r) for r in p.references]
+        pred_total += len(pred)
+        ref_total += min((len(r) for r in refs), key=lambda r: (abs(r - len(pred)), r))
+        for n in range(1, max_n + 1):
+            pred_grams = ngrams(pred, n)
+            if not pred_grams:
+                continue
+            clip = Counter()
+            for ref in refs:
+                ref_grams = ngrams(ref, n)
+                for gram, count in pred_grams.items():
+                    clip[gram] = max(clip[gram], min(count, ref_grams[gram]))
+            matched[n - 1] += sum(clip.values())
+            possible[n - 1] += sum(pred_grams.values())
+    if pred_total == 0 or any(m == 0 or p == 0 for m, p in zip(matched, possible)):
+        return 0.0
+    log_mean = ordered_sum(math.log(m / p) for m, p in zip(matched, possible)) / max_n
+    penalty = 1.0 if pred_total >= ref_total else math.exp(1.0 - ref_total / pred_total)
+    return penalty * math.exp(log_mean)
+
+
+def dp_rouge_l(pairs, recall_only=False):
+    """Mean best-reference ROUGE-L from the dynamic-program LCS."""
+    total = 0.0
+    for p in pairs:
+        pred = tokenize(p.prediction)
+        best = 0.0
+        for ref in map(tokenize, p.references):
+            lcs = dp_lcs_length(pred, ref)
+            if lcs:
+                precision, recall = lcs / len(pred), lcs / len(ref)
+                best = max(best, recall if recall_only else 2 * precision * recall / (precision + recall))
+        total += best
+    return total / len(pairs)
+
+
+# Few distinct tokens, so every text repeats some; up to 90, so a reference
+# often spans more than one 64-bit word; empty texts included.
+tokens = st.lists(st.sampled_from("a b c d , .".split()), max_size=90)
+corpora = st.lists(
+    st.tuples(tokens.map(" ".join), st.lists(tokens.map(" ".join), min_size=1, max_size=3)).map(
+        lambda texts: pair(texts[0], *texts[1])
+    ),
+    min_size=1,
+    max_size=6,
+)
+LONG = " ".join(["a b c a d"] * 20)  # 100 tokens
 
 
 class TestTokenize:
@@ -261,3 +337,42 @@ class TestPermutationInvariance:
             assert bleu(shuffled, max_n=2) == pytest.approx(bleu(pairs, max_n=2), abs=1e-12)
             assert rouge_l(shuffled) == pytest.approx(rouge_l(pairs), abs=1e-12)
             assert mcq_accuracy(shuffled) == mcq_accuracy(pairs)
+
+
+class TestKernelsMatchTheirOracles:
+    """The bit-parallel LCS and the union-clipped BLEU give the bits the direct computations give."""
+
+    @given(a=st.lists(st.sampled_from("abcd"), max_size=150), b=st.lists(st.sampled_from("abcd"), max_size=150))
+    @settings(max_examples=300, deadline=None)
+    @example(a=[], b=list("abc"))
+    @example(a=list("ab" * 70), b=list("ba" * 70))
+    def test_lcs_length(self, a, b):
+        assert _lcs_length(a, b) == dp_lcs_length(a, b) == _lcs_length(b, a)
+
+    @given(pairs=corpora, max_n=st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    @example(pairs=[pair("", "a b")], max_n=4)
+    @example(pairs=[pair("a a a a", "a a", "a a a", "a")], max_n=4)
+    @example(pairs=[pair(LONG, LONG + " d", "b " + LONG)], max_n=4)
+    def test_bleu(self, pairs, max_n):
+        assert bleu(pairs, max_n=max_n).hex() == loop_bleu(pairs, max_n).hex()
+
+    @given(pairs=corpora, recall_only=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    @example(pairs=[pair("", "a b"), pair("a b", "")], recall_only=False)
+    @example(pairs=[pair(LONG, "d " + LONG, LONG[:50])], recall_only=False)
+    def test_rouge_l(self, pairs, recall_only):
+        assert rouge_l(pairs, recall_only=recall_only).hex() == dp_rouge_l(pairs, recall_only).hex()
+
+    def test_long_random_corpus(self):
+        rng = random.Random(14)
+        vocab = "the car stops at a red light , then turns left .".split()
+
+        def text(low, high):
+            return " ".join(rng.choices(vocab, k=rng.randint(low, high)))
+
+        pairs = [pair(text(0, 120), *(text(60, 300) for _ in range(rng.randint(1, 3)))) for _ in range(40)]
+        for max_n in (1, 2, 3, 4):
+            assert bleu(pairs, max_n=max_n).hex() == loop_bleu(pairs, max_n).hex()
+        for recall_only in (False, True):
+            assert rouge_l(pairs, recall_only=recall_only).hex() == dp_rouge_l(pairs, recall_only).hex()

@@ -11,6 +11,7 @@ import io
 import json
 import os
 import pickle
+import random
 import signal
 import sys
 import tempfile
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from vlprep import cli, errors, mixer, shards
+from vlprep import cli, errors, metrics, mixer, shards
 from vlprep.errors import InvalidConfigError, RecordIOError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -75,13 +76,16 @@ def forked(monkeypatch):
 
 @pytest.fixture
 def outcome(capsys, monkeypatch, tmp_path, forked):
-    """``outcome(argv, cpus)``: (exit code, stdout, stderr, {file name: bytes} written under OUT)."""
+    """``outcome(argv, cpus)``: (exit code, stdout, stderr, {file name: bytes} written under OUT).
+
+    The run must fork exactly when ``cpus > 1``, or exactly when ``forks`` is true if given.
+    """
     temp = tmp_path / "temp"
     temp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(temp))
     runs = []
 
-    def run(argv, cpus):
+    def run(argv, cpus, forks=None):
         runs.append(cpus)
         out_dir = tmp_path / f"out-{len(runs)}"
         out_dir.mkdir()
@@ -90,7 +94,7 @@ def outcome(capsys, monkeypatch, tmp_path, forked):
         before = len(forked)
         code = cli.main([arg.replace("OUT", str(out_dir)) for arg in argv])
         captured = capsys.readouterr()
-        assert (len(forked) > before) == (cpus > 1), "a sharded run forks, a one-CPU run does not"
+        assert (len(forked) > before) == (cpus > 1 if forks is None else forks), "a sharded run forks, no other does"
         assert list(temp.iterdir()) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -207,6 +211,33 @@ class TestSameBytes:
         assert len(summary["tile_histogram"]) > 1
         for cpus in (2, 3, 4):
             assert outcome(["stats", src, "--max-tiles", "12"], cpus) == one
+
+    EVAL_METRICS = {"mcq": ["mcq"], "bleu": ["bleu"], "rouge": ["rouge"], "rouge_recall": ["rouge", "--recall-only"],
+                    "signals": ["signals"]}
+
+    @pytest.mark.parametrize("bad_line", [False, True])
+    @pytest.mark.parametrize("metric", sorted(EVAL_METRICS))
+    def test_eval(self, outcome, tmp_path, metric, bad_line):
+        # Only bleu fans out, and only over the pairs; the lines are parsed in this process.
+        rng = random.Random(3)
+        words = "A. the car stops at a red light , then turns left".split()
+        lines = [
+            json.dumps({"id": str(i), "predicted": rng.uniform(-3, 3), "truth": rng.uniform(-3, 3)})
+            if metric == "signals"
+            else json.dumps({"id": str(i), "prediction": " ".join(rng.choices(words, k=rng.randint(0, 12))),
+                             "references": [" ".join(rng.choices(words, k=rng.randint(1, 80)))
+                                            for _ in range(rng.randint(1, 3))]})
+            for i in range(40)
+        ]
+        if bad_line:
+            lines[29] = '{"id": "29"}'
+        argv = ["eval", "--metric", *self.EVAL_METRICS[metric], "-i", write_lines(tmp_path / "pairs.jsonl", lines)]
+        one = outcome(argv, 1)
+        assert one[0] == (1 if bad_line else 0)
+        if bad_line:
+            assert one[1] == "" and json.loads(one[2])["message"].startswith("line 30: ")
+        for cpus in (2, 3):
+            assert outcome(argv, cpus, forks=metric == "bleu" and not bad_line) == one
 
     def test_mix(self, outcome, tmp_path):
         argv = ["mix", "--manifest", write_manifest(tmp_path), "-o", "OUT/mixed.jsonl"]
@@ -436,6 +467,35 @@ class TestParts:
         line = os.path.getsize(general) / 400  # every line of both files has this size
         assert len(stream) == 24
         assert abs(stream.nbytes - 24 * line) < line
+
+
+class TestBleuFansOut:
+    def test_bleu_over_the_minimum_forks_and_keeps_every_bit(self, monkeypatch, forked):
+        rng = random.Random(7)
+        words = "the car stops at a red light , then turns left .".split()
+        pairs = [
+            metrics.EvalPair(str(i), " ".join(rng.choices(words, k=rng.randint(0, 30))),
+                             tuple(" ".join(rng.choices(words, k=rng.randint(1, 90))) for _ in range(rng.randint(1, 3))))
+            for i in range(300)
+        ]
+        nbytes = sum(len(p.prediction) + sum(map(len, p.references)) for p in pairs)
+        monkeypatch.setattr(shards, "usable_cpus", lambda: 1)
+        one = [metrics.bleu(pairs, max_n=n) for n in (1, 2, 3, 4)]
+        assert forked == []
+        monkeypatch.setattr(shards, "MIN_SHARD_BYTES", nbytes // 3)
+        for cpus in (2, 3):
+            monkeypatch.setattr(shards, "usable_cpus", lambda: cpus)
+            before = len(forked)
+            assert [metrics.bleu(pairs, max_n=n).hex() for n in (1, 2, 3, 4)] == [value.hex() for value in one]
+            assert len(forked) - before == 4 * (cpus - 1)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_corpus_under_twice_the_minimum_is_one_process(self, monkeypatch, forked):
+        monkeypatch.setattr(shards, "usable_cpus", lambda: 2)
+        pairs = [metrics.EvalPair("1", "a b c", ("a b d",))] * 100
+        assert metrics.bleu(pairs, max_n=2) == metrics.bleu(pairs[:1], max_n=2) == pytest.approx((2 / 3 * 1 / 2) ** 0.5)
+        assert forked == []
 
 
 class TestOneProcess:
