@@ -426,11 +426,7 @@ def cmd_eval(args) -> int:
         if bad:
             raise InvalidConfigError(f"scores {args.scores}: values must be finite numbers, got {bad}")
         value = metrics.benchmark_average(scores, ocrbench_key=args.ocrbench_key)
-        report = metrics.MetricReport(
-            metrics={"average": value},
-            count=len(scores),
-            config={"ocrbench_key": args.ocrbench_key},
-        )
+        printed = {"metrics": {"average": value}, "count": len(scores), "config": {"ocrbench_key": args.ocrbench_key}}
     elif args.metric == "signals":
         thresholds = args.thresholds.split(",") if args.thresholds else metrics.DEFAULT_THRESHOLDS
         try:
@@ -439,29 +435,21 @@ def cmd_eval(args) -> int:
             raise InvalidConfigError(f"--thresholds must be numbers, got {args.thresholds!r}") from None
         metrics.check_thresholds(thresholds)
         report = metrics.control_signal_metrics(_parsed_lines(args.input, _signal_pair), thresholds)
+        printed = {"metrics": report.metrics, "count": report.count, "config": report.config}
     else:
         if args.metric == "bleu":
             metrics.check_max_n(args.max_n)
         pairs = _parsed_lines(args.input, _eval_pair)
         if args.metric == "mcq":
-            report = metrics.MetricReport(
-                metrics={"mcq_accuracy": metrics.mcq_accuracy(pairs)},
-                count=len(pairs),
-                config={},
-            )
+            scored, config = {"mcq_accuracy": metrics.mcq_accuracy(pairs)}, {}
         elif args.metric == "bleu":
-            report = metrics.MetricReport(
-                metrics={f"bleu{args.max_n}": metrics.bleu(pairs, max_n=args.max_n)},
-                count=len(pairs),
-                config={"max_n": str(args.max_n), "tokenizer": "lowercase, punctuation split"},
-            )
+            scored = {f"bleu{args.max_n}": metrics.bleu(pairs, max_n=args.max_n)}
+            config = {"max_n": str(args.max_n), "tokenizer": "lowercase, punctuation split"}
         else:
-            report = metrics.MetricReport(
-                metrics={"rouge_l": metrics.rouge_l(pairs, recall_only=args.recall_only)},
-                count=len(pairs),
-                config={"variant": "recall" if args.recall_only else "f-measure"},
-            )
-    _print_json({"metrics": report.metrics, "count": report.count, "config": report.config})
+            scored = {"rouge_l": metrics.rouge_l(pairs, recall_only=args.recall_only)}
+            config = {"variant": "recall" if args.recall_only else "f-measure"}
+        printed = {"metrics": scored, "count": len(pairs), "config": config}
+    _print_json(printed)
     return 0
 
 

@@ -109,6 +109,8 @@ class ClassificationRecord:
             raise InvalidRecordError("candidates must be distinct")
         if self.truth not in self.candidates:
             raise InvalidRecordError(f"truth {self.truth!r} not among candidates")
+        for candidate in self.candidates:
+            _guard_payload(candidate, "candidate")
 
 
 @dataclass(frozen=True)
@@ -190,6 +192,9 @@ class MultiViewRecord:
             ensure_point_within(tag.cx, tag.cy, dims)
             if tag.box is not None:
                 ensure_box_within(tag.box, dims)
+        for camera in self.views:
+            _guard_payload(camera, "camera name")
+        _guard_qa(self.qa)
 
 
 @dataclass(frozen=True)
@@ -204,6 +209,7 @@ class VideoRecord:
             )
         if not self.qa:
             raise InvalidRecordError("at least one question/answer pair is required")
+        _guard_qa(self.qa)
 
 
 @dataclass(frozen=True)
@@ -219,6 +225,9 @@ class PromptTemplate:
     def __post_init__(self) -> None:
         if self.style not in ("free", "mcq"):
             raise InvalidConfigError(f"template style must be 'free' or 'mcq', got {self.style!r}")
+        for what, text in (("prefix", self.prefix), ("suffix", self.suffix)):
+            if hit := _MARKER_RE.search(text):
+                raise InvalidConfigError(f"template {what} contains reserved token {hit.group(0)!r}")
 
 
 DEFAULT_FREE_TEMPLATE = PromptTemplate(style="free", prefix=FREE_CLASS_PREFIX, suffix=FREE_CLASS_SUFFIX)
@@ -250,6 +259,14 @@ def _guard_payload(text: str, what: str) -> None:
     hit = _MARKER_RE.search(text)
     if hit:
         raise InvalidRecordError(f"{what} contains reserved token {hit.group(0)!r}")
+
+
+def _guard_qa(qa: tuple[tuple[str, str], ...]) -> None:
+    """Guard each question and answer that is text; one that is not is refused as its turn is built."""
+    for question, answer in qa:
+        for text, what in ((question, "question"), (answer, "answer")):
+            if isinstance(text, str):
+                _guard_payload(text, what)
 
 
 def format_box(nbox: NormalizedBox) -> str:

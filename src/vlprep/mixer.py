@@ -91,8 +91,11 @@ class MixManifest:
         if self.ratio_r > 0:
             if not self.general_sources:
                 raise InvalidConfigError("ratio_r > 0 requires at least one general source")
-            if sum(s.weight for s in self.general_sources) <= 0:
+            weight_sum = sum(s.weight for s in self.general_sources)
+            if weight_sum <= 0:
                 raise InvalidConfigError("general source weights must sum > 0 when ratio_r > 0")
+            if not math.isfinite(weight_sum):
+                raise InvalidConfigError(f"general source weights must sum to a finite number, got {weight_sum}")
 
 
 @dataclass(frozen=True)
@@ -183,10 +186,20 @@ def _tagged(rec: Envelope, pass_index: int, k: int) -> Envelope:
     return dataclasses.replace(rec, meta={**rec.meta, "repeat_index": str(pass_index)})
 
 
+def _finite_quota(quota: float, what: str) -> float:
+    """``quota`` if it is a finite number; one past the float range is no count of records to draw."""
+    if not math.isfinite(quota):
+        raise InsufficientDataError(f"{what} is {quota}, not a finite number of records")
+    return quota
+
+
 def _largest_remainder_quotas(total: int, weights: Sequence[float]) -> list[int]:
     """Split ``total`` proportionally to ``weights``; remainders break ties by order."""
     weight_sum = ordered_sum(weights)
-    shares = [total * w / weight_sum for w in weights]
+    shares = [
+        _finite_quota(total * w / weight_sum, f"the share {total} x {w} / {weight_sum} of the general quota")
+        for w in weights
+    ]
     quotas = [math.floor(s) for s in shares]
     leftover = total - sum(quotas)
     # Stable sort: equal remainders are served in manifest order.
@@ -213,9 +226,10 @@ class FilePool(Sequence[Envelope]):
     Indexing reads every line once, one shard of the file per process (see
     :mod:`shards`), and checks it as :func:`read_envelopes` would, with
     errors named ``<path>: line N:``, but keeps only its offset and CRC-32.
-    ``pool[i]`` reads line i again and decodes it; a line whose bytes changed
-    since indexing is an :class:`InvalidRecordError`.  Since the file is read
-    twice, it must be a regular file, not a pipe.
+    ``pool[i]`` reads line i again and, once its CRC-32 shows it is the line
+    checked at indexing, parses it without a second check; a line whose bytes
+    changed since indexing is an :class:`InvalidRecordError`.  Since the file
+    is read twice, it must be a regular file, not a pipe.
     """
 
     def __init__(self, path: str) -> None:
@@ -253,7 +267,7 @@ class FilePool(Sequence[Envelope]):
             raw = handle.readline()
             if zlib.crc32(raw) != self._crcs[i]:
                 raise InvalidRecordError(f"{self.path} changed after it was indexed: byte {offset} differs")
-            return schema.loads_envelope(raw.decode("utf-8"))
+            return Envelope(**schema.JSON_DECODER.decode(raw.decode("utf-8")))
 
         with handle:
             yield read
@@ -366,7 +380,8 @@ def mix(manifest: MixManifest, loader: Loader = FilePool) -> tuple[MixStream, Mi
         stats.append(SourceStat(src.source_id, "domain", len(pool), emitted, emitted))
     domain_total = sum(len(run.indices) for run in runs)
 
-    requested_general = _round_half_away(manifest.ratio_r * domain_total)
+    requested = _finite_quota(manifest.ratio_r * domain_total, f"the general quota {manifest.ratio_r} x {domain_total}")
+    requested_general = _round_half_away(requested)
     quota_by_id = dict.fromkeys((s.source_id for s in manifest.general_sources), 0)
     # The weights may sum to 0 when nothing is requested, so they are split only when something is.
     if requested_general > 0:

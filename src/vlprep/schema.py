@@ -7,7 +7,10 @@ the two are distinguished by the presence of a "turns" key.  Serialization
 is byte-deterministic so converted and mixed files diff cleanly.  All JSON
 input, settings files included, is decoded here, all JSON output is encoded
 by :func:`dumps_object`, and :class:`at_line` names the line and the record
-of an error.
+of an error.  An envelope is checked where it is read, by
+:func:`loads_envelope` (its keys, id, task, schema version, payload and meta),
+and :class:`Envelope` checks nothing, so one built from checked values is
+not checked again.
 """
 
 from __future__ import annotations
@@ -48,22 +51,6 @@ class Envelope:
     payload: dict
     meta: dict[str, str] = field(default_factory=dict)
     schema_version: str = SCHEMA_VERSION
-
-    def __post_init__(self) -> None:
-        if not self.id or not isinstance(self.id, str):
-            raise InvalidRecordError("envelope id must be a non-empty string")
-        if self.task not in KNOWN_TASKS:
-            raise InvalidRecordError(f"unknown task {self.task!r}", self.id)
-        if self.schema_version != SCHEMA_VERSION:
-            raise InvalidRecordError(
-                f"unknown schema_version {self.schema_version!r} (expected {SCHEMA_VERSION!r})", self.id
-            )
-        if not isinstance(self.payload, dict):
-            raise InvalidRecordError("payload must be an object", self.id)
-        if not isinstance(self.meta, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in self.meta.items()
-        ):
-            raise InvalidRecordError("meta must map strings to strings", self.id)
 
 
 def dumps_envelope(env: Envelope) -> str:
@@ -127,12 +114,25 @@ def loads_object(text: str) -> dict:
 
 
 def loads_envelope(line: str) -> Envelope:
+    """The envelope on ``line``, checked: the one place the program reads an envelope from outside."""
     obj = loads_object(line)
     missing = [k for k in _ENVELOPE_KEYS if k not in obj]
     extra = [k for k in obj if k not in _ENVELOPE_KEYS]
     if missing or extra:
         raise InvalidRecordError(f"envelope keys wrong: missing {missing}, unexpected {extra}")
-    return Envelope(**obj)
+    env = Envelope(**obj)
+    if not env.id or not isinstance(env.id, str):
+        raise InvalidRecordError("envelope id must be a non-empty string")
+    if env.task not in KNOWN_TASKS:
+        raise InvalidRecordError(f"unknown task {env.task!r}", env.id)
+    if env.schema_version != SCHEMA_VERSION:
+        raise InvalidRecordError(f"unknown schema_version {env.schema_version!r} (expected {SCHEMA_VERSION!r})", env.id)
+    if not isinstance(env.payload, dict):
+        raise InvalidRecordError("payload must be an object", env.id)
+    meta = env.meta
+    if not isinstance(meta, dict) or not all(isinstance(k, str) and isinstance(v, str) for k, v in meta.items()):
+        raise InvalidRecordError("meta must map strings to strings", env.id)
+    return env
 
 
 def read_json_object(path: str | Path, what: str) -> dict:

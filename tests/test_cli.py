@@ -434,6 +434,57 @@ class TestRecordErrorMessages:
             ),
             "MCQ supports at most 26 options, got 27",
         ),
+        "envelope_id_empty": ("grounding", (), golden_record("grounding", id=""), "envelope id must be a non-empty string"),
+        "envelope_payload_a_list": (
+            "grounding", (), golden_record("grounding", id="g-list", payload=[]), "payload must be an object"
+        ),
+        "grounding_without_box": (
+            "grounding",
+            (),
+            golden_record(
+                "grounding",
+                id="g-nobox",
+                payload={k: v for k, v in golden_record("grounding")["payload"].items() if k != "box"},
+            ),
+            "grounding payload missing ['box']",
+        ),
+        "grounding_empty_expression": (
+            "grounding",
+            (),
+            with_payload(golden_record("grounding", id="g-empty"), expression=""),
+            "referring expression must be non-empty",
+        ),
+        "classification_no_candidates": (
+            "classification_free",
+            (),
+            with_payload(golden_record("classification_free", id="c-none"), candidates=[]),
+            "candidates must be non-empty",
+        ),
+        "multiview_view_dims_of_other_cameras": (
+            "multiview",
+            (),
+            with_payload(
+                golden_record("multiview", id="mv-dims"),
+                view_dims={("CAM_SIDE" if cam == "CAM_FRONT_LEFT" else cam): dims
+                           for cam, dims in golden_record("multiview")["payload"]["view_dims"].items()},
+            ),
+            "view_dims must cover exactly the view cameras",
+        ),
+        "multiview_without_qa": (
+            "multiview",
+            (),
+            with_payload(golden_record("multiview", id="mv-noqa"), qa=[]),
+            "at least one question/answer pair is required",
+        ),
+        "multiview_duplicate_ctag": (
+            "multiview",
+            (),
+            with_payload(
+                golden_record("multiview", id="mv-dup"),
+                objects=[{**obj, "id": "c1"} for obj in golden_record("multiview")["payload"]["objects"]],
+            ),
+            "duplicate c-tag id c1",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -445,9 +496,10 @@ class TestRecordErrorMessages:
         code, stdout, err = run(capsys, "convert", "--task", task, *flags, "-i", str(src), "-o", "-")
         assert code == 1
         assert stdout == ""
+        named = f"record {record['id']!r}: " if record["id"] else ""  # an empty id names no record
         expected = {
             "error": "InvalidRecordError",
-            "message": f"line 2: record {record['id']!r}: {message}",
+            "message": f"line 2: {named}{message}",
             "exit_code": 1,
         }
         assert err == json.dumps(expected) + "\n"
@@ -711,18 +763,20 @@ def verdicts(record):
     ``stats`` runs on the file too.  It converts a raw record as convert
     does, so it must pass exactly when convert does; a conversation it
     decodes but does not check, so it must pass whenever convert does.
-    Runs in process with its own temporary directory and captured streams,
-    so property tests can call it once per example.  Anything but a
-    PipelineError escapes ``main`` and fails the calling test.
+    Whatever convert writes, validate must pass.  Runs in process with its
+    own temporary directory and captured streams, so property tests can call
+    it once per example.  Anything but a PipelineError escapes ``main`` and
+    fails the calling test.
     """
     with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp) / "in.jsonl"
+        src, out = Path(tmp) / "in.jsonl", Path(tmp) / "out.jsonl"
         write_jsonl(src, [record])
         streams = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(streams[0]), contextlib.redirect_stderr(streams[1]):
             validated = main(["validate", str(src)])
-            converted = main(["convert", "--task", record["task"], "-i", str(src), "-o", str(Path(tmp) / "out.jsonl")])
+            converted = main(["convert", "--task", record["task"], "-i", str(src), "-o", str(out)])
             counted = main(["stats", str(src)])
+            assert converted != 0 or main(["validate", str(out)]) == 0, "convert wrote a record validate refuses"
     if "turns" in record["payload"]:
         assert (counted, converted) in ((0, 0), (0, 1), (1, 1))
     else:
@@ -748,6 +802,15 @@ class TestValidateAgreesWithConvert:
         "video_answer_is_a_number": with_payload(golden_record("video"), qa=[["How many cars?", 5]]),
         "vqa_box_off_the_grid": vqa_record([("user", "<image>\nsee <box>[[0,0,2000,5]]</box>"), ("assistant", "a")]),
         "unnamed_center_outside_view": multiview_scene([{"id": "c1", "camera": "CAM_0", "center": [500, 5]}]),
+        # Raw text once copied into the turns unguarded: both commands passed
+        # the record, and validate refused what convert wrote.
+        "box_as_a_candidate": with_payload(
+            golden_record("classification_free"), candidates=["<box>", *golden_record("classification_free")["payload"]["candidates"]]
+        ),
+        "ref_in_video_question": with_payload(golden_record("video"), qa=[["what is <ref>this", "a car"]]),
+        "box_closer_ending_video_answer": with_payload(golden_record("video"), qa=[["what is this", "a car </box>"]]),
+        "box_closer_ending_multiview_answer": with_payload(golden_record("multiview"), qa=[["Where is <c1>?", "ahead </box>"]]),
+        "ref_as_a_camera_name": json.loads(json.dumps(multiview_scene([])).replace('"CAM_0"', '"<ref>"')),
     }
 
     # Fields of the wrong JSON type or arity, which both commands once accepted
@@ -875,6 +938,17 @@ class TestLinesThatAreNotJson:
             {"line": 2, "error": "not valid JSON: lone surrogate '\\ud800' in a string"},
             {"checked": 2, "errors": 1},
         ]
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_line_that_is_not_an_object_is_one_json_error(self, capsys, tmp_path, command):
+        src = tmp_path / "in.jsonl"
+        src.write_text(json.dumps(classification_record(0)) + "\n[1, 2]\n", encoding="utf-8")
+        code, stdout, err = run(capsys, *self.COMMANDS[command](str(src), tmp_path))
+        assert (code, stdout) == (1, "")
+        where = f"{src}: " if command == "mix" else ""
+        assert json.loads(err)["message"] == f"{where}line 2: expected a JSON object"
+        code, stdout, _ = run(capsys, "validate", str(src))
+        assert (code, json.loads(stdout.splitlines()[0])) == (1, {"line": 2, "error": "expected a JSON object"})
 
     def test_validate_reports_the_line(self, capsys, tmp_path):
         code, stdout, _ = run(capsys, "validate", self.source(tmp_path, "NaN"))
@@ -1245,7 +1319,9 @@ class TestSettingsFiles:
         "scores": {"MMB": 80.0, "OCRBench": 700},
     }
 
-    # case -> (file, keys laid over its base); each is a wrong type or a value out of range.
+    ABSENT = object()  # a key laid over as ABSENT is left out of the file
+
+    # case -> (file, keys laid over its base); each is a wrong type, a value out of range or a missing key.
     PROBES = {
         "config_min_tiles_text": ("config", {"min_tiles": "3"}),
         "config_min_tiles_nan": ("config", {"min_tiles": float("nan")}),
@@ -1268,6 +1344,12 @@ class TestSettingsFiles:
         "manifest_allow_replacement_text": ("manifest", {"allow_replacement": "false"}),
         "manifest_weight_nan_text": ("manifest", {"general_sources": [{"id": "g", "path": "g.jsonl", "weight": "nan"}]}),
         "manifest_weight_bool": ("manifest", {"general_sources": [{"id": "g", "path": "g.jsonl", "weight": True}]}),
+        "manifest_weights_sum_past_float_range": ("manifest", {"general_sources": [
+            {"id": "g", "path": "g.jsonl", "weight": 1e308}, {"id": "h", "path": "g.jsonl", "weight": 1e308}
+        ]}),
+        "manifest_without_seed": ("manifest", {"seed": ABSENT}),
+        "manifest_domain_source_without_path": ("manifest", {"domain_sources": [{"id": "d"}]}),
+        "manifest_no_domain_source": ("manifest", {"domain_sources": [], "ratio": 0}),
         "scores_list": ("scores", ["OCRBench"]),
         "scores_text": ("scores", {"OCRBench": "x"}),
         "scores_nan": ("scores", {"OCRBench": float("nan")}),
@@ -1310,7 +1392,10 @@ class TestSettingsFiles:
     @pytest.mark.parametrize("case", sorted(PROBES))
     def test_wrong_type_or_value_is_exit_2(self, capsys, monkeypatch, tmp_path, case):
         kind, changes = self.PROBES[case]
-        content = {**self.BASES[kind], **changes} if isinstance(changes, dict) else changes
+        if isinstance(changes, dict):
+            content = {key: value for key, value in {**self.BASES[kind], **changes}.items() if value is not self.ABSENT}
+        else:
+            content = changes
         code, stdout, err = self.run_with(capsys, monkeypatch, tmp_path, kind, json.dumps(content).encode())
         assert code == 2
         assert stdout == ""
@@ -1337,6 +1422,53 @@ class TestSettingsFiles:
         message = self.one_error_line(err, code)
         path = tmp_path / f"{kind}.json"
         assert message.startswith(f"cannot read {kind} {path}{rest}" if code == 3 else f"{kind} {path}{rest}")
+
+    # The classification template is built before any record is read; the
+    # input's one line is not JSON, so a later check would be exit 1.
+    TEMPLATES = {
+        "config_template_style_unknown": (
+            ["--config", {"template_style": "xyz"}], "template style must be 'free' or 'mcq', got 'xyz'"
+        ),
+        "config_prompt_prefix_marker": (
+            ["--config", {"prompt_prefix": "Look at <ref>"}], "template prefix contains reserved token '<ref>'"
+        ),
+        "flag_prompt_prefix_marker": (["--prompt-prefix", "Look at <ref>"], "template prefix contains reserved token '<ref>'"),
+        "flag_prompt_suffix_marker": (["--prompt-suffix", "<box>"], "template suffix contains reserved token '<box>'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(TEMPLATES))
+    def test_convert_template_is_checked_before_any_record(self, capsys, tmp_path, case):
+        (flag, value), message = self.TEMPLATES[case]
+        if isinstance(value, dict):
+            (tmp_path / "config.json").write_text(json.dumps(value))
+            value = str(tmp_path / "config.json")
+        src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        src.write_text("{nope\n")
+        code, stdout, err = run(capsys, "convert", "--task", "classification", "-i", str(src), "-o", str(out), flag, value)
+        assert (code, stdout) == (2, "")
+        assert self.one_error_line(err, 2) == message
+        assert not out.exists()
+
+    # A general quota past the float range counts no records: one JSON line,
+    # exit 1, no output (weights that sum past it are a PROBES case, exit 2).
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"ratio": 1e308}, "the general quota 1e+308 x 4 is inf, not a finite number of records"),
+            (
+                {"general_sources": [{"id": "g", "path": "g.jsonl", "weight": 1e308}]},
+                "the share 4 x 1e+308 / 1e+308 of the general quota is inf, not a finite number of records",
+            ),
+        ],
+        ids=["ratio", "weight"],
+    )
+    def test_general_quota_past_the_float_range_is_exit_1(self, capsys, monkeypatch, tmp_path, changes, message):
+        content = json.dumps({**self.BASES["manifest"], **changes}).encode()
+        code, stdout, err = self.run_with(capsys, monkeypatch, tmp_path, "manifest", content)
+        assert (code, stdout) == (1, "")
+        assert self.one_error_line(err, 1) == message
+        assert json.loads(err)["error"] == "InsufficientDataError"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "g.jsonl", "manifest.json"]
 
     def test_argv_text_that_is_not_utf8_is_exit_2(self, capsys, tmp_path):
         # Argv bytes that are not UTF-8 reach Python as lone surrogates (0xff as U+DCFF).  Text

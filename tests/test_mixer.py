@@ -439,6 +439,31 @@ class TestFilePools:
         with pytest.raises(InvalidRecordError, match="changed after it was indexed"):
             list(stream)
 
+    def test_each_source_line_is_checked_once_and_no_emitted_record_again(self, tmp_path, capsys, monkeypatch):
+        # An emitted line's CRC-32 shows it is the line checked at indexing, so it is parsed, not checked again.
+        m = file_manifest(tmp_path, domain=30, general=(("gen", 50, 1.0),), r=0.5, repeat=2)
+        manifest_path = tmp_path / "mix.json"
+        manifest_path.write_text(json.dumps({
+            "domain_sources": [{"id": "dom", "path": m.domain_sources[0].path, "repeat": 2}],
+            "general_sources": [{"id": "gen", "path": m.general_sources[0].path}],
+            "ratio": 0.5,
+            "seed": 3,
+        }))
+        checked = Counter()
+        loads_envelope = schema.loads_envelope
+
+        def counted(line):
+            checked[line] += 1
+            return loads_envelope(line)
+
+        monkeypatch.setattr(schema, "loads_envelope", counted)
+        out = tmp_path / "mixed.jsonl"
+        assert cli.main(["mix", "--manifest", str(manifest_path), "-o", str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["domain_total"], report["general_total"]) == (60, 30)
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 90
+        assert len(checked) == 80 and set(checked.values()) == {1}
+
     def test_peak_memory_per_emitted_record(self, tmp_path):
         m = file_manifest(tmp_path, domain=1500, general=(("gen", 3000, 1.0),), r=1.0)
         warm = tmp_path / "warm"

@@ -73,13 +73,14 @@ class TestWireFormat:
         with pytest.raises(InvalidRecordError):
             loads_envelope("{nope")
 
+    # An envelope is checked where it is read, so a bad one is written first and read back.
     def test_unknown_task(self):
         with pytest.raises(InvalidRecordError):
-            Envelope(id="x", task="segmentation", payload={})
+            loads_envelope(dumps_envelope(Envelope(id="x", task="segmentation", payload={})))
 
     def test_meta_must_be_string_map(self):
         with pytest.raises(InvalidRecordError):
-            Envelope(id="x", task="vqa", payload={}, meta={"n": 3})
+            loads_envelope(dumps_envelope(Envelope(id="x", task="vqa", payload={}, meta={"n": 3})))
 
 
 class TestIO:
