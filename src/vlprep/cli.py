@@ -63,7 +63,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence, get_args, get_type_hints
 
-from .errors import KNOWN_TASKS, LONE_SURROGATE, InvalidConfigError, InvalidRecordError, PipelineError, RecordIOError
+from .errors import KNOWN_TASKS, LONE_SURROGATE, MARKER
+from .errors import InvalidConfigError, InvalidRecordError, PipelineError, RecordIOError
 from .geometry import (
     DEFAULT_MAX_TILES,
     DEFAULT_MIN_TILES,
@@ -131,6 +132,11 @@ class PipelineConfig:
             raise InvalidConfigError(f"max_tiles must be at most {MAX_TILES_LIMIT}, got {self.max_tiles}")
         if self.tokens_per_tile < 1:
             raise InvalidConfigError(f"tokens_per_tile must be positive, got {self.tokens_per_tile}")
+        if self.template_style not in ("free", "mcq"):
+            raise InvalidConfigError(f"template style must be 'free' or 'mcq', got {self.template_style!r}")
+        for what, text in (("prefix", self.prompt_prefix), ("suffix", self.prompt_suffix)):
+            if text is not None and (hit := MARKER.search(text)):
+                raise InvalidConfigError(f"template {what} contains reserved token {hit.group(0)!r}")
 
 
 def _config(args) -> PipelineConfig:
@@ -339,9 +345,7 @@ def _record_plans(env: schema.Envelope, cfg: PipelineConfig) -> list[tuple[TileP
         sample, _ = schema.envelope_to_sample(env)
     if env.task == "multiview":
         return [(plan(MULTIVIEW_CANVAS), 1)]
-    dims = ImageDims(TILE_SIZE, TILE_SIZE)
-    if env.task != "video" and "width" in sample.meta and "height" in sample.meta:
-        dims = ImageDims(int(sample.meta["width"]), int(sample.meta["height"]))
+    dims = schema.planned_dims(env.task, sample.meta) or ImageDims(TILE_SIZE, TILE_SIZE)
     return [(plan(dims), len(sample.images))] if sample.images else []
 
 

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import re
 
-# Two facts settings are checked against before ``cli`` loads a module that reads records.
+# Three facts settings are checked against before ``cli`` loads a module that reads records.
 KNOWN_TASKS = ("classification", "grounding", "region", "multiview", "video", "vqa")
 # A code point no UTF-8 output can encode.  A pair of \u escapes decodes to
 # one code point above U+FFFF, so what this finds in a string is unpaired.
 LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+# A marker of the special-token grammar, which no free text may hold.
+MARKER = re.compile(r"</?(?:ref|box)>")
 
 
 class PipelineError(Exception):

@@ -19,7 +19,7 @@ import re
 import string
 from dataclasses import dataclass, field
 
-from .errors import InvalidConfigError, InvalidRecordError, TokenParseError
+from .errors import MARKER, InvalidRecordError, TokenParseError
 from .geometry import (
     ImageDims,
     NormalizedBox,
@@ -57,7 +57,6 @@ OVERLAY_PALETTE = (
     (0, 200, 200),
 )
 
-_MARKER_RE = re.compile(r"</?(?:ref|box)>")
 _BOX_BODY_RE = re.compile(r"\[\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]\]")
 _CTAG_PLACEHOLDER_RE = re.compile(r"<(c\d+)>")
 _CTAG_ID_RE = re.compile(r"c\d+")
@@ -222,13 +221,6 @@ class PromptTemplate:
     shuffle_options: bool = False
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        if self.style not in ("free", "mcq"):
-            raise InvalidConfigError(f"template style must be 'free' or 'mcq', got {self.style!r}")
-        for what, text in (("prefix", self.prefix), ("suffix", self.suffix)):
-            if hit := _MARKER_RE.search(text):
-                raise InvalidConfigError(f"template {what} contains reserved token {hit.group(0)!r}")
-
 
 DEFAULT_FREE_TEMPLATE = PromptTemplate(style="free", prefix=FREE_CLASS_PREFIX, suffix=FREE_CLASS_SUFFIX)
 DEFAULT_MCQ_TEMPLATE = PromptTemplate(style="mcq")
@@ -256,8 +248,7 @@ class SpecialToken:
 
 
 def _guard_payload(text: str, what: str) -> None:
-    hit = _MARKER_RE.search(text)
-    if hit:
+    if hit := MARKER.search(text):
         raise InvalidRecordError(f"{what} contains reserved token {hit.group(0)!r}")
 
 
@@ -480,7 +471,7 @@ def parse_special_tokens(text: str) -> list[SpecialToken]:
     UTF-8 byte offset of the offending marker.
     """
     tokens: list[SpecialToken] = []
-    markers = list(_MARKER_RE.finditer(text))
+    markers = list(MARKER.finditer(text))
     i = 0
     while i < len(markers):
         opener = markers[i]

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import dataclasses
 import itertools
 import math
 import os
 import random
 import zlib
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -29,6 +28,9 @@ from .errors import InsufficientDataError, InvalidConfigError, InvalidRecordErro
 from .geometry import _round_half_away, ordered_sum
 from .schema import Envelope
 from .seeding import GENERATOR_NAME, derive_seed
+
+# The longest mixture a manifest may ask for: the shuffle keeps an 8-byte position per record, about 800 MB at the cap.
+MAX_MIX_RECORDS = 100_000_000
 
 
 def _check_id_and_path(source: DomainSource | GeneralSource, kind: str) -> None:
@@ -179,13 +181,6 @@ def load_manifest(path: str | Path) -> MixManifest:
     return manifest_from_dict(schema.read_json_object(path, "manifest"))
 
 
-def _tagged(rec: Envelope, pass_index: int, k: int) -> Envelope:
-    """``rec`` as emitted in pass ``pass_index`` of ``k``: tagged ``repeat_index`` when k > 1."""
-    if k == 1:
-        return rec
-    return dataclasses.replace(rec, meta={**rec.meta, "repeat_index": str(pass_index)})
-
-
 def _finite_quota(quota: float, what: str) -> float:
     """``quota`` if it is a finite number; one past the float range is no count of records to draw."""
     if not math.isfinite(quota):
@@ -275,15 +270,15 @@ class FilePool(Sequence[Envelope]):
 
 @dataclass(frozen=True)
 class _Run:
-    """A stretch of the unshuffled stream: ``pool[i]`` for each i in ``indices``.
+    """A stretch of the unshuffled stream: ``passes`` passes over ``pool[i]`` for each i in ``indices``.
 
-    The records are emitted as pass ``pass_index`` of ``repeat`` (see :func:`_tagged`).
+    A ``tagged`` run's records carry their pass as meta ``repeat_index``.
     """
 
     pool: Sequence[Envelope]
     indices: Sequence[int]
-    pass_index: int = 0
-    repeat: int = 1
+    passes: int = 1
+    tagged: bool = False
 
 
 class MixStream(Sequence[Envelope]):
@@ -291,7 +286,7 @@ class MixStream(Sequence[Envelope]):
 
     The unshuffled stream is ``runs`` end to end, and ``order[i]`` is the
     position in it of the i-th record.  Iteration reads each file-backed
-    pool through one handle, opened when the iteration starts and closed
+    run through one handle, opened when the iteration starts and closed
     when it ends or is closed.  ``nbytes`` is about how many bytes reading
     the stream reads: each run's records at the mean line size of its file;
     other pools count nothing.
@@ -299,10 +294,10 @@ class MixStream(Sequence[Envelope]):
 
     def __init__(self, runs: list[_Run], order: array) -> None:
         self._runs = runs
-        self._ends = list(itertools.accumulate(len(run.indices) for run in runs))
+        self._starts = list(itertools.accumulate((len(run.indices) * run.passes for run in runs), initial=0))
         self._order = order
         self.nbytes = sum(
-            len(run.indices) * run.pool.nbytes // len(run.pool)
+            len(run.indices) * run.passes * run.pool.nbytes // len(run.pool)
             for run in runs
             if isinstance(run.pool, FilePool) and run.indices
         )
@@ -310,14 +305,9 @@ class MixStream(Sequence[Envelope]):
     def __len__(self) -> int:
         return len(self._order)
 
-    def _locate(self, position: int) -> tuple[_Run, int]:
-        r = bisect.bisect_right(self._ends, position)
-        run = self._runs[r]
-        return run, run.indices[position - self._ends[r] + len(run.indices)]
-
     def __getitem__(self, i: int) -> Envelope:
-        run, index = self._locate(self._order[i])
-        return _tagged(run.pool[index], run.pass_index, run.repeat)
+        i = range(len(self))[i]  # a negative i counts from the end; one out of range is an IndexError
+        return next(self.read(range(i, i + 1)))
 
     def __iter__(self) -> Iterator[Envelope]:
         return self.read(range(len(self)))
@@ -325,34 +315,33 @@ class MixStream(Sequence[Envelope]):
     def read(self, records: range) -> Iterator[Envelope]:
         """The records at ``records`` of the stream, in order."""
         with contextlib.ExitStack() as stack:
-            fetch = {}
-            for pool in (run.pool for run in self._runs):
-                if id(pool) in fetch:
-                    continue
-                fetch[id(pool)] = stack.enter_context(pool.reader()) if isinstance(pool, FilePool) else pool.__getitem__
+            fetch = [
+                stack.enter_context(run.pool.reader()) if isinstance(run.pool, FilePool) else run.pool.__getitem__
+                for run in self._runs
+            ]
             for position in itertools.islice(self._order, records.start, records.stop):
-                run, index = self._locate(position)
-                yield _tagged(fetch[id(run.pool)](index), run.pass_index, run.repeat)
+                # An empty run starts where the next one does, so bisect passes over it.
+                r = bisect.bisect_right(self._starts, position) - 1
+                run = self._runs[r]
+                pass_index, i = divmod(position - self._starts[r], len(run.indices))
+                rec = fetch[r](run.indices[i])
+                yield replace(rec, meta={**rec.meta, "repeat_index": str(pass_index)}) if run.tagged else rec
 
 
-def _draw(n: int, quota: int, rng: random.Random, source: GeneralSource, allow_replacement: bool) -> array:
-    """Positions of ``quota`` records drawn from a pool of ``n``.
+def _draw(pool: Sequence[Envelope], quota: int, source: GeneralSource, manifest: MixManifest) -> list[_Run]:
+    """The runs of ``quota`` records drawn from ``pool`` by the source's seeded generator.
 
     ``rng.sample`` reads only the population's length and items, so drawing
     from ``range(n)`` picks the positions that drawing from the pool would.
     """
+    n = len(pool)
+    rng = random.Random(derive_seed(manifest.seed, "sample", source.source_id))
     if quota <= n:
-        return array("q", rng.sample(range(n), quota))
-    if not allow_replacement or n == 0:  # an empty pool has no record to draw again
-        raise InsufficientDataError(
-            f"source {source.source_id!r}: needs {quota} records but only {n} available"
-        )
+        return [_Run(pool, array("q", rng.sample(range(n), quota)))]
+    if not manifest.allow_replacement or n == 0:  # an empty pool has no record to draw again
+        raise InsufficientDataError(f"source {source.source_id!r}: needs {quota} records but only {n} available")
     # Replacement mode: whole-pool passes, then a sampled remainder.
-    out = array("q")
-    for _ in range(quota // n):
-        out.extend(range(n))
-    out.extend(rng.sample(range(n), quota % n))
-    return out
+    return [_Run(pool, range(n), quota // n), _Run(pool, array("q", rng.sample(range(n), quota % n)))]
 
 
 Loader = Callable[[str], Sequence[Envelope]]
@@ -375,13 +364,18 @@ def mix(manifest: MixManifest, loader: Loader = FilePool) -> tuple[MixStream, Mi
     runs: list[_Run] = []
     for src in manifest.domain_sources:
         pool = loader(src.path)
-        runs.extend(_Run(pool, range(len(pool)), pass_index, src.repeat) for pass_index in range(src.repeat))
+        runs.append(_Run(pool, range(len(pool)), src.repeat, src.repeat > 1))
         emitted = len(pool) * src.repeat
         stats.append(SourceStat(src.source_id, "domain", len(pool), emitted, emitted))
-    domain_total = sum(len(run.indices) for run in runs)
+    domain_total = sum(len(run.indices) * run.passes for run in runs)
 
     requested = _finite_quota(manifest.ratio_r * domain_total, f"the general quota {manifest.ratio_r} x {domain_total}")
     requested_general = _round_half_away(requested)
+    if domain_total + requested_general > MAX_MIX_RECORDS:
+        raise InvalidConfigError(
+            f"a mixture of {domain_total} domain and {requested_general} general records"
+            f" is past the cap of {MAX_MIX_RECORDS} records"
+        )
     quota_by_id = dict.fromkeys((s.source_id for s in manifest.general_sources), 0)
     # The weights may sum to 0 when nothing is requested, so they are split only when something is.
     if requested_general > 0:
@@ -393,8 +387,7 @@ def mix(manifest: MixManifest, loader: Loader = FilePool) -> tuple[MixStream, Mi
         pool = loader(src.path)
         quota = quota_by_id[src.source_id]
         if quota:
-            rng = random.Random(derive_seed(manifest.seed, "sample", src.source_id))
-            runs.append(_Run(pool, _draw(len(pool), quota, rng, src, manifest.allow_replacement)))
+            runs.extend(_draw(pool, quota, src, manifest))
         general_total += quota
         stats.append(SourceStat(src.source_id, "general", len(pool), quota, quota))
 

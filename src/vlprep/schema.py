@@ -230,17 +230,13 @@ class at_line:
         raise named from exc
 
 
-def iter_envelopes(source: str | Path | IO) -> Iterator[tuple[int, Envelope]]:
-    """(line number, envelope) for each line, decoded one at a time by :func:`loads_envelope`."""
+def read_envelopes(source: str | Path | IO) -> list[Envelope]:
+    """Read a whole line-delimited envelope file (blank lines skipped), each line by :func:`loads_envelope`."""
+    envelopes = []
     for number, _, _, line in numbered_lines(source):
         with at_line(number):
-            env = loads_envelope(line_text(line))
-        yield number, env
-
-
-def read_envelopes(source: str | Path | IO) -> list[Envelope]:
-    """Read a whole line-delimited envelope file (whitespace-only lines skipped)."""
-    return [env for _, env in iter_envelopes(source)]
+            envelopes.append(loads_envelope(line_text(line)))
+    return envelopes
 
 
 def _require(payload: dict, keys: tuple[str, ...], task: str) -> None:
@@ -270,6 +266,16 @@ def _pairs(values, what: str) -> tuple[tuple, ...]:
 def dims_from(payload: dict) -> ImageDims:
     """A raw payload's ``width`` and ``height``, which must be JSON integers."""
     return ImageDims(*_numbers((payload["width"], payload["height"]), 2, "width and height", (int,)))
+
+
+def planned_dims(task: str, meta: dict[str, str]) -> ImageDims | None:
+    """The dims a sample's images are planned at: meta ``width`` and ``height`` by ``int()``, unless absent."""
+    if task in ("video", "multiview") or "width" not in meta or "height" not in meta:
+        return None
+    dims = ImageDims(int(meta["width"]), int(meta["height"]))
+    if max(dims.width, dims.height) > sys.float_info.max:
+        raise InvalidRecordError(f"image dims must fit a float, got {dims.width}x{dims.height}")
+    return dims
 
 
 def _box_from(values, what: str = "box") -> PixelBox:
@@ -383,6 +389,7 @@ def envelope_to_sample(
             sample.validate()
         for _, text in sample.turns:
             parse_special_tokens(text)
+        planned_dims(env.task, sample.meta)
         return sample, None
     record = payload_to_record(env.task, env.payload)
     convert = getattr(formats, f"convert_{env.task}")
@@ -393,6 +400,7 @@ def envelope_to_sample(
     else:
         sample, overlay = convert(record, sample_id=env.id, meta=env.meta), None
     sample.validate()
+    planned_dims(env.task, sample.meta)
     return sample, overlay
 
 

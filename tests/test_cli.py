@@ -6,9 +6,11 @@ import gc
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -64,6 +66,13 @@ def golden_record(name, **changes):
 
 def with_payload(record, **changes):
     return {**record, "payload": {**record["payload"], **changes}}
+
+
+def converted_golden(name, **meta):
+    """The first record of a golden output, with meta keys replaced."""
+    with open(GOLDEN_DIR / f"{name}.jsonl", encoding="utf-8") as handle:
+        record = json.loads(handle.readline())
+    return {**record, "meta": {**record["meta"], **meta}}
 
 
 def run_stdin(capsys, monkeypatch, data, *argv):
@@ -811,6 +820,9 @@ class TestValidateAgreesWithConvert:
         "box_closer_ending_video_answer": with_payload(golden_record("video"), qa=[["what is this", "a car </box>"]]),
         "box_closer_ending_multiview_answer": with_payload(golden_record("multiview"), qa=[["Where is <c1>?", "ahead </box>"]]),
         "ref_as_a_camera_name": json.loads(json.dumps(multiview_scene([])).replace('"CAM_0"', '"<ref>"')),
+        # Meta dims stats plans from but validate once did not read.
+        "meta_width_not_a_number": converted_golden("region_inline", width="wide"),
+        "meta_width_zero": converted_golden("region_inline", width="0"),
     }
 
     # Fields of the wrong JSON type or arity, which both commands once accepted
@@ -834,6 +846,14 @@ class TestValidateAgreesWithConvert:
     @pytest.mark.parametrize("probe", sorted(PROBES))
     def test_probes_fail_both(self, probe):
         assert verdicts(self.PROBES[probe]) == (1, 1)
+
+    @pytest.mark.parametrize("probe", ["meta_width_not_a_number", "meta_width_zero"])
+    def test_stats_refuses_the_meta_dims_validate_refuses(self, capsys, tmp_path, probe):
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [self.PROBES[probe]])
+        code, stdout, err = run(capsys, "stats", str(src))
+        assert (code, stdout) == (1, "")
+        assert json.loads(err)["message"].startswith("line 1: record 'med-reg-0001': ")
 
     @pytest.mark.parametrize("case", sorted(WRONG_TYPES))
     def test_wrong_types_and_arities_fail_both(self, capsys, tmp_path, case):
@@ -1449,6 +1469,60 @@ class TestSettingsFiles:
         assert self.one_error_line(err, 2) == message
         assert not out.exists()
 
+    # A settings file is valid or not whatever command reads it.
+    @pytest.mark.parametrize("case", sorted(case for case in TEMPLATES if case.startswith("config_")))
+    @pytest.mark.parametrize("command", [["stats", "in.jsonl"], ["plan-tiles", "448", "448"]], ids=lambda c: c[0])
+    def test_config_template_is_checked_by_every_command(self, capsys, monkeypatch, tmp_path, case, command):
+        (flag, value), message = self.TEMPLATES[case]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text(json.dumps(value))
+        (tmp_path / "in.jsonl").write_text("{nope\n")
+        code, stdout, err = run(capsys, *command, flag, "config.json")
+        assert (code, stdout) == (2, "")
+        assert self.one_error_line(err, 2) == message
+
+    # A mixture longer than MAX_MIX_RECORDS is refused before any position is
+    # made: one JSON line, exit 2, no output.  The base manifest mixes 4 domain
+    # and 4 general records.
+    @pytest.mark.parametrize("cap,code", [(8, 0), (7, 2)], ids=["at_the_cap", "one_past_it"])
+    def test_a_mixture_past_the_cap_is_exit_2(self, capsys, monkeypatch, tmp_path, cap, code):
+        monkeypatch.setattr(mixer, "MAX_MIX_RECORDS", cap)
+        content = json.dumps(self.BASES["manifest"]).encode()
+        got, stdout, err = self.run_with(capsys, monkeypatch, tmp_path, "manifest", content)
+        assert got == code
+        if code == 0:
+            assert len((tmp_path / "mixed.jsonl").read_text().splitlines()) == 8
+        else:
+            message = "a mixture of 4 domain and 4 general records is past the cap of 7 records"
+            assert (stdout, self.one_error_line(err, 2)) == ("", message)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "g.jsonl", "manifest.json"]
+
+    # Before the cap these ran without bound: a run per repeat pass and a
+    # position per replacement draw, made before any record was written.
+    UNBOUNDED = {
+        "repeat": {"domain_sources": [{"id": "d", "path": "d.jsonl", "repeat": 10**12}], "ratio": 0},
+        "replacement": {"ratio": 1e12, "allow_replacement": True},
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNBOUNDED))
+    def test_an_unbounded_mixture_is_refused_at_once(self, tmp_path, case):
+        write_jsonl(tmp_path / "d.jsonl", [classification_record(i) for i in range(4)])
+        write_jsonl(tmp_path / "g.jsonl", [classification_record(10 + i) for i in range(4)])
+        (tmp_path / "manifest.json").write_text(json.dumps({**self.BASES["manifest"], **self.UNBOUNDED[case]}))
+
+        def cap_address_space():  # in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        started = time.monotonic()
+        proc = run_python(
+            "-m", "vlprep.cli", "mix", "--manifest", "manifest.json", "-o", "mixed.jsonl",
+            check=False, cwd=tmp_path, preexec_fn=cap_address_space,
+        )
+        assert time.monotonic() - started < 1.0
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert self.one_error_line(proc.stderr, 2).endswith(f" is past the cap of {mixer.MAX_MIX_RECORDS} records")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "g.jsonl", "manifest.json"]
+
     # A general quota past the float range counts no records: one JSON line,
     # exit 1, no output (weights that sum past it are a PROBES case, exit 2).
     @pytest.mark.parametrize(
@@ -1616,8 +1690,8 @@ class TestValidateKernels:
         assert all("PASS" in line for line in lines)
 
 
-def run_python(*args, check=True):
-    """Run a fresh interpreter on this checkout's sources."""
+def run_python(*args, check=True, **kwargs):
+    """Run a fresh interpreter on this checkout's sources; ``kwargs`` go to ``subprocess.run``."""
     path = os.pathsep.join(p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH", "")) if p)
     return subprocess.run(
         [sys.executable, *args],
@@ -1626,6 +1700,7 @@ def run_python(*args, check=True):
         text=True,
         timeout=60,
         check=check,
+        **kwargs,
     )
 
 

@@ -4,7 +4,9 @@ import math
 import os
 import random
 import re
+import sys
 import tracemalloc
+from array import array
 from collections import Counter
 
 import pytest
@@ -179,6 +181,34 @@ class TestMix:
         with pytest.raises(InsufficientDataError) as err:
             mix(m, loader)
         assert str(err.value) == "source 'empty': needs 3 records but only 0 available"
+
+    @staticmethod
+    def peak_besides_the_order(m, loader) -> int:
+        """Peak traced bytes of ``mix(m)``, less the shuffle's order array as ``array`` allocates it."""
+        tracemalloc.start()
+        try:
+            stream, _ = mix(m, loader)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - sys.getsizeof(array("q", range(len(stream))))
+
+    # A pass costs no memory: a repeated source is one run, and a replacement
+    # draw two, whatever their number of passes.
+    @pytest.mark.parametrize(
+        "few,many",
+        [
+            (dict(domain=50, general=(), r=0.0, repeat=2), dict(domain=50, general=(), r=0.0, repeat=1000)),
+            (
+                dict(domain=50, general=(("gen", 10, 1.0),), r=1.0, allow=True),
+                dict(domain=50, general=(("gen", 10, 1.0),), r=1000.0, allow=True),
+            ),
+        ],
+        ids=["repeat", "replacement"],
+    )
+    def test_passes_hold_no_memory_besides_the_order(self, few, many):
+        mix(*manifest(**few))  # first-use caches are not memory per pass
+        assert self.peak_besides_the_order(*manifest(**many)) <= self.peak_besides_the_order(*manifest(**few)) + 16384
 
     def test_realized_ratio_within_one_record(self):
         rng = random.Random(5)
@@ -382,6 +412,8 @@ class TestFilePools:
     CASES = {
         "repeat": dict(domain=30, repeat=3),
         "replacement": dict(domain=40, general=(("tiny", 15, 1.0),), r=1.0, allow=True),
+        "many_replacement_passes": dict(domain=40, general=(("tiny", 3, 1.0),), r=1.0, allow=True),
+        "repeat_and_replacement": dict(domain=10, repeat=3, general=(("tiny", 7, 1.0),), r=2.0, allow=True),
         "zero_weight": dict(general=(("g1", 60, 1.0), ("g2", 60, 0.0)), r=1.0),
         "ratio_zero": dict(r=0.0),
         # n <= 21 takes sample()'s list path, n = 500 its set path.

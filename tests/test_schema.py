@@ -9,7 +9,6 @@ from vlprep.schema import (
     Envelope,
     dumps_envelope,
     dumps_object,
-    iter_envelopes,
     loads_envelope,
     loads_object,
     numbered_lines,
@@ -104,17 +103,15 @@ class TestIO:
         with pytest.raises(RecordIOError):
             read_envelopes("/nonexistent/path.jsonl")
 
-    def test_iter_envelopes_decodes_one_line_at_a_time(self):
+    def test_read_envelopes_numbers_lines_past_blank_ones(self):
         text = "\n".join([
             dumps_envelope(conversation_env(id="a")),
             "   ",
             dumps_envelope(conversation_env(id="b")),
-            "{bad",
         ]) + "\n"
-        stream = iter_envelopes(io.BytesIO(text.encode("utf-8")))
-        assert [(n, env.id) for n, env in (next(stream), next(stream))] == [(1, "a"), (3, "b")]
+        assert [env.id for env in read_envelopes(io.BytesIO(text.encode("utf-8")))] == ["a", "b"]
         with pytest.raises(InvalidRecordError, match="^line 4: not valid JSON"):
-            next(stream)
+            read_envelopes(io.BytesIO((text + "{bad\n").encode("utf-8")))
 
 
     def test_numbered_lines_gives_byte_offsets(self, tmp_path):
@@ -142,11 +139,11 @@ class TestIO:
 
     def test_line_that_is_not_utf8_is_named(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_bytes(dumps_envelope(conversation_env()).encode("utf-8") + b"\ngarbage\xff\n")
-        envelopes = iter_envelopes(path)
-        assert next(envelopes)[0] == 1
+        path.write_bytes(dumps_envelope(conversation_env()).encode("utf-8") + b"\n")
+        assert read_envelopes(path) == [conversation_env()]
+        path.write_bytes(path.read_bytes() + b"garbage\xff\n")
         with pytest.raises(InvalidRecordError, match="^line 2: not valid UTF-8$"):
-            next(envelopes)
+            read_envelopes(path)
 
     def test_crlf_lines_decode_like_lf_lines(self):
         envs = [conversation_env(id=f"s{i}") for i in range(3)]
