@@ -8,6 +8,9 @@ Submodules:
               overlay drawing); the only module that needs numpy
     metrics   evaluation scores (MCQ, BLEU, ROUGE-L, signal errors)
     schema    line-delimited record envelopes
+    seeding   stable seed derivation
+    shards    one pass cut into contiguous shards, one process each
+    errors    error classes and their exit codes
     cli       command-line pipeline driver
 
 Import each name from its submodule; importing the package loads none of them.

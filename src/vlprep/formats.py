@@ -120,9 +120,9 @@ class GroundingRecord:
     dims: ImageDims
 
     def __post_init__(self) -> None:
+        _guard_payload(self.expression, "referring expression")
         if not self.expression:
             raise InvalidRecordError("referring expression must be non-empty")
-        _guard_payload(self.expression, "referring expression")
         ensure_box_within(self.box, self.dims)
 
 
@@ -144,10 +144,10 @@ class RegionRecord:
     def __post_init__(self) -> None:
         if self.mode not in REGION_MODES:
             raise InvalidRecordError(f"mode must be one of {REGION_MODES}, got {self.mode!r}")
-        if not self.question:
-            raise InvalidRecordError("question must be non-empty")
         _guard_payload(self.question, "question")
         _guard_payload(self.answer, "answer")
+        if not self.question:
+            raise InvalidRecordError("question must be non-empty")
         ensure_box_within(self.region, self.dims)
 
 
@@ -248,27 +248,21 @@ class SpecialToken:
 
 
 def _guard_payload(text: str, what: str) -> None:
+    """Refuse raw text bound for a turn unless it is a string free of grammar markers."""
+    if not isinstance(text, str):
+        raise InvalidRecordError(f"{what} must be a string, got {text!r}")
     if hit := MARKER.search(text):
         raise InvalidRecordError(f"{what} contains reserved token {hit.group(0)!r}")
 
 
 def _guard_qa(qa: tuple[tuple[str, str], ...]) -> None:
-    """Guard each question and answer that is text; one that is not is refused as its turn is built."""
     for question, answer in qa:
-        for text, what in ((question, "question"), (answer, "answer")):
-            if isinstance(text, str):
-                _guard_payload(text, what)
+        _guard_payload(question, "question")
+        _guard_payload(answer, "answer")
 
 
 def format_box(nbox: NormalizedBox) -> str:
     return f"<box>[[{nbox.x1}, {nbox.y1}, {nbox.x2}, {nbox.y2}]]</box>"
-
-
-def _merged_meta(base: dict[str, str], extra: dict[str, str] | None) -> dict[str, str]:
-    out = dict(base)
-    if extra:
-        out.update(extra)
-    return out
 
 
 def convert_classification(
@@ -301,7 +295,7 @@ def convert_classification(
         id=sample_id,
         images=(rec.image,),
         turns=((USER, f"{IMAGE_PLACEHOLDER}\n{body}"), (ASSISTANT, answer)),
-        meta=_merged_meta({"task": "classification", "style": template.style}, meta),
+        meta={"task": "classification", "style": template.style, **(meta or {})},
     )
     return sample
 
@@ -320,10 +314,12 @@ def convert_grounding(
             (USER, f"{IMAGE_PLACEHOLDER}\nDetect <ref>{rec.expression}</ref>"),
             (ASSISTANT, f"<ref>{rec.expression}</ref>{format_box(nbox)}"),
         ),
-        meta=_merged_meta(
-            {"task": "grounding", "width": str(rec.dims.width), "height": str(rec.dims.height)},
-            meta,
-        ),
+        meta={
+            "task": "grounding",
+            "width": str(rec.dims.width),
+            "height": str(rec.dims.height),
+            **(meta or {}),
+        },
     )
 
 
@@ -356,35 +352,24 @@ def convert_region(
         id=sample_id,
         images=(rec.image,),
         turns=((USER, f"{IMAGE_PLACEHOLDER}\n{question}"), (ASSISTANT, answer)),
-        meta=_merged_meta(
-            {
-                "task": "region",
-                "mode": rec.mode,
-                "width": str(rec.dims.width),
-                "height": str(rec.dims.height),
-            },
-            meta,
-        ),
+        meta={
+            "task": "region",
+            "mode": rec.mode,
+            "width": str(rec.dims.width),
+            "height": str(rec.dims.height),
+            **(meta or {}),
+        },
     )
     return sample, overlay
 
 
-def _render_ctag(tag: CTag, dims: ImageDims) -> str:
-    cx, cy = normalize_point(tag.cx, tag.cy, dims)
-    return f"<{tag.id},{tag.camera},[{cx},{cy}]>"
-
-
-def _expand_ctags(text: str, rec: MultiViewRecord, with_boxes: bool) -> str:
-    by_id = {tag.id: tag for tag in rec.objects}
+def _expand_ctags(text: str, table: dict[str, str]) -> str:
+    """``text`` with each ``<cN>`` placeholder replaced by its rendering in ``table``."""
 
     def replace(match: re.Match[str]) -> str:
-        tag = by_id.get(match.group(1))
-        if tag is None:
+        rendered = table.get(match.group(1))
+        if rendered is None:
             raise InvalidRecordError(f"text references unknown object {match.group(0)}")
-        dims = rec.view_dims[tag.camera]
-        rendered = _render_ctag(tag, dims)
-        if with_boxes and tag.box is not None:
-            rendered += format_box(normalize_box(tag.box, dims))
         return rendered
 
     return _CTAG_PLACEHOLDER_RE.sub(replace, text)
@@ -405,25 +390,32 @@ def convert_multiview(
     """
     layout = multiview_layout(rec.view_dims)
     header = "\n".join(f"{cam}: {IMAGE_PLACEHOLDER}" for cam in layout.view_order)
+    # Each object rendered once: bare for questions, with its box for answers.
+    tags: dict[str, str] = {}
+    boxed: dict[str, str] = {}
+    for tag in rec.objects:
+        dims = rec.view_dims[tag.camera]
+        cx, cy = normalize_point(tag.cx, tag.cy, dims)
+        tags[tag.id] = boxed[tag.id] = f"<{tag.id},{tag.camera},[{cx},{cy}]>"
+        if tag.box is not None:
+            boxed[tag.id] += format_box(normalize_box(tag.box, dims))
     turns: list[tuple[str, str]] = []
     for i, (question, answer) in enumerate(rec.qa):
-        q_text = _expand_ctags(question, rec, with_boxes=False)
+        q_text = _expand_ctags(question, tags)
         if i == 0:
             q_text = f"{header}\n{CTAG_SYSTEM_PROMPT}\n{q_text}"
         turns.append((USER, q_text))
-        turns.append((ASSISTANT, _expand_ctags(answer, rec, with_boxes=True)))
+        turns.append((ASSISTANT, _expand_ctags(answer, boxed)))
     return ConversationSample(
         id=sample_id,
         images=tuple(rec.views[cam] for cam in layout.view_order),
         turns=tuple(turns),
-        meta=_merged_meta(
-            {
-                "task": "multiview",
-                "canvas_width": str(layout.canvas.width),
-                "canvas_height": str(layout.canvas.height),
-            },
-            meta,
-        ),
+        meta={
+            "task": "multiview",
+            "canvas_width": str(layout.canvas.width),
+            "canvas_height": str(layout.canvas.height),
+            **(meta or {}),
+        },
     )
 
 
@@ -442,7 +434,7 @@ def convert_video(
         id=sample_id,
         images=rec.frames,
         turns=tuple(turns),
-        meta=_merged_meta({"task": "video", "frames": str(len(rec.frames))}, meta),
+        meta={"task": "video", "frames": str(len(rec.frames)), **(meta or {})},
     )
 
 
@@ -453,7 +445,7 @@ def convert_vqa(sample: ConversationSample, meta: dict[str, str] | None = None) 
         id=sample.id,
         images=sample.images,
         turns=sample.turns,
-        meta=_merged_meta({"task": "vqa", **sample.meta}, meta),
+        meta={"task": "vqa", **sample.meta, **(meta or {})},
     )
 
 

@@ -6,8 +6,7 @@ Each tile costs a fixed number of visual tokens (256 by default).  Boxes and
 points are exchanged on a dimensionless 0-1000 grid so that annotations are
 independent of source resolution.
 
-All functions here are pure; the optional ``counters`` mapping passed to
-:func:`normalize_box` is the only caller-owned mutable state.
+All functions here are pure.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, MutableMapping
+from typing import Iterable, Mapping
 
 from .errors import InvalidRecordError, OutOfBoundsError
 
@@ -239,18 +238,11 @@ def ensure_box_within(box: PixelBox, dims: ImageDims) -> None:
         raise OutOfBoundsError(f"box {box.as_tuple()} exceeds image bounds {dims.width}x{dims.height}")
 
 
-def normalize_box(
-    box: PixelBox,
-    dims: ImageDims,
-    counters: MutableMapping[str, int] | None = None,
-) -> NormalizedBox:
+def normalize_box(box: PixelBox, dims: ImageDims) -> NormalizedBox:
     """Map a box within ``dims`` onto the 0-1000 grid (round half away from zero; no clamp, no check).
 
-    Degenerate zero-area boxes are accepted; when a ``counters`` mapping is
-    supplied its ``"degenerate_boxes"`` entry is incremented for each one.
+    Degenerate zero-area boxes are accepted.
     """
-    if box.is_degenerate and counters is not None:
-        counters["degenerate_boxes"] = counters.get("degenerate_boxes", 0) + 1
     return NormalizedBox(
         x1=_to_grid(box.x1, dims.width),
         y1=_to_grid(box.y1, dims.height),

@@ -485,6 +485,31 @@ class TestRecordErrorMessages:
             with_payload(golden_record("multiview", id="mv-noqa"), qa=[]),
             "at least one question/answer pair is required",
         ),
+        # Raw text bound for a turn must be a string: one message for every record type.
+        "grounding_expression_not_a_string": (
+            "grounding",
+            (),
+            with_payload(golden_record("grounding", id="g-num"), expression=5),
+            "referring expression must be a string, got 5",
+        ),
+        "region_question_not_a_string": (
+            "region_inline",
+            (),
+            with_payload(golden_record("region_inline", id="r-list"), question=["What is red?"]),
+            "question must be a string, got ['What is red?']",
+        ),
+        "multiview_answer_not_a_string": (
+            "multiview",
+            (),
+            with_payload(golden_record("multiview", id="mv-num"), qa=[["Where is <c1>?", 7]]),
+            "answer must be a string, got 7",
+        ),
+        "video_first_question_not_a_string": (
+            "video",
+            (),
+            with_payload(golden_record("video", id="v1"), qa=[[["<ref>"], "ok"]]),
+            "question must be a string, got ['<ref>']",
+        ),
         "multiview_duplicate_ctag": (
             "multiview",
             (),
@@ -819,6 +844,11 @@ class TestValidateAgreesWithConvert:
         "ref_in_video_question": with_payload(golden_record("video"), qa=[["what is <ref>this", "a car"]]),
         "box_closer_ending_video_answer": with_payload(golden_record("video"), qa=[["what is this", "a car </box>"]]),
         "box_closer_ending_multiview_answer": with_payload(golden_record("multiview"), qa=[["Where is <c1>?", "ahead </box>"]]),
+        # A video's first question went into an f-string, which stringified
+        # whatever it was: both commands passed the record, and validate
+        # refused the unclosed <ref> that convert wrote for the list.
+        "video_question_is_a_list": with_payload(golden_record("video"), qa=[[["<ref>"], "ok"]]),
+        "video_question_is_a_number": with_payload(golden_record("video"), qa=[[5, "ok"]]),
         "ref_as_a_camera_name": json.loads(json.dumps(multiview_scene([])).replace('"CAM_0"', '"<ref>"')),
         # Meta dims stats plans from but validate once did not read.
         "meta_width_not_a_number": converted_golden("region_inline", width="wide"),

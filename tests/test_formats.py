@@ -315,6 +315,31 @@ class TestMultiView:
         assert "<box>" not in question
         assert "<c2,CAM_FRONT,[250,500]><box>[[200, 400, 300, 600]]</box>" in answer
 
+    def test_each_object_renders_the_same_at_every_reference(self):
+        # c1 is named three times, c2 (boxed) never, c3 (boxless) in an answer.
+        views, dims = make_views()
+        objects = (
+            CTag(id="c1", camera="CAM_FRONT", cx=400, cy=450, box=PixelBox(320, 360, 480, 540)),
+            CTag(id="c2", camera="CAM_BACK", cx=801, cy=3, box=PixelBox(700, 0, 900, 10)),
+            CTag(id="c3", camera="CAM_FRONT_LEFT", cx=1200.5, cy=899),
+        )
+        rec = MultiViewRecord(
+            views=views,
+            view_dims=dims,
+            qa=(("Is <c1> ahead of <c3>?", "Yes, <c1> is ahead of <c3>."), ("And now?", "<c1> has stopped.")),
+            objects=objects,
+        )
+        sample = convert_multiview(rec, sample_id="mv5")
+        assert sample.turns[0][1].endswith("\nIs <c1,CAM_FRONT,[250,500]> ahead of <c3,CAM_FRONT_LEFT,[750,999]>?")
+        assert [text for _, text in sample.turns[1:]] == [
+            "Yes, <c1,CAM_FRONT,[250,500]><box>[[200, 400, 300, 600]]</box> is ahead of <c3,CAM_FRONT_LEFT,[750,999]>.",
+            "And now?",
+            "<c1,CAM_FRONT,[250,500]><box>[[200, 400, 300, 600]]</box> has stopped.",
+        ]
+        rec = MultiViewRecord(views=views, view_dims=dims, qa=(("Is <c1> near <c9>?", "no"),), objects=objects)
+        with pytest.raises(InvalidRecordError, match="^text references unknown object <c9>$"):
+            convert_multiview(rec, sample_id="mv6")
+
     def test_unknown_placeholder(self):
         views, dims = make_views()
         rec = MultiViewRecord(views=views, view_dims=dims, qa=(("What is <c9>?", "x"),))
