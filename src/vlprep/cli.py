@@ -47,21 +47,20 @@ Each command loads only the modules it runs: ``cli`` imports ``errors`` and
 first use (a PEP 562 ``__getattr__``) and are bound here as plain attributes,
 since the benchmark's traced runs patch ``cli.schema`` and ``cli.mix`` by name;
 :func:`main` binds those a command lists in its parser defaults, and leaves a
-name already bound (a patch) alone.
+name already bound (a patch) alone.  The record types are named tuples: no
+command loads the data-class module, nor the ``inspect`` and ``ast`` it pulls in.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import importlib
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, get_args, get_type_hints
+from typing import Callable, NamedTuple, Sequence, get_args, get_type_hints
 
 from .errors import KNOWN_TASKS, LONE_SURROGATE, MARKER
 from .errors import InvalidConfigError, InvalidRecordError, PipelineError, RecordIOError
@@ -96,9 +95,8 @@ def _bound(name: str):
 __getattr__ = _bound  # PEP 562: ``cli.schema`` from outside loads it as a command does
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Knobs shared across commands, checked once as built by :func:`_config`."""
+class _Settings(NamedTuple):
+    """The settings' names, types and defaults, which :class:`PipelineConfig` checks as it is built."""
 
     task: str | None = None
     input: str | None = None
@@ -113,17 +111,24 @@ class PipelineConfig:
     shuffle_options: bool = False
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        hints = get_type_hints(PipelineConfig)
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
+
+class PipelineConfig(_Settings):
+    """Knobs shared across commands, checked once as built by :func:`_config`."""
+
+    __slots__ = ()
+
+    def __init__(self, *_, **__) -> None:
+        hints = get_type_hints(_Settings)
+        for name, value in zip(self._fields, self):
             # A bool is not an int here, as JSON true is not a number.
-            if type(value) not in (get_args(hints[f.name]) or (hints[f.name],)):
-                raise InvalidConfigError(f"config key {f.name!r} must be {f.type}, got {value!r}")
+            if type(value) not in (get_args(hints[name]) or (hints[name],)):
+                # The annotation as written: ``str | None``, not the type it names.
+                written = _Settings.__annotations__[name].__forward_arg__
+                raise InvalidConfigError(f"config key {name!r} must be {written}, got {value!r}")
             # Argv bytes that are not UTF-8 arrive as lone surrogates, which no
             # output can encode; only a path gives the OS its bytes back.
-            if type(value) is str and f.name not in ("input", "output") and LONE_SURROGATE.search(value):
-                raise InvalidConfigError(f"config key {f.name!r} holds a lone surrogate: {value!r}")
+            if type(value) is str and name not in ("input", "output") and LONE_SURROGATE.search(value):
+                raise InvalidConfigError(f"config key {name!r} holds a lone surrogate: {value!r}")
         if self.task is not None and self.task not in KNOWN_TASKS:
             raise InvalidConfigError(f"task must be one of {list(KNOWN_TASKS)}, got {self.task!r}")
         if not 1 <= self.min_tiles <= self.max_tiles:
@@ -146,11 +151,10 @@ def _config(args) -> PipelineConfig:
     ``dest`` names; a flag that was not given parses to None.
     """
     obj = {} if args.config is None else _bound("schema").read_json_object(args.config, "config")
-    names = [f.name for f in dataclasses.fields(PipelineConfig)]
-    unknown = set(obj) - set(names)
+    unknown = set(obj) - set(PipelineConfig._fields)
     if unknown:
         raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")
-    given = {name: flag for name in names if (flag := getattr(args, name, None)) is not None}
+    given = {name: flag for name in PipelineConfig._fields if (flag := getattr(args, name, None)) is not None}
     return PipelineConfig(**{**obj, **given})
 
 
@@ -307,7 +311,7 @@ def cmd_mix(args) -> int:
 
     with _line_sink(out_path) as out:
         shards.run(len(positions), emit, (out,))
-    report_obj = dataclasses.asdict(report)
+    report_obj = {**report._asdict(), "sources": [stat._asdict() for stat in report.sources]}
     if report_path is not None:
         with _line_sink(report_path) as out:
             out.write(schema.dumps_object(report_obj) + "\n")

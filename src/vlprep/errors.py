@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit.
+"""Exception types, and the few constants, shared across the toolkit.
 
 Every error carries an ``exit_code`` so the CLI can map failures onto its
 documented exit statuses: 1 validation, 2 configuration, 3 I/O.  An error
@@ -17,6 +17,21 @@ KNOWN_TASKS = ("classification", "grounding", "region", "multiview", "video", "v
 LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 # A marker of the special-token grammar, which no free text may hold.
 MARKER = re.compile(r"</?(?:ref|box)>")
+
+
+class _ReadOnlyDict(dict):
+    """A dict that refuses every change, so one instance can be the default of every record that holds it."""
+
+    __slots__ = ()
+
+    def _refuse(self, *_, **__):
+        raise TypeError("this mapping is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+
+# The default ``meta`` and ``config`` of the record types: empty, shared, and encoded as ``{}``.
+EMPTY_MAPPING = _ReadOnlyDict()
 
 
 class PipelineError(Exception):

@@ -17,13 +17,12 @@ from __future__ import annotations
 import random
 import re
 import string
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
-from .errors import MARKER, InvalidRecordError, TokenParseError
+from .errors import EMPTY_MAPPING, MARKER, InvalidRecordError, TokenParseError
 from .geometry import (
-    ImageDims,
     NormalizedBox,
-    PixelBox,
     ensure_box_within,
     ensure_point_within,
     multiview_layout,
@@ -65,14 +64,13 @@ USER = "user"
 ASSISTANT = "assistant"
 
 
-@dataclass(frozen=True)
-class ConversationSample:
+class ConversationSample(NamedTuple):
     """One training sample: images plus alternating user/assistant turns."""
 
     id: str
     images: tuple[str, ...]
     turns: tuple[tuple[str, str], ...]
-    meta: dict[str, str] = field(default_factory=dict)
+    meta: dict[str, str] = EMPTY_MAPPING
 
     def validate(self) -> None:
         if not self.id:
@@ -95,13 +93,10 @@ class ConversationSample:
             raise InvalidRecordError(f"{placeholders} image placeholders for {len(self.images)} images")
 
 
-@dataclass(frozen=True)
-class ClassificationRecord:
-    image: str
-    candidates: tuple[str, ...]
-    truth: str
+class ClassificationRecord(namedtuple("ClassificationRecord", "image candidates truth")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *_, **__) -> None:
         if not self.candidates:
             raise InvalidRecordError("candidates must be non-empty")
         if len(set(self.candidates)) != len(self.candidates):
@@ -112,14 +107,10 @@ class ClassificationRecord:
             _guard_payload(candidate, "candidate")
 
 
-@dataclass(frozen=True)
-class GroundingRecord:
-    image: str
-    expression: str
-    box: PixelBox
-    dims: ImageDims
+class GroundingRecord(namedtuple("GroundingRecord", "image expression box dims")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *_, **__) -> None:
         _guard_payload(self.expression, "referring expression")
         if not self.expression:
             raise InvalidRecordError("referring expression must be non-empty")
@@ -129,19 +120,16 @@ class GroundingRecord:
 REGION_MODES = ("inline-box", "drawn-annotation")
 
 
-@dataclass(frozen=True)
-class RegionRecord:
-    image: str
-    dims: ImageDims
-    region: PixelBox
-    question: str
-    answer: str
-    mode: str = "inline-box"
-    # True when the answer names the boxed object; such answers are wrapped
-    # in <ref>/<box> tokens in inline mode, free-form answers never are.
-    answer_is_object: bool = False
+# ``answer_is_object`` is true when the answer names the boxed object; such answers
+# are wrapped in <ref>/<box> tokens in inline mode, free-form answers never are.
+class RegionRecord(
+    namedtuple(
+        "RegionRecord", "image dims region question answer mode answer_is_object", defaults=("inline-box", False)
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *_, **__) -> None:
         if self.mode not in REGION_MODES:
             raise InvalidRecordError(f"mode must be one of {REGION_MODES}, got {self.mode!r}")
         _guard_payload(self.question, "question")
@@ -151,29 +139,20 @@ class RegionRecord:
         ensure_box_within(self.region, self.dims)
 
 
-@dataclass(frozen=True)
-class CTag:
+class CTag(namedtuple("CTag", "id camera cx cy box", defaults=(None,))):
     """One driving-scene object: id like "c1", its camera, center, optional box."""
 
-    id: str
-    camera: str
-    cx: float
-    cy: float
-    box: PixelBox | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *_, **__) -> None:
         if not _CTAG_ID_RE.fullmatch(self.id):
             raise InvalidRecordError(f"c-tag id must match c<digits>, got {self.id!r}")
 
 
-@dataclass(frozen=True)
-class MultiViewRecord:
-    views: dict[str, str]
-    view_dims: dict[str, ImageDims]
-    qa: tuple[tuple[str, str], ...]
-    objects: tuple[CTag, ...] = ()
+class MultiViewRecord(namedtuple("MultiViewRecord", "views view_dims qa objects", defaults=((),))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *_, **__) -> None:
         if len(self.views) != 6:
             raise InvalidRecordError(f"expected 6 views, got {len(self.views)}")
         if set(self.view_dims) != set(self.views):
@@ -196,12 +175,10 @@ class MultiViewRecord:
         _guard_qa(self.qa)
 
 
-@dataclass(frozen=True)
-class VideoRecord:
-    frames: tuple[str, ...]
-    qa: tuple[tuple[str, str], ...]
+class VideoRecord(namedtuple("VideoRecord", "frames qa")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *_, **__) -> None:
         if not 1 <= len(self.frames) <= MAX_VIDEO_FRAMES:
             raise InvalidRecordError(
                 f"frame count must be 1..{MAX_VIDEO_FRAMES}, got {len(self.frames)}"
@@ -211,8 +188,7 @@ class VideoRecord:
         _guard_qa(self.qa)
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
+class PromptTemplate(NamedTuple):
     """Classification prompt rendering: free-label or lettered MCQ."""
 
     style: str = "free"
@@ -226,21 +202,17 @@ DEFAULT_FREE_TEMPLATE = PromptTemplate(style="free", prefix=FREE_CLASS_PREFIX, s
 DEFAULT_MCQ_TEMPLATE = PromptTemplate(style="mcq")
 
 
-@dataclass(frozen=True)
-class OverlaySpec:
+class OverlaySpec(namedtuple("OverlaySpec", "box color stroke_width", defaults=(4,))):
     """Rectangle outline to draw on the source image (drawn-annotation mode)."""
 
-    box: PixelBox
-    color: tuple[int, int, int]
-    stroke_width: int = 4
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *_, **__) -> None:
         if self.stroke_width < 0:
             raise InvalidRecordError(f"stroke width must be non-negative, got {self.stroke_width}")
 
 
-@dataclass(frozen=True)
-class SpecialToken:
+class SpecialToken(NamedTuple):
     """One parsed grammar element: a ref span or a normalized box."""
 
     kind: str

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections import namedtuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InvalidRecordError, OutOfBoundsError
 
@@ -41,14 +41,12 @@ MULTIVIEW_VIEW_WIDTH = 896
 MULTIVIEW_VIEW_HEIGHT = 448
 
 
-@dataclass(frozen=True)
-class ImageDims:
+class ImageDims(namedtuple("ImageDims", "width height")):
     """Width and height of an image in pixels."""
 
-    width: int
-    height: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *_, **__) -> None:
         if self.width < 1 or self.height < 1:
             raise InvalidRecordError(f"image dims must be positive, got {self.width}x{self.height}")
 
@@ -68,15 +66,12 @@ MULTIVIEW_CANVAS = ImageDims(
 )
 
 
-@dataclass(frozen=True)
-class TilePlan:
+class TilePlan(namedtuple("TilePlan", "cols rows has_thumbnail")):
     """A cols x rows tile decomposition plus an optional thumbnail tile."""
 
-    cols: int
-    rows: int
-    has_thumbnail: bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *_, **__) -> None:
         if self.cols < 1 or self.rows < 1:
             raise InvalidRecordError(f"tile grid must be positive, got {self.cols}x{self.rows}")
         if self.has_thumbnail and self.cols * self.rows == 1:
@@ -97,48 +92,37 @@ class TilePlan:
         return ImageDims(self.cols * TILE_SIZE, self.rows * TILE_SIZE)
 
 
-@dataclass(frozen=True)
-class NormalizedBox:
+class NormalizedBox(namedtuple("NormalizedBox", "x1 y1 x2 y2")):
     """Axis-aligned box on the 0-1000 grid, integer coordinates."""
 
-    x1: int
-    y1: int
-    x2: int
-    y2: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("x1", "y1", "x2", "y2"):
-            value = getattr(self, name)
+    def __init__(self, *_, **__) -> None:
+        for name, value in zip(self._fields, self):
             if not isinstance(value, int):
                 raise InvalidRecordError(f"normalized coordinate {name} must be an integer, got {value!r}")
             if not 0 <= value <= GRID_MAX:
                 raise InvalidRecordError(f"normalized coordinate {name}={value} outside [0, {GRID_MAX}]")
         if self.x1 > self.x2 or self.y1 > self.y2:
-            raise InvalidRecordError(
-                f"normalized box corners out of order: ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
-            )
+            raise InvalidRecordError(f"normalized box corners out of order: {self.as_tuple()}")
 
     def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.x1, self.y1, self.x2, self.y2)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class PixelBox:
+class PixelBox(namedtuple("PixelBox", "x1 y1 x2 y2")):
     """Axis-aligned box in pixel coordinates of some image."""
 
-    x1: float
-    y1: float
-    x2: float
-    y2: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if min(self.x1, self.y1, self.x2, self.y2) < 0:
+    def __init__(self, *_, **__) -> None:
+        if min(self) < 0:
             raise InvalidRecordError(f"pixel box coordinates must be non-negative: {self.as_tuple()}")
         if self.x1 > self.x2 or self.y1 > self.y2:
             raise InvalidRecordError(f"pixel box corners out of order: {self.as_tuple()}")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x1, self.y1, self.x2, self.y2)
+        return tuple(self)
 
     @property
     def is_degenerate(self) -> bool:
@@ -146,8 +130,7 @@ class PixelBox:
         return self.x1 == self.x2 or self.y1 == self.y2
 
 
-@dataclass(frozen=True)
-class MultiViewLayout:
+class MultiViewLayout(NamedTuple):
     """Placement of six camera views on one wide canvas."""
 
     view_order: tuple[str, ...]

@@ -10,7 +10,8 @@ the only module that imports numpy; the data commands never load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,36 +20,34 @@ from .formats import OverlaySpec
 from .geometry import ImageDims, ensure_box_within
 
 
-@dataclass(frozen=True)
-class FeatureGrid:
+class FeatureGrid(namedtuple("FeatureGrid", "data")):
     """A (height, width, channels) float64 feature map."""
 
-    data: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=np.float64)
+    def __new__(cls, data) -> FeatureGrid:
+        arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 3:
             raise ShapeError(f"feature grid must be 3-d (h, w, c), got shape {arr.shape}")
-        object.__setattr__(self, "data", arr)
+        return super().__new__(cls, arr)
 
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class HiddenStateStack:
+class HiddenStateStack(namedtuple("HiddenStateStack", "data")):
     """Per-layer token features, shape (layers, tokens, dim), float64."""
 
-    data: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=np.float64)
+    def __new__(cls, data) -> HiddenStateStack:
+        arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 3:
             raise ShapeError(f"hidden state stack must be 3-d (layers, tokens, dim), got shape {arr.shape}")
         if min(arr.shape) < 1:
             raise ShapeError(f"hidden state stack must be non-empty, got shape {arr.shape}")
-        object.__setattr__(self, "data", arr)
+        return super().__new__(cls, arr)
 
 
 def pixel_unshuffle(grid: FeatureGrid, factor: int = 2) -> FeatureGrid:
@@ -160,8 +159,7 @@ def render_overlay(image: np.ndarray, spec: OverlaySpec) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one kernel self-check."""
 
     name: str

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .errors import InvalidConfigError, InvalidRecordError, UndefinedMetricError
+from .errors import EMPTY_MAPPING, InvalidConfigError, InvalidRecordError, UndefinedMetricError
 from .geometry import ordered_sum
 
 # Lowercase, with punctuation split into standalone tokens.
@@ -26,23 +25,19 @@ OPTION_RE = re.compile(r"\s*([A-Za-z])\s*[.):]")
 DEFAULT_THRESHOLDS = (0.1, 0.5, 1.0, 5.0)
 
 
-@dataclass(frozen=True)
-class EvalPair:
-    """One prediction with its reference answer(s)."""
+class EvalPair(namedtuple("EvalPair", "id prediction references")):
+    """One prediction with its reference answer(s), held as a tuple."""
 
-    id: str
-    prediction: str
-    references: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        refs = tuple(self.references)
+    def __new__(cls, id: str, prediction: str, references) -> EvalPair:
+        refs = tuple(references)
         if not refs:
             raise InvalidRecordError("references must be non-empty")
-        object.__setattr__(self, "references", refs)
+        return super().__new__(cls, id, prediction, refs)
 
 
-@dataclass(frozen=True)
-class SignalPair:
+class SignalPair(NamedTuple):
     """Predicted vs true value of one control signal (same unit)."""
 
     id: str
@@ -50,13 +45,12 @@ class SignalPair:
     truth: float
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(NamedTuple):
     """Named metric values plus the sample count and configuration they used."""
 
     metrics: dict[str, float]
     count: int
-    config: dict[str, str] = field(default_factory=dict)
+    config: dict[str, str] = EMPTY_MAPPING
 
 
 def tokenize(text: str) -> list[str]:

@@ -19,9 +19,9 @@ import os
 import random
 import zlib
 from array import array
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import schema, shards
 from .errors import InsufficientDataError, InvalidConfigError, InvalidRecordError, RecordIOError
@@ -40,13 +40,10 @@ def _check_id_and_path(source: DomainSource | GeneralSource, kind: str) -> None:
         raise InvalidConfigError(f"{kind} source path must be a string, got {source.path!r}")
 
 
-@dataclass(frozen=True)
-class DomainSource:
-    source_id: str
-    path: str
-    repeat: int = 1
+class DomainSource(namedtuple("DomainSource", "source_id path repeat", defaults=(1,))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *_, **__) -> None:
         _check_id_and_path(self, "domain")
         if type(self.repeat) is not int or self.repeat < 1:
             raise InvalidConfigError(
@@ -54,13 +51,10 @@ class DomainSource:
             )
 
 
-@dataclass(frozen=True)
-class GeneralSource:
-    source_id: str
-    path: str
-    weight: float = 1.0
+class GeneralSource(namedtuple("GeneralSource", "source_id path weight", defaults=(1.0,))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *_, **__) -> None:
         _check_id_and_path(self, "general")
         if not schema.is_finite_number(self.weight) or self.weight < 0:
             raise InvalidConfigError(
@@ -68,17 +62,13 @@ class GeneralSource:
             )
 
 
-@dataclass(frozen=True)
-class MixManifest:
-    domain_sources: tuple[DomainSource, ...]
-    general_sources: tuple[GeneralSource, ...]
-    ratio_r: float
-    seed: int
-    allow_replacement: bool = False
+class MixManifest(namedtuple("MixManifest", "domain_sources general_sources ratio_r seed allow_replacement")):
+    """A mixture's sources and settings; each list of sources is held as a tuple."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "domain_sources", tuple(self.domain_sources))
-        object.__setattr__(self, "general_sources", tuple(self.general_sources))
+    __slots__ = ()
+
+    def __new__(cls, domain_sources, general_sources, ratio_r, seed, allow_replacement=False):
+        self = super().__new__(cls, tuple(domain_sources), tuple(general_sources), ratio_r, seed, allow_replacement)
         if self.ratio_r < 0:
             raise InvalidConfigError(f"ratio_r must be >= 0, got {self.ratio_r}")
         if type(self.seed) is not int:
@@ -98,10 +88,10 @@ class MixManifest:
                 raise InvalidConfigError("general source weights must sum > 0 when ratio_r > 0")
             if not math.isfinite(weight_sum):
                 raise InvalidConfigError(f"general source weights must sum to a finite number, got {weight_sum}")
+        return self
 
 
-@dataclass(frozen=True)
-class SourceStat:
+class SourceStat(NamedTuple):
     source_id: str
     kind: str  # "domain" or "general"
     available: int
@@ -109,8 +99,7 @@ class SourceStat:
     emitted: int
 
 
-@dataclass(frozen=True)
-class MixReport:
+class MixReport(NamedTuple):
     sources: tuple[SourceStat, ...]
     domain_total: int
     general_total: int
@@ -268,8 +257,7 @@ class FilePool(Sequence[Envelope]):
             yield read
 
 
-@dataclass(frozen=True)
-class _Run:
+class _Run(NamedTuple):
     """A stretch of the unshuffled stream: ``passes`` passes over ``pool[i]`` for each i in ``indices``.
 
     A ``tagged`` run's records carry their pass as meta ``repeat_index``.
@@ -325,7 +313,7 @@ class MixStream(Sequence[Envelope]):
                 run = self._runs[r]
                 pass_index, i = divmod(position - self._starts[r], len(run.indices))
                 rec = fetch[r](run.indices[i])
-                yield replace(rec, meta={**rec.meta, "repeat_index": str(pass_index)}) if run.tagged else rec
+                yield rec._replace(meta={**rec.meta, "repeat_index": str(pass_index)}) if run.tagged else rec
 
 
 def _draw(pool: Sequence[Envelope], quota: int, source: GeneralSource, manifest: MixManifest) -> list[_Run]:

@@ -19,12 +19,11 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterator, NamedTuple
 
 from . import formats
-from .errors import KNOWN_TASKS, LONE_SURROGATE
+from .errors import EMPTY_MAPPING, KNOWN_TASKS, LONE_SURROGATE
 from .errors import InvalidConfigError, InvalidRecordError, PipelineError, RecordIOError, TokenParseError
 from .formats import (
     ClassificationRecord,
@@ -42,14 +41,13 @@ SCHEMA_VERSION = "1"
 _ENVELOPE_KEYS = ("id", "schema_version", "task", "meta", "payload")
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """One record on the wire: stable id, task tag, free-form payload."""
 
     id: str
     task: str
     payload: dict
-    meta: dict[str, str] = field(default_factory=dict)
+    meta: dict[str, str] = EMPTY_MAPPING
     schema_version: str = SCHEMA_VERSION
 
 
@@ -257,6 +255,13 @@ def _numbers(values, count: int, what: str, kinds: tuple[type, ...] = (int, floa
     return tuple(values)
 
 
+def _object(value, what: str) -> dict:
+    """``value`` if it is a JSON object; an array of ``[key, value]`` pairs is not one."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {value!r}")
+    return value
+
+
 def _pairs(values, what: str) -> tuple[tuple, ...]:
     if not isinstance(values, list) or not all(isinstance(pair, list) and len(pair) == 2 for pair in values):
         raise ValueError(f"{what} must be a list of pairs, got {values!r}")
@@ -325,8 +330,9 @@ def payload_to_record(
         _require(payload, ("views", "view_dims", "qa"), task)
         view_dims = {
             cam: ImageDims(*_numbers(pair, 2, f"view_dims {cam!r}", (int,)))
-            for cam, pair in dict(payload["view_dims"]).items()
+            for cam, pair in _object(payload["view_dims"], "view_dims").items()
         }
+        entries = [_object(obj, "an objects entry") for obj in payload.get("objects", [])]
         objects = tuple(
             CTag(
                 obj["id"],
@@ -334,10 +340,10 @@ def payload_to_record(
                 *map(float, _numbers(obj["center"], 2, "center")),
                 box=_box_from(obj["box"]) if obj.get("box") is not None else None,
             )
-            for obj in map(dict, payload.get("objects", []))
+            for obj in entries
         )
         return MultiViewRecord(
-            views=dict(payload["views"]),
+            views=_object(payload["views"], "views"),
             view_dims=view_dims,
             qa=_pairs(payload["qa"], "qa"),
             objects=objects,

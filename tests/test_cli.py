@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vlprep import cli, formats, geometry, metrics, mixer, schema
+from vlprep import cli, errors, formats, geometry, metrics, mixer, schema
 from vlprep.cli import _line_sink, main
 from vlprep.geometry import ImageDims, plan_tiles, token_count
 
@@ -66,6 +66,14 @@ def golden_record(name, **changes):
 
 def with_payload(record, **changes):
     return {**record, "payload": {**record["payload"], **changes}}
+
+
+def multiview_as_pairs(field):
+    """The first golden multiview record with ``field``, or each ``objects`` entry, written as ``[key, value]`` pairs."""
+    record = golden_record("multiview")
+    as_pairs = lambda obj: [[key, value] for key, value in obj.items()]  # noqa: E731
+    value = record["payload"][field]
+    return with_payload(record, **{field: [as_pairs(obj) for obj in value] if field == "objects" else as_pairs(value)})
 
 
 def converted_golden(name, **meta):
@@ -853,6 +861,11 @@ class TestValidateAgreesWithConvert:
         # Meta dims stats plans from but validate once did not read.
         "meta_width_not_a_number": converted_golden("region_inline", width="wide"),
         "meta_width_zero": converted_golden("region_inline", width="0"),
+        # JSON objects written as arrays of [key, value] pairs, which both
+        # commands once read as the objects they spell.
+        "multiview_views_as_pairs": multiview_as_pairs("views"),
+        "multiview_view_dims_as_pairs": multiview_as_pairs("view_dims"),
+        "multiview_objects_entries_as_pairs": multiview_as_pairs("objects"),
     }
 
     # Fields of the wrong JSON type or arity, which both commands once accepted
@@ -884,6 +897,15 @@ class TestValidateAgreesWithConvert:
         code, stdout, err = run(capsys, "stats", str(src))
         assert (code, stdout) == (1, "")
         assert json.loads(err)["message"].startswith("line 1: record 'med-reg-0001': ")
+
+    @pytest.mark.parametrize("probe", [name for name in sorted(PROBES) if name.endswith("_as_pairs")])
+    def test_stats_refuses_an_object_written_as_pairs(self, capsys, tmp_path, probe):
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [self.PROBES[probe]])
+        code, stdout, err = run(capsys, "stats", str(src))
+        assert (code, stdout) == (1, "")
+        assert json.loads(err)["message"].startswith("line 1: record 'drive-mv-0001': malformed payload: ValueError(")
+        assert "must be an object" in json.loads(err)["message"]
 
     @pytest.mark.parametrize("case", sorted(WRONG_TYPES))
     def test_wrong_types_and_arities_fail_both(self, capsys, tmp_path, case):
@@ -1439,6 +1461,17 @@ class TestSettingsFiles:
         code, _, err = self.run_with(capsys, monkeypatch, tmp_path, kind, json.dumps(self.BASES[kind]).encode())
         assert (code, err) == (0, "")
 
+    def test_settings_are_checked_as_built_by_position_and_by_keyword(self):
+        # The type message names the field's annotation as it is written.
+        with pytest.raises(errors.InvalidConfigError, match=r"^config key 'seed' must be int, got '3'$"):
+            cli.PipelineConfig(seed="3")
+        with pytest.raises(errors.InvalidConfigError, match=r"^config key 'task' must be str \| None, got 5$"):
+            cli.PipelineConfig(5)
+        with pytest.raises(errors.InvalidConfigError, match="^tile bounds need 1 <= min <= max, got 0..40$"):
+            cli.PipelineConfig(None, None, None, 0)
+        with pytest.raises(AttributeError):
+            cli.PipelineConfig().seed = 1
+
     @pytest.mark.parametrize("case", sorted(PROBES))
     def test_wrong_type_or_value_is_exit_2(self, capsys, monkeypatch, tmp_path, case):
         kind, changes = self.PROBES[case]
@@ -1756,6 +1789,9 @@ class TestImportPath:
     # Every data command is a fresh process, and importing numpy was the
     # largest part of its start although only the kernels need it.
     LAZY_MODULES = ("numpy", "concurrent.futures", "multiprocessing")
+    # The record types are named tuples: building dataclasses loaded these
+    # (and ast, dis, tokenize) and cost every process about 30 ms.
+    RECORD_TYPE_MACHINERY = ("dataclasses", "inspect")
 
     def test_cli_import_leaves_lazy_modules_unloaded(self):
         probe = "import sys, vlprep.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
@@ -1766,7 +1802,7 @@ class TestImportPath:
         assert (proc.returncode, proc.stdout) == (0, "1x1 tiles, 256 tokens\n")
         # The planner is all plan-tiles runs, so it starts on geometry alone.
         assert {name for name in loaded if name.startswith("vlprep")} == {"vlprep", "vlprep.errors", "vlprep.geometry"}
-        assert not loaded & set(self.LAZY_MODULES)
+        assert not loaded & {*self.LAZY_MODULES, *self.RECORD_TYPE_MACHINERY}
 
     @pytest.mark.parametrize(
         "argv,unused",
@@ -1779,6 +1815,7 @@ class TestImportPath:
         ],
     )
     def test_data_command_runs_without_the_modules_it_never_calls(self, tmp_path, argv, unused):
+        unused = {*unused, *self.RECORD_TYPE_MACHINERY}
         domain, general = GOLDEN_DIR / "grounding.input.jsonl", GOLDEN_DIR / "classification_free.input.jsonl"
         manifest = {"domain_sources": [{"id": "d", "path": str(domain)}],
                     "general_sources": [{"id": "g", "path": str(general)}], "ratio": 0.5, "seed": 1}

@@ -586,3 +586,64 @@ class TestConversationInvariants:
             turns=(("user", f"{IMAGE_PLACEHOLDER} and Frame1: {FRAME_PLACEHOLDER}"), ("assistant", "k")),
         )
         sample.validate()
+
+
+class TestRecordTypes:
+    # The records are immutable named tuples, checked as they are built: a
+    # bad case is refused whether its fields come by position or by keyword.
+    VIEWS, VIEW_DIMS = make_views()
+    BAD = {
+        "classification_without_candidates": (ClassificationRecord, {"image": "x.png", "candidates": (), "truth": "a"}),
+        "grounding_empty_expression": (
+            GroundingRecord, {"image": "a.png", "expression": "", "box": PixelBox(0, 0, 1, 1), "dims": ImageDims(10, 10)}
+        ),
+        "region_empty_question": (
+            RegionRecord,
+            {"image": "a.png", "dims": ImageDims(10, 10), "region": PixelBox(0, 0, 1, 1), "question": "",
+             "answer": "a", "mode": "inline-box", "answer_is_object": False},
+        ),
+        "ctag_id_without_digits": (CTag, {"id": "c", "camera": "CAM_FRONT", "cx": 1, "cy": 1, "box": None}),
+        "multiview_duplicate_ctag_ids": (
+            MultiViewRecord,
+            {"views": VIEWS, "view_dims": VIEW_DIMS, "qa": (("q", "a"),),
+             "objects": (CTag("c1", "CAM_FRONT", 1, 1), CTag("c1", "CAM_BACK", 2, 2))},
+        ),
+        "video_without_qa": (VideoRecord, {"frames": ("f/0.png",), "qa": ()}),
+        "overlay_negative_stroke": (OverlaySpec, {"box": PixelBox(0, 0, 1, 1), "color": (1, 2, 3), "stroke_width": -1}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_a_bad_record_is_refused_by_position_and_by_keyword(self, case):
+        kind, fields = self.BAD[case]
+        with pytest.raises(InvalidRecordError):
+            kind(*fields.values())
+        with pytest.raises(InvalidRecordError):
+            kind(**fields)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            ConversationSample("s", (), ()),
+            ClassificationRecord("x.png", ("a",), "a"),
+            CTag("c1", "CAM_FRONT", 1, 1),
+            VideoRecord(("f/0.png",), (("q", "a"),)),
+            PromptTemplate(),
+            OverlaySpec(PixelBox(0, 0, 1, 1), (1, 2, 3)),
+            parse_special_tokens("<ref>a</ref>")[0],
+        ],
+        ids=lambda record: type(record).__name__,
+    )
+    def test_a_field_cannot_be_set(self, record):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], record[0])
+
+    def test_the_default_meta_cannot_be_changed_through_another_sample(self):
+        first, second = ConversationSample("a", (), ()), ConversationSample("b", (), ())
+        for change in (
+            lambda meta: meta.__setitem__("task", "vqa"),
+            lambda meta: meta.update(task="vqa"),
+            lambda meta: meta.setdefault("task", "vqa"),
+        ):
+            with pytest.raises(TypeError):
+                change(first.meta)
+        assert second.meta == {}

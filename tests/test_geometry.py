@@ -273,3 +273,45 @@ def test_ordered_sum_adds_left_to_right(values):
     expected = functools.reduce(operator.add, values)
     assert ordered_sum(values) == ordered_sum(iter(values)) == expected
     assert expected != 1.0
+
+
+class TestRecordTypes:
+    # The records are immutable named tuples, checked as they are built: a
+    # bad case is refused whether its fields come by position or by keyword.
+    BAD = {
+        "dims_negative_height": (ImageDims, {"width": 10, "height": -3}),
+        "plan_negative_rows": (TilePlan, {"cols": 2, "rows": -1, "has_thumbnail": False}),
+        "normalized_box_y2_off_the_grid": (NormalizedBox, {"x1": 0, "y1": 0, "x2": 5, "y2": GRID_MAX + 1}),
+        "pixel_box_negative_y1": (PixelBox, {"x1": 0, "y1": -0.5, "x2": 5, "y2": 5}),
+        "pixel_box_rows_out_of_order": (PixelBox, {"x1": 0, "y1": 6, "x2": 5, "y2": 5}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_a_bad_record_is_refused_by_position_and_by_keyword(self, case):
+        kind, fields = self.BAD[case]
+        with pytest.raises(InvalidRecordError):
+            kind(*fields.values())
+        with pytest.raises(InvalidRecordError):
+            kind(**fields)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            ImageDims(4, 3),
+            TilePlan(2, 1, True),
+            NormalizedBox(0, 0, 1, 1),
+            PixelBox(0, 0, 1, 1),
+            multiview_layout({name: ImageDims(640, 480) for name in MULTIVIEW_ORDER}),
+        ],
+        ids=lambda record: type(record).__name__,
+    )
+    def test_a_field_cannot_be_set(self, record):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], record[0])
+
+    def test_equal_dims_built_apart_share_one_cached_plan(self):
+        # stats plans a driving scene's canvas once for every record that shares it.
+        first = plan_tiles(ImageDims(1237, 571))
+        hits = plan_tiles.cache_info().hits
+        assert plan_tiles(ImageDims(1237, 571)) is first
+        assert plan_tiles.cache_info().hits == hits + 1

@@ -78,6 +78,20 @@ class TestPixelUnshuffle:
     def test_grid_must_be_3d(self):
         with pytest.raises(ShapeError):
             FeatureGrid(np.zeros((4, 4)))
+        with pytest.raises(ShapeError):
+            FeatureGrid(data=np.zeros((1, 4, 4, 1)))
+
+    def test_data_is_held_as_a_float64_array_that_cannot_be_rebound(self):
+        for grid in (FeatureGrid([[[1]]]), HiddenStateStack(data=[[[1]]])):
+            assert (type(grid.data), grid.data.dtype) == (np.ndarray, np.float64)
+            with pytest.raises(AttributeError):
+                grid.data = np.zeros((1, 1, 1))
+
+    def test_empty_stack_is_refused_by_position_and_by_keyword(self):
+        with pytest.raises(ShapeError):
+            HiddenStateStack(np.zeros((1, 0, 2)))
+        with pytest.raises(ShapeError):
+            HiddenStateStack(data=np.zeros((2, 3, 0)))
 
 
 class TestDistillLoss:

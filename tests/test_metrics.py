@@ -12,6 +12,7 @@ from vlprep.metrics import (
     _lcs_length,
     DEFAULT_THRESHOLDS,
     EvalPair,
+    MetricReport,
     SignalPair,
     benchmark_average,
     bleu,
@@ -376,3 +377,33 @@ class TestKernelsMatchTheirOracles:
             assert bleu(pairs, max_n=max_n).hex() == loop_bleu(pairs, max_n).hex()
         for recall_only in (False, True):
             assert rouge_l(pairs, recall_only=recall_only).hex() == dp_rouge_l(pairs, recall_only).hex()
+
+
+class TestRecordTypes:
+    # The records are immutable named tuples, checked as they are built.
+    def test_empty_references_are_refused_by_position(self):
+        with pytest.raises(InvalidRecordError):
+            EvalPair("x", "a", [])
+        with pytest.raises(InvalidRecordError):
+            EvalPair("x", "a", iter(()))
+
+    def test_references_are_held_as_a_tuple(self):
+        for built in (EvalPair("x", "a", ["r1", "r2"]), EvalPair(id="x", prediction="a", references=iter(["r1", "r2"]))):
+            assert built.references == ("r1", "r2")  # a list would not equal the tuple
+
+    @pytest.mark.parametrize(
+        "record",
+        [EvalPair("x", "a", ["a"]), SignalPair("x", 1.0, 2.0), MetricReport({"rmse": 0.0}, 1)],
+        ids=lambda record: type(record).__name__,
+    )
+    def test_a_field_cannot_be_set(self, record):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], record[0])
+
+    def test_the_default_config_cannot_be_changed_through_another_report(self):
+        first, second = MetricReport({}, 0), MetricReport({}, 0)
+        with pytest.raises(TypeError):
+            first.config["variant"] = "recall"
+        with pytest.raises(TypeError):
+            first.config.update(variant="recall")
+        assert second.config == {}

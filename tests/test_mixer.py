@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -284,6 +283,54 @@ class TestManifestValidation:
             GeneralSource("g", "g", weight=-1.0)
 
 
+class TestRecordTypes:
+    # The records are immutable named tuples, checked as they are built: a
+    # bad case is refused whether its fields come by position or by keyword.
+    BAD = {
+        "domain_repeat_not_an_integer": (DomainSource, {"source_id": "d", "path": "d", "repeat": 1.5}),
+        "domain_empty_id": (DomainSource, {"source_id": "", "path": "d", "repeat": 1}),
+        "general_path_not_a_string": (GeneralSource, {"source_id": "g", "path": 3, "weight": 1.0}),
+        "manifest_without_domain_sources": (
+            MixManifest, {"domain_sources": [], "general_sources": [], "ratio_r": 0.0, "seed": 0, "allow_replacement": False}
+        ),
+        "manifest_seed_not_an_integer": (
+            MixManifest,
+            {"domain_sources": [DomainSource("d", "d")], "general_sources": [], "ratio_r": 0.0, "seed": "3",
+             "allow_replacement": False},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_a_bad_record_is_refused_by_position_and_by_keyword(self, case):
+        kind, fields = self.BAD[case]
+        with pytest.raises(InvalidConfigError):
+            kind(*fields.values())
+        with pytest.raises(InvalidConfigError):
+            kind(**fields)
+
+    def test_a_manifest_holds_its_sources_as_tuples(self):
+        domain, general = [DomainSource("d", "d")], [GeneralSource("g", "g")]
+        for m in (MixManifest(domain, general, 0.5, 0), MixManifest(domain_sources=domain, general_sources=general, ratio_r=0.5, seed=0)):
+            assert (m.domain_sources, m.general_sources) == (tuple(domain), tuple(general))
+            assert type(m.domain_sources) is type(m.general_sources) is tuple
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DomainSource("d", "d"),
+            lambda: GeneralSource("g", "g"),
+            lambda: manifest()[0],
+            lambda: mix(*manifest())[1],
+            lambda: mix(*manifest())[1].sources[0],
+        ],
+        ids=["DomainSource", "GeneralSource", "MixManifest", "MixReport", "SourceStat"],
+    )
+    def test_a_field_cannot_be_set(self, make):
+        record = make()
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], record[0])
+
+
 class TestManifestParsing:
     def test_from_dict_ratio_forms(self):
         base = {
@@ -377,7 +424,7 @@ def record_draw(m: MixManifest, loader) -> list[Envelope]:
         # Pass by pass (a, b, c, a, b, c); a repeated source tags pass k's copies repeat_index "k".
         for k in range(src.repeat):
             tag = {} if src.repeat == 1 else {"repeat_index": str(k)}
-            stream.extend(dataclasses.replace(env, meta={**env.meta, **tag}) for env in pool)
+            stream.extend(env._replace(meta={**env.meta, **tag}) for env in pool)
     requested = math.floor(m.ratio_r * len(stream) + 0.5)
     weighted = [s for s in m.general_sources if s.weight > 0]
     quotas = mixer._largest_remainder_quotas(requested, [s.weight for s in weighted]) if requested else []

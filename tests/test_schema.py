@@ -33,6 +33,15 @@ def conversation_env(id="s1", turns=None, images=None):
 
 
 class TestWireFormat:
+    def test_the_default_meta_cannot_be_changed_through_another_envelope(self):
+        first, second = Envelope(id="a", task="vqa", payload={}), Envelope(id="b", task="vqa", payload={})
+        with pytest.raises(TypeError):
+            first.meta["source"] = "x"
+        with pytest.raises(AttributeError):
+            first.meta = {"source": "x"}
+        assert second.meta == {}
+        assert json.loads(dumps_envelope(second))["meta"] == {}
+
     def test_canonical_key_order(self):
         line = dumps_envelope(conversation_env())
         assert list(json.loads(line)) == ["id", "schema_version", "task", "meta", "payload"]
