@@ -272,13 +272,7 @@ def cmd_convert(args) -> int:
                 continue
             drawn += 1
             if args.overlays:
-                entry = {
-                    "id": env.id,
-                    "box": list(overlay.box.as_tuple()),
-                    "color": list(overlay.color),
-                    "stroke_width": overlay.stroke_width,
-                }
-                sinks[1].write(schema.dumps_object(entry) + "\n")
+                sinks[1].write(schema.dumps_object({"id": env.id, **overlay._asdict()}) + "\n")
         return records, drawn
 
     # The sidecar is opened after the output, so its faults come second, and
@@ -403,15 +397,13 @@ def _parsed_lines(path: str, parse: Callable[[dict], object]) -> list:
 
 def _eval_pair(obj: dict) -> metrics.EvalPair:
     refs = obj.get("references", obj.get("reference"))
-    if isinstance(refs, str):
-        refs = [refs]
     if refs is None or "prediction" not in obj:
         raise InvalidRecordError(f"eval line needs prediction and references: {obj}")
     if not isinstance(obj["prediction"], str):
         raise InvalidRecordError(f"prediction must be a string, got {obj['prediction']!r}")
-    if not isinstance(refs, list) or not refs or not all(isinstance(ref, str) for ref in refs):
+    if not (isinstance(refs, str) or (isinstance(refs, list) and refs and all(isinstance(ref, str) for ref in refs))):
         raise InvalidRecordError(f"references must be a string or a non-empty list of strings, got {refs!r}")
-    return metrics.EvalPair(id=str(obj.get("id", "")), prediction=obj["prediction"], references=tuple(refs))
+    return metrics.EvalPair(id=str(obj.get("id", "")), prediction=obj["prediction"], references=refs)
 
 
 def _signal_pair(obj: dict) -> metrics.SignalPair:

@@ -3,10 +3,18 @@
 Five raw record shapes (classification, grounding, region QA, multi-view
 driving, video) become :class:`ConversationSample` values; records already
 in conversation form pass through :func:`convert_vqa` unchanged apart from
-validation and meta tagging.  The special-token grammar (``<ref>`` spans and
-``<box>[[x1, y1, x2, y2]]</box>`` locations on the 0-1000 grid) is emitted
-here and parsed back by :func:`parse_special_tokens`, which together form an
-exact round trip on valid samples.
+validation and meta tagging.
+
+The five converters share one layout, which :func:`_sample` writes: the
+sample's visual prefix (its image placeholders, camera header or frame list)
+opens the first user turn, then user and assistant turns alternate, one pair
+per question, and the envelope's ``meta`` is laid over the converter's own
+facts (``task`` and the like).
+
+The special-token grammar (``<ref>`` spans and ``<box>[[x1, y1, x2, y2]]</box>``
+locations on the 0-1000 grid) is emitted here and parsed back by
+:func:`parse_special_tokens`, which together form an exact round trip on
+valid samples.
 
 Converters are pure: identical record + template + seed gives a
 byte-identical sample.
@@ -18,7 +26,7 @@ import random
 import re
 import string
 from collections import namedtuple
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import EMPTY_MAPPING, MARKER, InvalidRecordError, TokenParseError
 from .geometry import (
@@ -237,6 +245,21 @@ def format_box(nbox: NormalizedBox) -> str:
     return f"<box>[[{nbox.x1}, {nbox.y1}, {nbox.x2}, {nbox.y2}]]</box>"
 
 
+def _sample(
+    sample_id: str,
+    images: tuple[str, ...],
+    prefix: str,
+    qa: Iterable[tuple[str, str]],
+    facts: dict[str, str],
+    meta: dict[str, str] | None,
+) -> ConversationSample:
+    """The sample laid out by the module's one rule, ``qa`` giving the (question, answer) pairs in order."""
+    turns: list[tuple[str, str]] = []
+    for question, answer in qa:
+        turns += ((USER, question if turns else f"{prefix}\n{question}"), (ASSISTANT, answer))
+    return ConversationSample(id=sample_id, images=images, turns=tuple(turns), meta={**facts, **(meta or {})})
+
+
 def convert_classification(
     rec: ClassificationRecord,
     template: PromptTemplate = DEFAULT_FREE_TEMPLATE,
@@ -263,13 +286,8 @@ def convert_classification(
         lettered = [f"{string.ascii_uppercase[i]}. {opt}" for i, opt in enumerate(options)]
         body = template.prefix + MCQ_LEADIN + " ".join(lettered) + template.suffix
         answer = lettered[options.index(rec.truth)]
-    sample = ConversationSample(
-        id=sample_id,
-        images=(rec.image,),
-        turns=((USER, f"{IMAGE_PLACEHOLDER}\n{body}"), (ASSISTANT, answer)),
-        meta={"task": "classification", "style": template.style, **(meta or {})},
-    )
-    return sample
+    facts = {"task": "classification", "style": template.style}
+    return _sample(sample_id, (rec.image,), IMAGE_PLACEHOLDER, ((body, answer),), facts, meta)
 
 
 def convert_grounding(
@@ -279,20 +297,9 @@ def convert_grounding(
 ) -> ConversationSample:
     """Referring expression -> "Detect <ref>...</ref>" with a normalized box answer."""
     nbox = normalize_box(rec.box, rec.dims)
-    return ConversationSample(
-        id=sample_id,
-        images=(rec.image,),
-        turns=(
-            (USER, f"{IMAGE_PLACEHOLDER}\nDetect <ref>{rec.expression}</ref>"),
-            (ASSISTANT, f"<ref>{rec.expression}</ref>{format_box(nbox)}"),
-        ),
-        meta={
-            "task": "grounding",
-            "width": str(rec.dims.width),
-            "height": str(rec.dims.height),
-            **(meta or {}),
-        },
-    )
+    qa = ((f"Detect <ref>{rec.expression}</ref>", f"<ref>{rec.expression}</ref>{format_box(nbox)}"),)
+    facts = {"task": "grounding", "width": str(rec.dims.width), "height": str(rec.dims.height)}
+    return _sample(sample_id, (rec.image,), IMAGE_PLACEHOLDER, qa, facts, meta)
 
 
 def convert_region(
@@ -320,19 +327,8 @@ def convert_region(
             box=rec.region,
             color=OVERLAY_PALETTE[object_index % len(OVERLAY_PALETTE)],
         )
-    sample = ConversationSample(
-        id=sample_id,
-        images=(rec.image,),
-        turns=((USER, f"{IMAGE_PLACEHOLDER}\n{question}"), (ASSISTANT, answer)),
-        meta={
-            "task": "region",
-            "mode": rec.mode,
-            "width": str(rec.dims.width),
-            "height": str(rec.dims.height),
-            **(meta or {}),
-        },
-    )
-    return sample, overlay
+    facts = {"task": "region", "mode": rec.mode, "width": str(rec.dims.width), "height": str(rec.dims.height)}
+    return _sample(sample_id, (rec.image,), IMAGE_PLACEHOLDER, ((question, answer),), facts, meta), overlay
 
 
 def _expand_ctags(text: str, table: dict[str, str]) -> str:
@@ -371,24 +367,11 @@ def convert_multiview(
         tags[tag.id] = boxed[tag.id] = f"<{tag.id},{tag.camera},[{cx},{cy}]>"
         if tag.box is not None:
             boxed[tag.id] += format_box(normalize_box(tag.box, dims))
-    turns: list[tuple[str, str]] = []
-    for i, (question, answer) in enumerate(rec.qa):
-        q_text = _expand_ctags(question, tags)
-        if i == 0:
-            q_text = f"{header}\n{CTAG_SYSTEM_PROMPT}\n{q_text}"
-        turns.append((USER, q_text))
-        turns.append((ASSISTANT, _expand_ctags(answer, boxed)))
-    return ConversationSample(
-        id=sample_id,
-        images=tuple(rec.views[cam] for cam in layout.view_order),
-        turns=tuple(turns),
-        meta={
-            "task": "multiview",
-            "canvas_width": str(layout.canvas.width),
-            "canvas_height": str(layout.canvas.height),
-            **(meta or {}),
-        },
-    )
+    # Expanded pair by pair, so the first unknown c-tag in text order is the one reported.
+    qa = [(_expand_ctags(question, tags), _expand_ctags(answer, boxed)) for question, answer in rec.qa]
+    images = tuple(rec.views[cam] for cam in layout.view_order)
+    facts = {"task": "multiview", "canvas_width": str(layout.canvas.width), "canvas_height": str(layout.canvas.height)}
+    return _sample(sample_id, images, f"{header}\n{CTAG_SYSTEM_PROMPT}", qa, facts, meta)
 
 
 def convert_video(
@@ -398,16 +381,7 @@ def convert_video(
 ) -> ConversationSample:
     """Frame sequence -> interleaved "FrameN: <img><IMG_CONTEXT></img>" prefix."""
     prefix = " ".join(f"Frame{i}: {FRAME_PLACEHOLDER}" for i in range(1, len(rec.frames) + 1))
-    turns: list[tuple[str, str]] = []
-    for i, (question, answer) in enumerate(rec.qa):
-        turns.append((USER, f"{prefix}\n{question}" if i == 0 else question))
-        turns.append((ASSISTANT, answer))
-    return ConversationSample(
-        id=sample_id,
-        images=rec.frames,
-        turns=tuple(turns),
-        meta={"task": "video", "frames": str(len(rec.frames)), **(meta or {})},
-    )
+    return _sample(sample_id, rec.frames, prefix, rec.qa, {"task": "video", "frames": str(len(rec.frames))}, meta)
 
 
 def convert_vqa(sample: ConversationSample, meta: dict[str, str] | None = None) -> ConversationSample:

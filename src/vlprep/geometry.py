@@ -205,9 +205,8 @@ def ordered_sum(values: Iterable[float]) -> float:
 
 
 def _round_half_away(value: float) -> int:
-    if value >= 0:
-        return math.floor(value + 0.5)
-    return -math.floor(-value + 0.5)
+    """``value``, never negative, to the nearest integer; a half rounds up (away from zero), not to even."""
+    return math.floor(value + 0.5)
 
 
 def _to_grid(coord: float, extent: int) -> int:

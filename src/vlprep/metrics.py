@@ -26,12 +26,12 @@ DEFAULT_THRESHOLDS = (0.1, 0.5, 1.0, 5.0)
 
 
 class EvalPair(namedtuple("EvalPair", "id prediction references")):
-    """One prediction with its reference answer(s), held as a tuple."""
+    """One prediction with its reference answer(s), held as a tuple; a lone string is one reference."""
 
     __slots__ = ()
 
     def __new__(cls, id: str, prediction: str, references) -> EvalPair:
-        refs = tuple(references)
+        refs = (references,) if isinstance(references, str) else tuple(references)
         if not refs:
             raise InvalidRecordError("references must be non-empty")
         return super().__new__(cls, id, prediction, refs)

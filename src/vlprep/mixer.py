@@ -379,7 +379,11 @@ def mix(manifest: MixManifest, loader: Loader = FilePool) -> tuple[MixStream, Mi
         general_total += quota
         stats.append(SourceStat(src.source_id, "general", len(pool), quota, quota))
 
-    order = array("q", range(domain_total + general_total))
+    # Made at its exact size, 8 bytes a record, and filled a chunk at a time: an array grown by appends keeps slack.
+    total = domain_total + general_total
+    order = array("q", [0]) * total
+    for start in range(0, total, 1024):
+        order[start : start + 1024] = array("q", range(start, min(start + 1024, total)))
     # shuffle reads only the length, so this is the permutation the records would get.
     random.Random(derive_seed(manifest.seed, "shuffle")).shuffle(order)
     report = MixReport(

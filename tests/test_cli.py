@@ -772,6 +772,14 @@ class TestValidate:
         assert lines[0]["line"] == 2
         assert "volcano" in lines[0]["error"] or "truth" in lines[0]["error"]
 
+    def test_meta_dims_past_the_float_range_are_a_row(self, capsys, tmp_path):
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [converted_golden("region_inline", width="9" * 401)])
+        code, out, _ = run(capsys, "validate", str(src))
+        row, summary = (json.loads(line) for line in out.strip().splitlines())
+        assert (code, row["line"], summary) == (1, 1, {"checked": 1, "errors": 1})
+        assert "image dims must fit a float" in row["error"]
+
     def test_converted_output_validates(self, capsys, tmp_path):
         src = tmp_path / "in.jsonl"
         write_jsonl(src, [classification_record(i) for i in range(4)])
@@ -861,6 +869,7 @@ class TestValidateAgreesWithConvert:
         # Meta dims stats plans from but validate once did not read.
         "meta_width_not_a_number": converted_golden("region_inline", width="wide"),
         "meta_width_zero": converted_golden("region_inline", width="0"),
+        "meta_width_past_the_float_range": converted_golden("region_inline", width="9" * 401),
         # JSON objects written as arrays of [key, value] pairs, which both
         # commands once read as the objects they spell.
         "multiview_views_as_pairs": multiview_as_pairs("views"),
@@ -890,7 +899,7 @@ class TestValidateAgreesWithConvert:
     def test_probes_fail_both(self, probe):
         assert verdicts(self.PROBES[probe]) == (1, 1)
 
-    @pytest.mark.parametrize("probe", ["meta_width_not_a_number", "meta_width_zero"])
+    @pytest.mark.parametrize("probe", ["meta_width_not_a_number", "meta_width_zero", "meta_width_past_the_float_range"])
     def test_stats_refuses_the_meta_dims_validate_refuses(self, capsys, tmp_path, probe):
         src = tmp_path / "in.jsonl"
         write_jsonl(src, [self.PROBES[probe]])

@@ -71,6 +71,13 @@ class TestPixelUnshuffle:
         with pytest.raises(ShapeError):
             pixel_shuffle(FeatureGrid(np.zeros((2, 2, 3))), 2)
 
+    @pytest.mark.parametrize("factor", [0, -2])
+    def test_factor_below_one_error(self, factor):
+        with pytest.raises(ShapeError, match="unshuffle factor must be positive"):
+            pixel_unshuffle(FeatureGrid(np.zeros((4, 4, 1))), factor)
+        with pytest.raises(ShapeError, match="shuffle factor must be positive"):
+            pixel_shuffle(FeatureGrid(np.zeros((4, 4, 4))), factor)
+
     def test_factor_one_identity(self):
         data = np.arange(12.0).reshape(2, 2, 3)
         assert np.array_equal(pixel_unshuffle(FeatureGrid(data), 1).data, data)

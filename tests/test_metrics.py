@@ -391,6 +391,10 @@ class TestRecordTypes:
         for built in (EvalPair("x", "a", ["r1", "r2"]), EvalPair(id="x", prediction="a", references=iter(["r1", "r2"]))):
             assert built.references == ("r1", "r2")  # a list would not equal the tuple
 
+    def test_a_lone_string_is_one_reference(self):
+        assert EvalPair("1", "a", "cat").references == ("cat",)
+        assert EvalPair(id="1", prediction="a", references="").references == ("",)
+
     @pytest.mark.parametrize(
         "record",
         [EvalPair("x", "a", ["a"]), SignalPair("x", 1.0, 2.0), MetricReport({"rmse": 0.0}, 1)],

@@ -190,7 +190,7 @@ class TestMix:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return peak - sys.getsizeof(array("q", range(len(stream))))
+        return peak - sys.getsizeof(array("q", [0]) * len(stream))
 
     # A pass costs no memory: a repeated source is one run, and a replacement
     # draw two, whatever their number of passes.
@@ -208,6 +208,10 @@ class TestMix:
     def test_passes_hold_no_memory_besides_the_order(self, few, many):
         mix(*manifest(**few))  # first-use caches are not memory per pass
         assert self.peak_besides_the_order(*manifest(**many)) <= self.peak_besides_the_order(*manifest(**few)) + 16384
+
+    def test_the_order_is_built_at_its_exact_size(self):
+        stream, _ = mix(*manifest(domain=50, general=(), r=0.0, repeat=1000))
+        assert sys.getsizeof(stream._order) == sys.getsizeof(array("q")) + 8 * 50_000
 
     def test_realized_ratio_within_one_record(self):
         rng = random.Random(5)
@@ -516,6 +520,14 @@ class TestFilePools:
         else:
             path.write_bytes(data[: len(data) // 2])
         with pytest.raises(InvalidRecordError, match="changed after it was indexed"):
+            list(stream)
+
+    def test_a_source_deleted_after_indexing_cannot_be_read(self, tmp_path):
+        m = file_manifest(tmp_path, domain=30, r=0.0)
+        stream, _ = mix(m)
+        path = tmp_path / "dom.jsonl"
+        path.unlink()
+        with pytest.raises(RecordIOError, match=f"^cannot read {re.escape(str(path))}: "):
             list(stream)
 
     def test_each_source_line_is_checked_once_and_no_emitted_record_again(self, tmp_path, capsys, monkeypatch):
