@@ -19,17 +19,19 @@ would convert it, a conversation record gets the sample and special-token
 grammar checks, and each bad line is reported on stdout, in line order.
 
 convert, validate, stats and eval read their input one record at a time:
-convert, validate and stats hold one record, and eval holds the pairs its
-metric needs, parsed in this process.  mix holds a byte offset per source
-line and a position per output record, and reads each record back as it
-writes it.
+convert and stats, like mix's indexing, through ``schema.records``, validate
+through its own loop, which goes on past a bad line.  Each holds one record,
+but eval holds the pairs its metric needs, parsed in this process.  mix holds
+a byte offset per source line and a position per output record, and reads
+each record back as it writes it.
 
 convert, validate and stats on a regular file, and mix on each source and
 on its output, run one process per usable CPU when ``os.fork`` exists, but
 no more processes than give each at least ``shards.MIN_SHARD_BYTES`` of
 input (so a file under twice that size runs in one process): each takes a
 contiguous range of the input (mix: of each source's bytes, then of the
-output positions), and the workers' parts are joined in input order.
+output positions), the workers' parts are joined in input order, and their
+results added column by column.
 ``metrics.bleu`` counts contiguous ranges of eval's parsed pairs the same
 way and adds their integer counts; ROUGE-L, the other metrics and eval's
 parse run in this process, where a worker did not pay.  No output byte,
@@ -221,8 +223,8 @@ def _line_sink(path: str, keep_empty: bool = True):
                 os.unlink(tmp)
 
 
-def _summary_stream(output_path: str):
-    return sys.stderr if output_path == "-" else sys.stdout
+def _summary_stream(*output_paths: str | None):
+    return sys.stderr if "-" in output_paths else sys.stdout
 
 
 def _print_json(obj, stream=None) -> None:
@@ -259,32 +261,26 @@ def cmd_convert(args) -> int:
     out_path = cfg.output or "-"
     _check_paths([("config", args.config), ("input", cfg.input)], [("output", out_path), ("overlays", args.overlays)])
 
-    def convert(lines: shards.Lines, sinks) -> tuple[int, int]:
+    def convert(lines: schema.Lines, sinks) -> tuple[int, int]:
         records = drawn = 0
-        for number, index, _, line in lines:
-            with schema.at_line(number) as named:
-                env = schema.loads_envelope(schema.line_text(line))
-                named.record = env.id
-                converted, overlay = _convert_one(env, cfg.task, template, index)
+        for converted, overlay in schema.records(lines, lambda env, i, *_: _convert_one(env, cfg.task, template, i)):
             sinks[0].write(schema.dumps_envelope(converted) + "\n")
             records += 1
-            if overlay is None:
-                continue
-            drawn += 1
-            if args.overlays:
-                sinks[1].write(schema.dumps_object({"id": env.id, **overlay._asdict()}) + "\n")
+            if overlay is not None:
+                drawn += 1
+                if args.overlays:
+                    sinks[1].write(schema.dumps_object({"id": converted.id, **overlay._asdict()}) + "\n")
         return records, drawn
 
     # The sidecar is opened after the output, so its faults come second, and
     # left last, so it is committed after the records and discarded if they fail.
     with contextlib.ExitStack() as sidecar, _line_sink(out_path) as out:
         sinks = (out, sidecar.enter_context(_line_sink(args.overlays, keep_empty=False))) if args.overlays else (out,)
-        counts = shards.line_pass(_source(cfg.input or "-"), convert, sinks)
-    records, drawn = map(sum, zip(*counts))
+        records, drawn = shards.line_pass(_source(cfg.input or "-"), convert, sinks)
 
     _print_json(
         {"records": records, "by_task": {cfg.task: records} if records else {}, "overlays": drawn},
-        _summary_stream(out_path),
+        _summary_stream(out_path, args.overlays),
     )
     return 0
 
@@ -314,7 +310,8 @@ def cmd_mix(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    def check(lines: shards.Lines, sinks) -> tuple[int, int]:
+    # Not schema.records: this loop goes on past a bad line, and validate_envelope names the record of its row.
+    def check(lines: schema.Lines, sinks) -> tuple[int, int]:
         checked = errors = 0
         for number, _, _, line in lines:
             checked += 1
@@ -325,7 +322,7 @@ def cmd_validate(args) -> int:
                 _print_json({"line": number, "error": str(exc)}, sinks[0])
         return checked, errors
 
-    checked, errors = map(sum, zip(*shards.line_pass(_source(args.path), check, (sys.stdout,))))
+    checked, errors = shards.line_pass(_source(args.path), check, (sys.stdout,))
     _print_json({"checked": checked, "errors": errors})
     return 0 if errors == 0 else 1
 
@@ -350,28 +347,21 @@ def _record_plans(env: schema.Envelope, cfg: PipelineConfig) -> list[tuple[TileP
 def cmd_stats(args) -> int:
     cfg = _config(args)
 
-    def tally(lines: shards.Lines, _) -> tuple[int, int, Counter, Counter]:
-        records = total_tokens = 0
+    def tally(lines: schema.Lines, _) -> tuple[int, Counter, Counter]:
+        total_tokens = 0
         histogram: Counter = Counter()
         by_task: Counter = Counter()
-        for number, _, _, line in lines:
-            with schema.at_line(number) as named:
-                env = schema.loads_envelope(schema.line_text(line))
-                named.record = env.id
-                plans = _record_plans(env, cfg)
-            records += 1
-            by_task[env.task] += 1
+        for task, plans in schema.records(lines, lambda env, *_: (env.task, _record_plans(env, cfg))):
+            by_task[task] += 1
             for plan, count in plans:
                 total_tokens += token_count(plan, cfg.tokens_per_tile) * count
                 histogram[str(plan.total_tiles)] += count
-        return records, total_tokens, histogram, by_task
+        return total_tokens, histogram, by_task
 
-    # Each column adds its shards in order, so by_task keeps the order of first appearance.
-    parts = shards.line_pass(_source(args.path), tally)
-    records, total_tokens, histogram, by_task = (sum(column[1:], column[0]) for column in zip(*parts))
+    total_tokens, histogram, by_task = shards.line_pass(_source(args.path), tally)
     _print_json(
         {
-            "records": records,
+            "records": sum(by_task.values()),
             "by_task": by_task,
             "visual_tokens": total_tokens,
             "tile_histogram": dict(sorted(histogram.items(), key=lambda kv: int(kv[0]))),
@@ -387,7 +377,7 @@ def cmd_stats(args) -> int:
 
 
 def _parsed_lines(path: str, parse: Callable[[dict], object]) -> list:
-    """``parse`` of each line's JSON object, in order."""
+    """``parse`` of each line's JSON object, in order: a pair, which names no record, so not by ``schema.records``."""
     parsed = []
     for number, _, _, line in schema.numbered_lines(_source(path)):
         with schema.at_line(number):
@@ -483,8 +473,13 @@ def _add_planner_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file supplying defaults")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error is a configuration error: one JSON line on stderr, exit 2
+        raise InvalidConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vlprep",
         description="Deterministic data pipeline for domain-adaptation training sets.",
     )
@@ -546,9 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for name in getattr(args, "needs", ()):
             _bound(name)
         return args.func(args)

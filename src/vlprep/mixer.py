@@ -193,14 +193,12 @@ def _largest_remainder_quotas(total: int, weights: Sequence[float]) -> list[int]
     return quotas
 
 
-def _index(lines: shards.Lines, _) -> tuple[array, array]:
+def _index(lines: schema.Lines, _) -> tuple[array, array]:
     """The byte offset and CRC-32 of each line, every line checked as an envelope."""
     offsets, crcs = array("q"), array("L")
-    for number, _, offset, line in lines:
-        with schema.at_line(number):
-            schema.loads_envelope(schema.line_text(line))
+    for offset, crc in schema.records(lines, lambda _env, _i, offset, line: (offset, zlib.crc32(line))):
         offsets.append(offset)
-        crcs.append(zlib.crc32(line))
+        crcs.append(crc)
     return offsets, crcs
 
 
@@ -220,12 +218,8 @@ class FilePool(Sequence[Envelope]):
         if os.path.exists(path) and not os.path.isfile(path):
             raise RecordIOError(f"cannot read {path}: a mix source must be a regular file, as it is read twice")
         self.path = path
-        self._offsets = array("q")
-        self._crcs = array("L")
         try:
-            for offsets, crcs in shards.line_pass(path, _index):
-                self._offsets.extend(offsets)
-                self._crcs.extend(crcs)
+            self._offsets, self._crcs = shards.line_pass(path, _index)
         except InvalidRecordError as exc:
             raise InvalidRecordError(f"{path}: {exc}") from exc
         self.nbytes = os.path.getsize(path)

@@ -9,8 +9,8 @@ input, settings files included, is decoded here, all JSON output is encoded
 by :func:`dumps_object`, and :class:`at_line` names the line and the record
 of an error.  An envelope is checked where it is read, by
 :func:`loads_envelope` (its keys, id, task, schema version, payload and meta),
-and :class:`Envelope` checks nothing, so one built from checked values is
-not checked again.
+in the one record loop, :func:`records`; :class:`Envelope` checks nothing, so
+one built from checked values is not checked again.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import IO, Iterator, NamedTuple
+from typing import IO, Callable, Iterator, NamedTuple, TypeVar
 
 from . import formats
 from .errors import EMPTY_MAPPING, KNOWN_TASKS, LONE_SURROGATE
@@ -38,6 +38,8 @@ from .formats import (
 from .geometry import ImageDims, PixelBox
 
 SCHEMA_VERSION = "1"
+T = TypeVar("T")
+Lines = Iterator[tuple[int, int, int, bytes]]
 _ENVELOPE_KEYS = ("id", "schema_version", "task", "meta", "payload")
 
 
@@ -153,9 +155,7 @@ def read_json_object(path: str | Path, what: str) -> dict:
     return obj
 
 
-def numbered_lines(
-    source: str | Path | IO, start: int = 0, end: int | None = None
-) -> Iterator[tuple[int, int, int, bytes]]:
+def numbered_lines(source: str | Path | IO, start: int = 0, end: int | None = None) -> Lines:
     r"""Yield (line number, record index, byte offset, line) for each non-blank line of a path or open handle.
 
     Lines end at ``\n`` (a ``\r\n`` ending leaves a ``\r`` that JSON reads
@@ -228,13 +228,23 @@ class at_line:
         raise named from exc
 
 
+def records(lines: Lines, work: Callable[[Envelope, int, int, bytes], T]) -> Iterator[T]:
+    """``work(env, index, offset, line)`` for each of :func:`numbered_lines`' ``lines``, in order: the one record loop.
+
+    Each line is decoded by :func:`loads_envelope` (looked up per line, so a patch is seen) under :class:`at_line`,
+    which names the record for ``work``'s errors too; each result is yielded outside it, so a write names no line.
+    """
+    for number, index, offset, line in lines:
+        with at_line(number) as named:
+            env = loads_envelope(line_text(line))
+            named.record = env.id
+            result = work(env, index, offset, line)
+        yield result
+
+
 def read_envelopes(source: str | Path | IO) -> list[Envelope]:
     """Read a whole line-delimited envelope file (blank lines skipped), each line by :func:`loads_envelope`."""
-    envelopes = []
-    for number, _, _, line in numbered_lines(source):
-        with at_line(number):
-            envelopes.append(loads_envelope(line_text(line)))
-    return envelopes
+    return list(records(numbered_lines(source), lambda env, *_: env))
 
 
 def _require(payload: dict, keys: tuple[str, ...], task: str) -> None:

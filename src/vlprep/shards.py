@@ -9,10 +9,11 @@ files, writes its lines to anonymous temporary part files (unlinked from
 the start, so none outlives the run) and sends a small result back through
 a pipe.  A sink that has a ``part_dir`` attribute gets its parts made in
 that directory, so a file output's parts use the file's own file system;
-any other sink's parts are made in the temporary directory.  As shard 0
-and then each worker in shard order succeeds, the worker's parts are copied
-to the sinks in fixed-size blocks, and the results are returned in shard
-order.  So no output byte depends on the number of shards.
+any other sink's parts are made in the temporary directory.  As shard 0 and
+then each worker in shard order succeeds, the worker's parts are copied to
+the sinks in fixed-size blocks, and the results are returned in shard order
+(a line pass adds them column by column), so no output byte depends on the
+number of shards.
 
 A shard that fails stops the pass: its error is raised here as the shard
 raised it, a worker's sent back pickled whole, so it is the error one
@@ -31,7 +32,7 @@ import shutil
 import stat
 import sys
 import tempfile
-from typing import IO, Callable, Iterator, Sequence, TypeVar
+from typing import IO, Callable, Sequence, TypeVar
 
 from . import schema
 from .errors import PipelineError
@@ -47,7 +48,6 @@ MIN_SHARD_BYTES = 128 * 1024
 _BLOCK = 8192
 
 T = TypeVar("T")
-Lines = Iterator[tuple[int, int, int, bytes]]
 
 
 def usable_cpus() -> int:
@@ -98,19 +98,20 @@ def _cuts(source: str | IO) -> list[int | None]:
 
 
 def line_pass(
-    source: str | IO, work: Callable[[Lines, Sequence[IO[str]]], T], sinks: Sequence = ()
-) -> list[T]:
-    """``work(lines, handles)`` for each byte range of ``source``; the results in order.
+    source: str | IO, work: Callable[[schema.Lines, Sequence[IO[str]]], tuple], sinks: Sequence = ()
+) -> tuple:
+    """``work(lines, handles)`` for each byte range of ``source``; its tuples added column by column, in shard order.
 
     ``lines`` is :func:`schema.numbered_lines` over the range, numbered and
-    indexed as in the whole input.
+    indexed as in the whole input.  Counts add, arrays concatenate, and a
+    ``Counter`` keeps its keys in the order they first appear in the input.
     """
     cuts = _cuts(source)
 
-    def shard(k: int, handles: Sequence[IO[str]]) -> T:
+    def shard(k: int, handles: Sequence[IO[str]]) -> tuple:
         return work(schema.numbered_lines(source, cuts[k], cuts[k + 1]), handles)
 
-    return run(len(cuts) - 1, shard, sinks)
+    return tuple(sum(column[1:], column[0]) for column in zip(*run(len(cuts) - 1, shard, sinks)))
 
 
 def _stop(pid: int) -> None:

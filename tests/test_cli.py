@@ -13,6 +13,7 @@ import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -179,6 +180,15 @@ class TestConvert:
         assert summary["records"] == 5
         assert summary["by_task"] == {"classification": 5}
 
+    def test_summary_goes_to_stderr_when_the_sidecar_is_stdout(self, capsys, tmp_path):
+        out = tmp_path / "out.jsonl"
+        src = GOLDEN_DIR / "region_drawn.input.jsonl"
+        code, stdout, err = run(capsys, "convert", "--task", "region", "-i", str(src), "-o", str(out), "--overlays", "-")
+        assert code == 0
+        assert stdout.encode("utf-8") == (GOLDEN_DIR / "region_drawn.overlays.jsonl").read_bytes()
+        assert json.loads(err)["overlays"] == stdout.count("\n")
+        assert out.read_bytes() == (GOLDEN_DIR / "region_drawn.jsonl").read_bytes()
+
     def test_task_mismatch_is_a_validation_error(self, capsys, tmp_path):
         src = tmp_path / "in.jsonl"
         write_jsonl(src, [classification_record(0)])
@@ -269,9 +279,9 @@ class TestConvert:
     def test_workers_flag_and_config_key_are_retired(self, capsys, tmp_path):
         src = tmp_path / "in.jsonl"
         write_jsonl(src, [classification_record(0)])
-        with pytest.raises(SystemExit) as exit_info:
-            main(["convert", "--task", "classification", "-i", str(src), "--workers", "2"])
-        assert exit_info.value.code == 2
+        code, stdout, err = run(capsys, "convert", "--task", "classification", "-i", str(src), "--workers", "2")
+        assert (code, stdout, err.count("\n")) == (2, "", 1)
+        assert json.loads(err)["message"] == "vlprep: unrecognized arguments: --workers 2"
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"task": "classification", "workers": 2}))
         code, _, err = run(capsys, "convert", "--config", str(config), "-i", str(src), "-o", "-")
@@ -406,6 +416,57 @@ class TestConvert:
         assert "sketched" in message
         assert out.read_bytes() == b"previous run\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "out.jsonl"]
+
+
+class TestCommandLineErrors:
+    # A bad command line is a configuration error like any other: exit 2,
+    # nothing on stdout and one JSON line on stderr, not argparse's usage text.
+    VALID = {
+        "convert": ["--task", "grounding"],
+        "mix": ["--manifest", "mix.json"],
+        "validate": ["in.jsonl"],
+        "stats": ["in.jsonl"],
+        "eval": ["--metric", "mcq"],
+        "plan-tiles": ["448", "448"],
+        "validate-kernels": [],
+    }
+    CASES = {
+        **{f"{command} unknown flag": [command, *argv, "--frobnicate"] for command, argv in VALID.items()},
+        "convert --seed x": ["convert", "--task", "grounding", "--seed", "x"],
+        "stats --min-tiles x": ["stats", "--min-tiles", "x", "in.jsonl"],
+        "eval --max-n x": ["eval", "--metric", "bleu", "--max-n", "x"],
+        "plan-tiles height x": ["plan-tiles", "448", "x"],
+        "plan-tiles --tokens-per-tile x": ["plan-tiles", "448", "448", "--tokens-per-tile", "x"],
+        "validate-kernels --seed x": ["validate-kernels", "--seed", "x"],
+        "convert --task without a value": ["convert", "--task"],
+        "mix without --manifest": ["mix"],
+        "validate without a path": ["validate"],
+        "stats without a path": ["stats"],
+        "eval without --metric": ["eval"],
+        "plan-tiles without a height": ["plan-tiles", "448"],
+        "validate-kernels --gradient-trials without a value": ["validate-kernels", "--gradient-trials"],
+        "no command": [],
+        "unknown command": ["frobnicate"],
+    }
+
+    @pytest.mark.parametrize("argv", CASES.values(), ids=CASES.keys())
+    def test_a_bad_command_line_is_one_json_error_line(self, capsys, argv):
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout, err.count("\n")) == (2, "", 1)
+        error = json.loads(err)
+        assert (error["error"], error["exit_code"]) == ("InvalidConfigError", 2)
+        assert error["message"].startswith("vlprep")
+
+    def test_the_message_names_the_command_and_the_flag(self, capsys):
+        _, _, err = run(capsys, "stats", "--min-tiles", "x", "in.jsonl")
+        assert json.loads(err)["message"] == "vlprep stats: argument --min-tiles: invalid int value: 'x'"
+
+    def test_help_is_still_usage_on_stdout_and_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["stats", "--help"])
+        out, err = capsys.readouterr()
+        assert (exit_info.value.code, err) == (0, "")
+        assert out.startswith("usage: vlprep stats ")
 
 
 class TestRecordErrorMessages:
@@ -807,8 +868,16 @@ def multiview_scene(objects):
     }
 
 
-def verdicts(record):
-    """Exit codes of ``validate`` and of ``convert --task <its task>`` on a file holding ``record``.
+# Built once: building the parser is most of the time of a one-record run, and verdicts makes four per call.
+PARSER = cli.build_parser()
+
+
+def is_conversation(record):
+    return isinstance(record["payload"], dict) and "turns" in record["payload"]
+
+
+def verdicts(record, task=None):
+    """Exit codes of ``validate`` and of ``convert --task <task>`` (its own by default) on a file holding ``record``.
 
     ``stats`` runs on the file too.  It converts a raw record as convert
     does, so it must pass exactly when convert does; a conversation it
@@ -818,16 +887,16 @@ def verdicts(record):
     it once per example.  Anything but a PipelineError escapes ``main`` and
     fails the calling test.
     """
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "build_parser", lambda: PARSER):
         src, out = Path(tmp) / "in.jsonl", Path(tmp) / "out.jsonl"
         write_jsonl(src, [record])
         streams = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(streams[0]), contextlib.redirect_stderr(streams[1]):
             validated = main(["validate", str(src)])
-            converted = main(["convert", "--task", record["task"], "-i", str(src), "-o", str(out)])
+            converted = main(["convert", "--task", task or record["task"], "-i", str(src), "-o", str(out)])
             counted = main(["stats", str(src)])
             assert converted != 0 or main(["validate", str(out)]) == 0, "convert wrote a record validate refuses"
-    if "turns" in record["payload"]:
+    if is_conversation(record):
         assert (counted, converted) in ((0, 0), (0, 1), (1, 1))
     else:
         assert counted == converted
@@ -842,6 +911,8 @@ class TestValidateAgreesWithConvert:
         for name in ("classification_free", "grounding", "region_inline", "region_drawn", "multiview", "video")
     }
     SEEDS["vqa"] = vqa_record([("user", "<image>\nWhat is <ref>this</ref>?"), ("assistant", "<box>[[1, 2, 3, 4]]</box>")])
+    # Every converted golden output: a conversation record, which convert converts only as vqa.
+    OUTPUTS = {name: converted_golden(name) for name, _ in TestGoldenFiles.CASES}
 
     # Inputs the two commands used to judge differently.
     PROBES = {
@@ -895,6 +966,11 @@ class TestValidateAgreesWithConvert:
     def test_well_formed_records_pass_both(self, name):
         assert verdicts(self.SEEDS[name]) == (0, 0)
 
+    @pytest.mark.parametrize("name", sorted(OUTPUTS))
+    def test_converted_outputs_pass_validate_and_convert_only_as_vqa(self, name):
+        assert verdicts(self.OUTPUTS[name]) == (0, 1)
+        assert verdicts({**self.OUTPUTS[name], "task": "vqa"}) == (0, 0)
+
     @pytest.mark.parametrize("probe", sorted(PROBES))
     def test_probes_fail_both(self, probe):
         assert verdicts(self.PROBES[probe]) == (1, 1)
@@ -927,7 +1003,7 @@ class TestValidateAgreesWithConvert:
             assert code == 1
             assert "width and height must be 2 integers" in json.loads(err)["message"]
 
-    # Values a mutation puts in place of one part of a payload: wrong types
+    # Values a mutation puts in place of one part of a record: wrong types
     # and arities, non-finite numbers, reserved tokens, unknown c-tags,
     # centres outside any view and strings holding a lone surrogate.
     MUTANTS = st.one_of(
@@ -944,6 +1020,16 @@ class TestValidateAgreesWithConvert:
         ),
     )
 
+    # A list or an object that holds a reserved token: an f-string would turn it into markup.
+    MARKUP = st.sampled_from([["<ref>"], ["</box>"], {"q": "<box>"}, {"q": "</ref>"}])
+
+    @staticmethod
+    def at(value, path):
+        """The part of a JSON value at a key path."""
+        for step in path:
+            value = value[step]
+        return value
+
     @staticmethod
     def paths(value, path=()):
         """Every place inside a JSON value, as a key path."""
@@ -952,20 +1038,37 @@ class TestValidateAgreesWithConvert:
         for key, item in items:
             yield from TestValidateAgreesWithConvert.paths(item, (*path, key))
 
-    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def mutated(self, data, seeds):
+        """A copy of one of ``seeds`` with one to three parts replaced, and the seed's task."""
+        record = copy.deepcopy(seeds[data.draw(st.sampled_from(sorted(seeds)), label="seed")])
+        task = record["task"]
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            # Any place but the whole record (the envelope's own keys, its meta and every part of its
+            # payload) takes a mutant; or, half the time, a payload text takes markup held in another type.
+            places = list(self.paths(record))[1:]
+            texts = [path for path in places if path[0] == "payload" and isinstance(self.at(record, path), str)]
+            if texts and data.draw(st.booleans(), label="markup in a text's place"):
+                path, value = data.draw(st.sampled_from(texts), label="path"), data.draw(self.MARKUP, label="value")
+            else:
+                path, value = data.draw(st.sampled_from(places), label="path"), data.draw(self.MUTANTS, label="value")
+            *parents, key = path
+            self.at(record, parents)[key] = copy.deepcopy(value)
+        return record, task
+
+    @settings(max_examples=800, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
     def test_validate_passes_exactly_when_convert_does(self, data):
-        record = copy.deepcopy(self.SEEDS[data.draw(st.sampled_from(sorted(self.SEEDS)), label="seed")])
-        for _ in range(data.draw(st.integers(0, 3), label="mutations")):
-            path = data.draw(st.sampled_from(list(self.paths(record["payload"]))[1:]), label="path")
-            *parents, key = path
-            holder = record["payload"]
-            for step in parents:
-                holder = holder[step]
-            holder[key] = copy.deepcopy(data.draw(self.MUTANTS, label="value"))
-        validated, converted = verdicts(record)
+        record, task = self.mutated(data, self.SEEDS)
+        validated, converted = verdicts(record, task)
         assert validated in (0, 1)
-        assert validated == converted
+        # A payload mutated into a conversation converts only as vqa, so only there must the two agree.
+        if not is_conversation(record) or record["task"] == task == "vqa":
+            assert validated == converted
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_every_verdict_on_a_conversation_is_pass_or_fail(self, data):
+        assert set(verdicts(*self.mutated(data, self.OUTPUTS))) <= {0, 1}
 
 
 class TestLinesThatAreNotJson:
@@ -1834,7 +1937,10 @@ class TestImportPath:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert not loaded & unused
 
-    @pytest.mark.parametrize("argv", [("plan-tiles", "0", "5"), ("eval", "--metric", "avg")])
+    @pytest.mark.parametrize(
+        "argv",
+        [("plan-tiles", "0", "5"), ("eval", "--metric", "avg"), ("frobnicate",), ("stats", "--min-tiles", "x", "f")],
+    )
     def test_an_error_is_one_json_line_in_a_fresh_process(self, tmp_path, argv):
         proc, _ = run_cli_fresh(tmp_path, *argv)
         assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (2, "", 1)
