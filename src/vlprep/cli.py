@@ -64,7 +64,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence, get_args, get_type_hints
 
-from .errors import KNOWN_TASKS, LONE_SURROGATE, MARKER
+from .errors import KNOWN_TASKS, LONE_SURROGATE, MARKER, check_keys
 from .errors import InvalidConfigError, InvalidRecordError, PipelineError, RecordIOError
 from .geometry import (
     DEFAULT_MAX_TILES,
@@ -153,18 +153,18 @@ def _config(args) -> PipelineConfig:
     ``dest`` names; a flag that was not given parses to None.
     """
     obj = {} if args.config is None else _bound("schema").read_json_object(args.config, "config")
-    unknown = set(obj) - set(PipelineConfig._fields)
-    if unknown:
-        raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")
+    check_keys(obj, PipelineConfig._fields, (), "config")
     given = {name: flag for name in PipelineConfig._fields if (flag := getattr(args, name, None)) is not None}
     return PipelineConfig(**{**obj, **given})
 
 
 def _check_paths(reads: list[tuple[str, str | None]], writes: list[tuple[str, str | None]]) -> None:
-    """Refuse a run that writes a (role, path) it reads or writes elsewhere, compared by ``os.path.realpath``."""
+    """Refuse an empty (role, path) (exit 3), or a write to a path read or written elsewhere (``os.path.realpath``)."""
     seen: dict[str, str] = {}
     for number, (role, path) in enumerate(reads + writes):
         written = number >= len(reads)
+        if path == "":
+            raise RecordIOError(f"cannot {'write' if written else 'read'} {role} '': an empty path names no file")
         if path is not None and (written or path != "-"):  # a read's "-" is stdin; every write's is one stdout
             real = path if path == "-" else os.path.realpath(path)
             if written and real in seen:
@@ -258,7 +258,7 @@ def cmd_convert(args) -> int:
     if cfg.task is None:
         raise InvalidConfigError("convert requires --task (or a config with one)")
     template = _template_from(cfg)
-    out_path = cfg.output or "-"
+    out_path = "-" if cfg.output is None else cfg.output
     _check_paths([("config", args.config), ("input", cfg.input)], [("output", out_path), ("overlays", args.overlays)])
 
     def convert(lines: schema.Lines, sinks) -> tuple[int, int]:
@@ -268,15 +268,17 @@ def cmd_convert(args) -> int:
             records += 1
             if overlay is not None:
                 drawn += 1
-                if args.overlays:
+                if args.overlays is not None:
                     sinks[1].write(schema.dumps_object({"id": converted.id, **overlay._asdict()}) + "\n")
         return records, drawn
 
     # The sidecar is opened after the output, so its faults come second, and
     # left last, so it is committed after the records and discarded if they fail.
     with contextlib.ExitStack() as sidecar, _line_sink(out_path) as out:
-        sinks = (out, sidecar.enter_context(_line_sink(args.overlays, keep_empty=False))) if args.overlays else (out,)
-        records, drawn = shards.line_pass(_source(cfg.input or "-"), convert, sinks)
+        sinks = (out,)
+        if args.overlays is not None:
+            sinks += (sidecar.enter_context(_line_sink(args.overlays, keep_empty=False)),)
+        records, drawn = shards.line_pass(_source("-" if cfg.input is None else cfg.input), convert, sinks)
 
     _print_json(
         {"records": records, "by_task": {cfg.task: records} if records else {}, "overlays": drawn},
@@ -287,7 +289,7 @@ def cmd_convert(args) -> int:
 
 def cmd_mix(args) -> int:
     manifest = load_manifest(args.manifest)
-    out_path = args.output or "-"
+    out_path = "-" if args.output is None else args.output
     report_path = None if out_path == "-" else out_path + ".report.json"
     sources = [("source", src.path) for src in (*manifest.domain_sources, *manifest.general_sources)]
     _check_paths([("manifest", args.manifest), *sources], [("output", out_path), ("report", report_path)])
@@ -409,7 +411,7 @@ def _signal_pair(obj: dict) -> metrics.SignalPair:
 
 def cmd_eval(args) -> int:
     if args.metric == "avg":
-        if not args.scores:
+        if args.scores is None:
             raise InvalidConfigError("eval --metric avg requires --scores FILE")
         scores = schema.read_json_object(args.scores, "scores")
         bad = {name: score for name, score in scores.items() if not schema.is_finite_number(score)}
@@ -418,7 +420,7 @@ def cmd_eval(args) -> int:
         value = metrics.benchmark_average(scores, ocrbench_key=args.ocrbench_key)
         printed = {"metrics": {"average": value}, "count": len(scores), "config": {"ocrbench_key": args.ocrbench_key}}
     elif args.metric == "signals":
-        thresholds = args.thresholds.split(",") if args.thresholds else metrics.DEFAULT_THRESHOLDS
+        thresholds = metrics.DEFAULT_THRESHOLDS if args.thresholds is None else args.thresholds.split(",")
         try:
             thresholds = tuple(map(float, thresholds))
         except ValueError:

@@ -1,4 +1,4 @@
-"""Exception types, and the few constants, shared across the toolkit.
+"""Exception types, the few constants, and the key rule of every settings object, shared across the toolkit.
 
 Every error carries an ``exit_code`` so the CLI can map failures onto its
 documented exit statuses: 1 validation, 2 configuration, 3 I/O.  An error
@@ -44,6 +44,14 @@ class InvalidConfigError(PipelineError):
     """Bad configuration: unusable parameter values, unknown keys, etc."""
 
     exit_code = 2
+
+
+def check_keys(obj: dict, allowed, required, what: str) -> None:
+    """Refuse a settings object with a key outside ``allowed`` or without one of ``required``, in that order."""
+    if unknown := set(obj) - set(allowed):
+        raise InvalidConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    if missing := [key for key in required if key not in obj]:
+        raise InvalidConfigError(f"{what} missing {missing[0]!r}")
 
 
 class RecordIOError(PipelineError):

@@ -1,9 +1,10 @@
 """Domain-record converters into the unified conversation format.
 
 Five raw record shapes (classification, grounding, region QA, multi-view
-driving, video) become :class:`ConversationSample` values; records already
-in conversation form pass through :func:`convert_vqa` unchanged apart from
-validation and meta tagging.
+driving, video) become :class:`ConversationSample` values.  Records already
+in conversation form have no converter here: ``schema.envelope_to_sample``
+is the one place they are checked (:meth:`ConversationSample.validate`) and
+tagged.
 
 The five converters share one layout, which :func:`_sample` writes: the
 sample's visual prefix (its image placeholders, camera header or frame list)
@@ -382,17 +383,6 @@ def convert_video(
     """Frame sequence -> interleaved "FrameN: <img><IMG_CONTEXT></img>" prefix."""
     prefix = " ".join(f"Frame{i}: {FRAME_PLACEHOLDER}" for i in range(1, len(rec.frames) + 1))
     return _sample(sample_id, rec.frames, prefix, rec.qa, {"task": "video", "frames": str(len(rec.frames))}, meta)
-
-
-def convert_vqa(sample: ConversationSample, meta: dict[str, str] | None = None) -> ConversationSample:
-    """Identity path for data already in conversation form: validate and tag."""
-    sample.validate()
-    return ConversationSample(
-        id=sample.id,
-        images=sample.images,
-        turns=sample.turns,
-        meta={"task": "vqa", **sample.meta, **(meta or {})},
-    )
 
 
 def _token_error(message: str, text: str, index: int) -> TokenParseError:

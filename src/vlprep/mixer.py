@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import schema, shards
-from .errors import InsufficientDataError, InvalidConfigError, InvalidRecordError, RecordIOError
+from .errors import InsufficientDataError, InvalidConfigError, InvalidRecordError, RecordIOError, check_keys
 from .geometry import _round_half_away, ordered_sum
 from .schema import Envelope
 from .seeding import GENERATOR_NAME, derive_seed
@@ -136,27 +136,17 @@ def parse_ratio(text: str | float | int) -> float:
 def _sources(entries: object, kind: str) -> tuple[DomainSource | GeneralSource, ...]:
     if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
         raise InvalidConfigError(f"{kind}_sources must be a list of objects, got {entries!r}")
-    allowed = {"id", "path", "repeat"} if kind == "domain" else {"id", "path", "weight"}
+    allowed = ("id", "path", "repeat" if kind == "domain" else "weight")
     for entry in entries:
-        unknown = set(entry) - allowed
-        if unknown:
-            raise InvalidConfigError(f"unknown {kind} source keys: {sorted(unknown)}")
-        for key in ("id", "path"):
-            if key not in entry:
-                raise InvalidConfigError(f"{kind} source missing {key!r}")
+        check_keys(entry, allowed, ("id", "path"), f"{kind} source")
     if kind == "domain":
         return tuple(DomainSource(e["id"], e["path"], e.get("repeat", 1)) for e in entries)
     return tuple(GeneralSource(e["id"], e["path"], e.get("weight", 1.0)) for e in entries)
 
 
 def manifest_from_dict(obj: dict) -> MixManifest:
-    allowed = {"domain_sources", "general_sources", "ratio", "seed", "allow_replacement"}
-    unknown = set(obj) - allowed
-    if unknown:
-        raise InvalidConfigError(f"unknown manifest keys: {sorted(unknown)}")
-    for key in ("domain_sources", "ratio", "seed"):
-        if key not in obj:
-            raise InvalidConfigError(f"manifest missing {key!r}")
+    allowed = ("domain_sources", "general_sources", "ratio", "seed", "allow_replacement")
+    check_keys(obj, allowed, ("domain_sources", "ratio", "seed"), "manifest")
     return MixManifest(
         domain_sources=_sources(obj["domain_sources"], "domain"),
         general_sources=_sources(obj.get("general_sources", []), "general"),
@@ -350,7 +340,10 @@ def mix(manifest: MixManifest, loader: Loader = FilePool) -> tuple[MixStream, Mi
         emitted = len(pool) * src.repeat
         stats.append(SourceStat(src.source_id, "domain", len(pool), emitted, emitted))
     domain_total = sum(len(run.indices) * run.passes for run in runs)
-
+    if domain_total > MAX_MIX_RECORDS:  # alone first: a total past the float range has no general quota
+        raise InvalidConfigError(
+            f"a mixture of {domain_total} domain records is past the cap of {MAX_MIX_RECORDS} records"
+        )
     requested = _finite_quota(manifest.ratio_r * domain_total, f"the general quota {manifest.ratio_r} x {domain_total}")
     requested_general = _round_half_away(requested)
     if domain_total + requested_general > MAX_MIX_RECORDS:

@@ -254,12 +254,14 @@ def _require(payload: dict, keys: tuple[str, ...], task: str) -> None:
 
 
 def _numbers(values, count: int, what: str, kinds: tuple[type, ...] = (int, float)) -> tuple:
-    """``values`` if it is exactly ``count`` finite JSON numbers of ``kinds``; a ``bool`` is none."""
-    if (
-        not isinstance(values, (list, tuple))
-        or len(values) != count
-        or not all(type(v) in kinds and math.isfinite(v) for v in values)
-    ):
+    """``values`` if it is exactly ``count`` finite JSON numbers of ``kinds``; a ``bool`` is none, nor a huge int."""
+    try:
+        good = isinstance(values, (list, tuple)) and len(values) == count and all(
+            type(v) in kinds and math.isfinite(v) for v in values
+        )
+    except OverflowError:  # math.isfinite of an int past the float range
+        good = False
+    if not good:
         kind = "integers" if kinds == (int,) else "finite numbers"
         raise ValueError(f"{what} must be {count} {kind}, got {values!r}")
     return tuple(values)
@@ -393,16 +395,17 @@ def envelope_to_sample(
 ) -> tuple[ConversationSample, formats.OverlaySpec | None]:
     """Decode one envelope into its checked sample, plus the overlay a drawn region asks for.
 
-    A conversation payload, or any ``vqa`` payload, is validated and each turn
-    parsed under the special-token grammar; a raw payload decodes into its
-    record and runs through its converter.  Callers name the record with :class:`at_line`.
+    The one place a conversation record is checked and tagged: a conversation
+    payload, or any ``vqa`` payload, is validated and each turn parsed under
+    the special-token grammar, and a ``vqa`` sample's meta is laid over
+    ``{"task": "vqa"}``.  A raw payload decodes into its record and runs
+    through its converter.  Callers name the record with :class:`at_line`.
     """
     if env.task == "vqa" or is_conversation_payload(env.payload):
         sample = payload_to_sample(env)
+        sample.validate()
         if env.task == "vqa":
-            sample = formats.convert_vqa(sample)
-        else:
-            sample.validate()
+            sample = ConversationSample(sample.id, sample.images, sample.turns, {"task": "vqa", **sample.meta})
         for _, text in sample.turns:
             parse_special_tokens(text)
         planned_dims(env.task, sample.meta)

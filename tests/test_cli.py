@@ -7,10 +7,12 @@ import io
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
 import tempfile
 import time
+import traceback
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -106,6 +108,8 @@ class TestGoldenFiles:
         ("region_drawn", ["--task", "region"]),
         ("multiview", ["--task", "multiview"]),
         ("video", ["--task", "video"]),
+        # Already conversations: meta laid over {"task": "vqa"}, a meta task kept, non-ASCII text unescaped.
+        ("vqa", ["--task", "vqa"]),
     ]
 
     @pytest.mark.parametrize("name,flags", CASES, ids=[c[0] for c in CASES])
@@ -813,6 +817,54 @@ class TestNoWriteReplacesARead:
         assert (tmp_path / "ov.jsonl").exists() and (tmp_path / "mixed.jsonl.report.json").exists()
 
 
+class TestEmptyValues:
+    # An empty string is a value given, not a flag left out: an empty path is
+    # exit 3, named by its role before any record is read, and an empty
+    # --thresholds is exit 2.  Each once read stdin, wrote stdout, wrote no
+    # sidecar or scored with the default thresholds, and exited 0; an empty
+    # --scores was exit 2, as if it were left out.
+    EMPTY_PATH = ": an empty path names no file"
+    CASES = {
+        "convert_output": (["convert", "--task", "region", "-i", "r.jsonl", "-o", ""], 3,
+                           "cannot write output ''" + EMPTY_PATH),
+        "convert_input": (["convert", "--task", "region", "-i", "", "-o", "out.jsonl"], 3,
+                          "cannot read input ''" + EMPTY_PATH),
+        "convert_overlays": (["convert", "--task", "region", "-i", "r.jsonl", "-o", "out.jsonl", "--overlays", ""], 3,
+                             "cannot write overlays ''" + EMPTY_PATH),
+        "config_input": (["convert", "--config", "input.json", "-o", "out.jsonl"], 3, "cannot read input ''" + EMPTY_PATH),
+        "config_output": (["convert", "--config", "output.json", "-i", "r.jsonl"], 3, "cannot write output ''" + EMPTY_PATH),
+        "mix_output": (["mix", "--manifest", "m.json", "-o", ""], 3, "cannot write output ''" + EMPTY_PATH),
+        "thresholds": (["eval", "--metric", "signals", "-i", "s.jsonl", "--thresholds", ""], 2,
+                       "--thresholds must be numbers, got ''"),
+        # These were exit 3 already; an empty mix source is now named by its role, before any source is read.
+        "mix_source": (["mix", "--manifest", "empty_source.json", "-o", "out.jsonl"], 3,
+                       "cannot read source ''" + EMPTY_PATH),
+        "validate_path": (["validate", ""], 3, "cannot read : "),
+        "stats_path": (["stats", ""], 3, "cannot read : "),
+        "eval_input": (["eval", "--metric", "mcq", "-i", ""], 3, "cannot read : "),
+        "eval_scores": (["eval", "--metric", "avg", "--scores", ""], 3, "cannot read scores : "),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_is_refused_and_writes_nothing(self, capsys, monkeypatch, tmp_path, case):
+        argv, code, message = self.CASES[case]
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b""), encoding="utf-8"))
+        write_jsonl(tmp_path / "r.jsonl", [with_payload(golden_record("region_inline"), mode="drawn-annotation")])
+        write_jsonl(tmp_path / "d.jsonl", [classification_record(i) for i in range(4)])
+        write_jsonl(tmp_path / "s.jsonl", [{"predicted": 1.0, "truth": 1.0}])
+        manifest = {"domain_sources": [{"id": "d", "path": "d.jsonl"}], "ratio": 0, "seed": 0}
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        (tmp_path / "empty_source.json").write_text(json.dumps({**manifest, "domain_sources": [{"id": "d", "path": ""}]}))
+        (tmp_path / "input.json").write_text(json.dumps({"task": "region", "input": ""}))
+        (tmp_path / "output.json").write_text(json.dumps({"task": "region", "output": ""}))
+        before = sorted(path.name for path in tmp_path.iterdir())
+        got, stdout, err = run(capsys, *argv)
+        assert (got, stdout) == (code, "")
+        assert TestSettingsFiles.one_error_line(err, code).startswith(message)
+        assert sorted(path.name for path in tmp_path.iterdir()) == before
+
+
 class TestValidate:
     def test_clean_file_passes(self, capsys, tmp_path):
         src = tmp_path / "in.jsonl"
@@ -968,7 +1020,8 @@ class TestValidateAgreesWithConvert:
 
     @pytest.mark.parametrize("name", sorted(OUTPUTS))
     def test_converted_outputs_pass_validate_and_convert_only_as_vqa(self, name):
-        assert verdicts(self.OUTPUTS[name]) == (0, 1)
+        # The vqa golden's output is a vqa record already.
+        assert verdicts(self.OUTPUTS[name]) == ((0, 0) if name == "vqa" else (0, 1))
         assert verdicts({**self.OUTPUTS[name], "task": "vqa"}) == (0, 0)
 
     @pytest.mark.parametrize("probe", sorted(PROBES))
@@ -1002,6 +1055,37 @@ class TestValidateAgreesWithConvert:
             code, _, err = run(capsys, "stats", str(src))
             assert code == 1
             assert "width and height must be 2 integers" in json.loads(err)["message"]
+
+    # An integer past the float range, which math.isfinite cannot take: each
+    # was refused as "malformed payload: OverflowError(...)".
+    HUGE = 10**400
+    PAST_THE_FLOAT_RANGE = {
+        "box": (with_payload(golden_record("grounding"), box=[210, 90, HUGE, 450]), "box [x1, y1, x2, y2] must be 4 finite"),
+        "width": (with_payload(golden_record("grounding"), width=HUGE), "width and height must be 2 integers"),
+        "height": (with_payload(golden_record("region_inline"), height=HUGE), "width and height must be 2 integers"),
+        "center": (multiview_scene([{"id": "c1", "camera": "CAM_0", "center": [50, HUGE]}]), "center must be 2 finite"),
+        "view_dims": (
+            json.loads(json.dumps(multiview_scene([])).replace("[100, 100]", f"[{HUGE}, 100]", 1)),
+            "view_dims 'CAM_0' must be 2 integers",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PAST_THE_FLOAT_RANGE))
+    def test_an_int_past_the_float_range_is_refused_by_name(self, capsys, tmp_path, case):
+        record, message = self.PAST_THE_FLOAT_RANGE[case]
+        assert verdicts(record) == (1, 1)
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [record])
+        code, stdout, _ = run(capsys, "validate", str(src))
+        messages = [json.loads(stdout.splitlines()[0])["error"]]
+        for argv in (["convert", "--task", record["task"], "-i", str(src), "-o", str(tmp_path / "out.jsonl")],
+                     ["stats", str(src)]):
+            code, stdout, err = run(capsys, *argv)
+            assert (code, stdout) == (1, "")
+            messages.append(json.loads(err)["message"])
+        assert messages[1] == messages[2] == f"line 1: {messages[0]}"
+        assert messages[0].startswith(f"record {record['id']!r}: malformed payload: ValueError({message!r}"[:-1])
+        assert "OverflowError" not in messages[0]
 
     # Values a mutation puts in place of one part of a record: wrong types
     # and arities, non-finite numbers, reserved tokens, unknown c-tags,
@@ -1198,7 +1282,7 @@ class TestStats:
         )
         assert code == 0
         assert from_stdin == from_file
-        assert json.loads(from_file)["records"] == len(TestGoldenFiles.CASES) + 1
+        assert json.loads(from_file)["records"] == len(src.read_bytes().splitlines())
 
     def test_malformed_dims_are_one_json_error(self, capsys, tmp_path):
         src = tmp_path / "in.jsonl"
@@ -1533,6 +1617,8 @@ class TestSettingsFiles:
         ]}),
         "manifest_without_seed": ("manifest", {"seed": ABSENT}),
         "manifest_domain_source_without_path": ("manifest", {"domain_sources": [{"id": "d"}]}),
+        # Found by the settings property: the general quota's float product raised OverflowError.
+        "manifest_repeat_past_float_range": ("manifest", {"domain_sources": [{"id": "d", "path": "d.jsonl", "repeat": 10**400}]}),
         "manifest_no_domain_source": ("manifest", {"domain_sources": [], "ratio": 0}),
         "scores_list": ("scores", ["OCRBench"]),
         "scores_text": ("scores", {"OCRBench": "x"}),
@@ -1731,6 +1817,139 @@ class TestSettingsFiles:
         assert self.one_error_line(err, 2) == "config key 'prompt_prefix' holds a lone surrogate: 'a\\udcff'"
         assert not out.exists()
         assert run(capsys, *argv)[0] == 0 and out.exists()
+
+
+def run_in_child(argv, cwd, timeout=10.0):
+    """``main(argv)`` in a forked child in ``cwd``, on an empty stdin: its exit code, stdout and stderr.
+
+    The child's address space is capped at 1 GiB past the parent's, so a run
+    that grows without bound ends in a ``MemoryError``.  Any exception that
+    escapes ``main`` is exit 70, with its traceback on stderr.  A child
+    still running after ``timeout`` seconds is killed and fails the test.
+    """
+    with open("/proc/self/status") as status:
+        used = next(int(line.split()[1]) << 10 for line in status if line.startswith("VmSize:"))
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        pid = os.fork()
+        if pid == 0:  # the child: it leaves only by os._exit
+            code = 70
+            try:
+                os.chdir(cwd)
+                os.dup2(out.fileno(), 1)
+                os.dup2(err.fileno(), 2)
+                sys.stdin = io.TextIOWrapper(io.BytesIO(b""), encoding="utf-8")
+                sys.stdout = open(1, "w", encoding="utf-8", closefd=False)
+                sys.stderr = open(2, "w", encoding="utf-8", closefd=False)
+                hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+                cap = used + (1 << 30) if hard == resource.RLIM_INFINITY else min(used + (1 << 30), hard)
+                resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+                code = main(argv)
+            except BaseException:
+                traceback.print_exc()
+            finally:
+                sys.stdout.flush()
+                sys.stderr.flush()
+                os._exit(code)
+        deadline = time.monotonic() + timeout
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail(f"vlprep {argv} ran past {timeout} s")
+            time.sleep(0.001)
+        out.seek(0)
+        err.seek(0)
+        return os.waitstatus_to_exitcode(done[1]), out.read().decode("utf-8"), err.read().decode("utf-8")
+
+
+class TestEverySettingsFileEndsInAnExitCode:
+    # One part of a settings file replaced by a mutant, or taken out: whatever
+    # the file says, the command ends in exit 0-3, a failure in one JSON line
+    # on stderr and nothing else, and no run leaves a *.tmp file or a failed
+    # run any file.  Each runs in a forked child under an address-space cap,
+    # since a mixture could grow without bound.
+    CONFIG = {
+        "task": "classification", "input": "in.jsonl", "output": "out.jsonl", "min_tiles": 1, "max_tiles": 6,
+        "use_thumbnail": True, "tokens_per_tile": 256, "template_style": "mcq", "prompt_prefix": "Look. ",
+        "prompt_suffix": " Answer.", "shuffle_options": True, "seed": 3,
+    }
+    # base -> (file name, content, the commands that read it)
+    BASES = {
+        "config": ("config.json", CONFIG, [
+            ["convert", "--config", "config.json"],
+            ["stats", "in.jsonl", "--config", "config.json"],
+            ["plan-tiles", "896", "448", "--config", "config.json"],
+        ]),
+        # Mixes 8 domain and 8 general records, drawn with replacement.
+        "manifest": ("manifest.json", {
+            "domain_sources": [{"id": "d", "path": "d.jsonl", "repeat": 2}],
+            "general_sources": [{"id": "g", "path": "g.jsonl", "weight": 1.0}, {"id": "h", "path": "h.jsonl", "weight": 3}],
+            "ratio": 1, "seed": 5, "allow_replacement": True,
+        }, [["mix", "--manifest", "manifest.json", "-o", "mixed.jsonl"]]),
+        "pairs": ("pairs.jsonl", [
+            {"id": "p1", "prediction": "A. a harbor", "references": ["A", "B"]},
+            {"id": "p2", "prediction": "the cat sat on the mat", "reference": "a cat sat on a mat"},
+        ], [["eval", "--metric", metric, "-i", "pairs.jsonl"] for metric in ("mcq", "bleu", "rouge")]),
+        "signals": ("signals.jsonl", [
+            {"id": "s1", "predicted": 1.0, "truth": 1.2}, {"id": "s2", "predicted": -3, "truth": -2.5},
+        ], [["eval", "--metric", "signals", "-i", "signals.jsonl", "--thresholds", "0.5,1"]]),
+        "scores": ("scores.json", {"MMB": 80.0, "OCRBench": 700, "TextVQA": 70.5},
+                   [["eval", "--metric", "avg", "--scores", "scores.json"]]),
+    }
+    # A mixture this long is past the cap in the child, so no mutant makes a long one.
+    CAP = 1000
+    TAKEN_OUT = object()
+    # Counts past the mixture cap, past int64 and past the float range.
+    PAST_A_RANGE = st.sampled_from([10**12, 1e12, 2**64, 10**400])
+
+    def check(self, data, kinds):
+        kind = data.draw(st.sampled_from(kinds), label="base")
+        name, content, commands = self.BASES[kind]
+        content = copy.deepcopy(content)
+        at, places = TestValidateAgreesWithConvert.at, list(TestValidateAgreesWithConvert.paths(content))[1:]
+        # Half the time a number takes a count past a range; else any part takes a mutant or is taken out.
+        numbers = [path for path in places if type(at(content, path)) in (int, float)]
+        if numbers and data.draw(st.booleans(), label="a count past a range in a number's place"):
+            path, value = data.draw(st.sampled_from(numbers), label="path"), data.draw(self.PAST_A_RANGE, label="value")
+        else:
+            path = data.draw(st.sampled_from(places), label="path")
+            value = data.draw(st.just(self.TAKEN_OUT) | TestValidateAgreesWithConvert.MUTANTS, label="value")
+        *parents, key = path
+        parent = at(content, parents)
+        if value is self.TAKEN_OUT:
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(value)
+        argv = data.draw(st.sampled_from(commands), label="argv")
+        with tempfile.TemporaryDirectory() as tmp:
+            folder = Path(tmp)
+            write_jsonl(folder / "in.jsonl", [classification_record(i) for i in range(2)])
+            for source, first in (("d", 0), ("g", 10), ("h", 20)):
+                write_jsonl(folder / f"{source}.jsonl", [classification_record(first + i) for i in range(4)])
+            if name.endswith(".jsonl"):
+                write_jsonl(folder / name, content)
+            else:
+                (folder / name).write_text(json.dumps(content))
+            before = sorted(p.name for p in folder.iterdir())
+            with mock.patch.object(mixer, "MAX_MIX_RECORDS", self.CAP):
+                code, stdout, err = run_in_child(argv, folder)
+            after = sorted(p.name for p in folder.iterdir())
+        assert code in (0, 1, 2, 3), err
+        assert not [p for p in after if p.endswith(".tmp")]
+        if code != 0:
+            assert stdout == ""
+            TestSettingsFiles.one_error_line(err, code)
+            assert after == before
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_a_config_or_an_eval_file(self, data):
+        self.check(data, ["config", "pairs", "signals", "scores"])
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_a_mix_manifest(self, data):
+        self.check(data, ["manifest"])
 
 
 class TestLineSink:

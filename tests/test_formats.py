@@ -32,7 +32,6 @@ from vlprep.formats import (
     convert_multiview,
     convert_region,
     convert_video,
-    convert_vqa,
     format_box,
     parse_special_tokens,
 )
@@ -419,35 +418,6 @@ class TestVideo:
         sample = convert_video(rec, sample_id="v3")
         assert sample.turns[2] == ("user", "q2")
         sample.validate()
-
-
-class TestVqaPassthrough:
-    def test_validates_and_tags(self):
-        sample = ConversationSample(
-            id="q1",
-            images=("a.png",),
-            turns=(("user", "<image>\nWhat is shown?"), ("assistant", "a map")),
-        )
-        out = convert_vqa(sample, meta={"source": "webqa"})
-        assert out.meta["task"] == "vqa"
-        assert out.meta["source"] == "webqa"
-        assert out.turns == sample.turns
-
-    def test_rejects_bad_alternation(self):
-        sample = ConversationSample(
-            id="q2", images=(), turns=(("assistant", "hi"), ("user", "there"))
-        )
-        with pytest.raises(InvalidRecordError):
-            convert_vqa(sample)
-
-    def test_placeholder_count_enforced(self):
-        sample = ConversationSample(
-            id="q3",
-            images=("a.png", "b.png"),
-            turns=(("user", "<image>\nonly one"), ("assistant", "x")),
-        )
-        with pytest.raises(InvalidRecordError):
-            convert_vqa(sample)
 
 
 class TestParseSpecialTokens:

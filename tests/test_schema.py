@@ -9,6 +9,7 @@ from vlprep.schema import (
     Envelope,
     dumps_envelope,
     dumps_object,
+    envelope_to_sample,
     loads_envelope,
     loads_object,
     numbered_lines,
@@ -254,6 +255,32 @@ class TestValidateEnvelope:
         env = Envelope(id="v1", task="video", payload={"frames": "notalist", "qa": [["q", "a"]]})
         with pytest.raises(InvalidRecordError):
             validate_envelope(env)
+
+
+class TestConversationRecords:
+    # envelope_to_sample is the one place a conversation record is checked and tagged.
+    def test_vqa_meta_is_laid_over_its_tag(self):
+        env = conversation_env()._replace(meta={"source": "webqa"})
+        sample, overlay = envelope_to_sample(env)
+        assert (sample.meta, overlay) == ({"task": "vqa", "source": "webqa"}, None)
+        assert sample.turns == (("user", "<image>\nhi"), ("assistant", "yo"))
+        assert envelope_to_sample(env._replace(meta={"task": "ocr"}))[0].meta == {"task": "ocr"}
+
+    def test_a_converted_record_keeps_its_meta(self):
+        env = conversation_env()._replace(task="video", meta={"task": "video", "frames": "1"})
+        assert envelope_to_sample(env)[0].meta == {"task": "video", "frames": "1"}
+
+    @pytest.mark.parametrize("task", ["vqa", "grounding"])
+    def test_rejects_bad_alternation(self, task):
+        env = conversation_env(turns=[["assistant", "hi"], ["user", "there"]], images=[])._replace(task=task)
+        with pytest.raises(InvalidRecordError, match=r"^turn 0 role 'assistant', expected 'user'"):
+            envelope_to_sample(env)
+
+    @pytest.mark.parametrize("task", ["vqa", "grounding"])
+    def test_placeholder_count_enforced(self, task):
+        env = conversation_env(turns=[["user", "<image>\nonly one"], ["assistant", "x"]], images=["a.png", "b.png"])
+        with pytest.raises(InvalidRecordError, match=r"^1 image placeholders for 2 images$"):
+            envelope_to_sample(env._replace(task=task))
 
 
 class TestOneJsonDecoder:
