@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import importlib
 import os
 import sys
@@ -480,6 +481,7 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache  # built once per process: parse_args keeps no state, and a build costs about 3 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="vlprep",

@@ -198,10 +198,12 @@ class FilePool(Sequence[Envelope]):
     Indexing reads every line once, one shard of the file per process (see
     :mod:`shards`), and checks it as :func:`read_envelopes` would, with
     errors named ``<path>: line N:``, but keeps only its offset and CRC-32.
-    ``pool[i]`` reads line i again and, once its CRC-32 shows it is the line
-    checked at indexing, parses it without a second check; a line whose bytes
-    changed since indexing is an :class:`InvalidRecordError`.  Since the file
-    is read twice, it must be a regular file, not a pipe.
+    ``pool[i]`` reads line i again in one exact-length read, up to the next
+    line's offset (the last line, up to the size at indexing) and cut after
+    its newline, and once its CRC-32 shows it is the line checked at
+    indexing, parses it without a second check; a line whose bytes changed
+    since indexing is an :class:`InvalidRecordError`.  Since the file is
+    read twice, it must be a regular file, not a pipe.
     """
 
     def __init__(self, path: str) -> None:
@@ -218,21 +220,24 @@ class FilePool(Sequence[Envelope]):
         return len(self._offsets)
 
     def __getitem__(self, i: int) -> Envelope:
+        i = range(len(self))[i]  # read takes no negative i: line i ends where line i + 1 starts
         with self.reader() as read:
             return read(i)
 
     @contextlib.contextmanager
     def reader(self) -> Iterator[Callable[[int], Envelope]]:
-        """Yield ``read(i) -> pool[i]`` over one handle, closed when the block ends."""
+        """Yield ``read(i) -> pool[i]`` for ``0 <= i < len(pool)`` over one handle, closed when the block ends."""
         try:
-            handle = open(self.path, "rb")
+            handle = open(self.path, "rb", buffering=0)  # a buffered read would fill 8 KiB for one line
         except OSError as exc:
             raise RecordIOError(f"cannot read {self.path}: {exc}") from exc
+        offsets, last = self._offsets, len(self._offsets) - 1
 
         def read(i: int) -> Envelope:
-            offset = self._offsets[i]
+            offset = offsets[i]
             handle.seek(offset)
-            raw = handle.readline()
+            raw = handle.read((offsets[i + 1] if i < last else self.nbytes) - offset)
+            raw = raw[: raw.find(b"\n") + 1 or None]  # the line and its newline, without the blank lines after it
             if zlib.crc32(raw) != self._crcs[i]:
                 raise InvalidRecordError(f"{self.path} changed after it was indexed: byte {offset} differs")
             return Envelope(**schema.JSON_DECODER.decode(raw.decode("utf-8")))

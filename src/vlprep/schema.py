@@ -41,6 +41,7 @@ SCHEMA_VERSION = "1"
 T = TypeVar("T")
 Lines = Iterator[tuple[int, int, int, bytes]]
 _ENVELOPE_KEYS = ("id", "schema_version", "task", "meta", "payload")
+_ENVELOPE_KEY_SET = frozenset(_ENVELOPE_KEYS)
 
 
 class Envelope(NamedTuple):
@@ -116,9 +117,9 @@ def loads_object(text: str) -> dict:
 def loads_envelope(line: str) -> Envelope:
     """The envelope on ``line``, checked: the one place the program reads an envelope from outside."""
     obj = loads_object(line)
-    missing = [k for k in _ENVELOPE_KEYS if k not in obj]
-    extra = [k for k in obj if k not in _ENVELOPE_KEYS]
-    if missing or extra:
+    if obj.keys() != _ENVELOPE_KEY_SET:  # one set test; the lists are built only to name the fault
+        missing = [k for k in _ENVELOPE_KEYS if k not in obj]
+        extra = [k for k in obj if k not in _ENVELOPE_KEYS]
         raise InvalidRecordError(f"envelope keys wrong: missing {missing}, unexpected {extra}")
     env = Envelope(**obj)
     if not env.id or not isinstance(env.id, str):
@@ -138,10 +139,12 @@ def loads_envelope(line: str) -> Envelope:
 def read_json_object(path: str | Path, what: str) -> dict:
     """The JSON object in the settings file at ``path``, called ``what`` in errors.
 
-    A file that cannot be read is a :class:`RecordIOError`.  One that is not
-    UTF-8, not JSON (``NaN`` and lone surrogates included) or not an object
-    is an :class:`InvalidConfigError`.
+    An empty path or a file that cannot be read is a :class:`RecordIOError`.
+    One that is not UTF-8, not JSON (``NaN`` and lone surrogates included)
+    or not an object is an :class:`InvalidConfigError`.
     """
+    if path == "":  # Path("") is ".", the working directory
+        raise RecordIOError(f"cannot read {what} '': an empty path names no file")
     try:
         data = Path(path).read_bytes()
     except OSError as exc:

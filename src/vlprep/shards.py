@@ -13,7 +13,9 @@ any other sink's parts are made in the temporary directory.  As shard 0 and
 then each worker in shard order succeeds, the worker's parts are copied to
 the sinks in fixed-size blocks, and the results are returned in shard order
 (a line pass adds them column by column), so no output byte depends on the
-number of shards.
+number of shards.  A part is copied as bytes, the sink's text layer flushed
+first, when the sink has a UTF-8 binary layer (a file, a spool, stdout);
+into any other sink, such as an ``io.StringIO``, it is copied as text.
 
 A shard that fails stops the pass: its error is raised here as the shard
 raised it, a worker's sent back pickled whole, so it is the error one
@@ -26,6 +28,7 @@ without a result is a :class:`PipelineError` too.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import os
 import shutil
@@ -116,10 +119,9 @@ def line_pass(
 
 def _stop(pid: int) -> None:
     """Kill worker ``pid`` and wait for it, unless it has been waited for."""
-    import signal
-
     with contextlib.suppress(ChildProcessError):  # waited for already
         if os.waitpid(pid, os.WNOHANG) == (0, 0):  # still running
+            import signal  # loaded only to kill: its enums cost a pass that kills no worker about 1 ms
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
@@ -183,5 +185,8 @@ def run(shards: int, work: Callable[[int, Sequence[IO[str]]], T], sinks: Sequenc
             results.append(value)
             for part, sink in zip(parts, sinks):
                 part.seek(0)
+                if hasattr(sink, "buffer") and codecs.lookup(sink.encoding).name == "utf-8":
+                    sink.flush()  # the text written to the sink goes first
+                    part, sink = part.buffer, sink.buffer
                 shutil.copyfileobj(part, sink, _BLOCK)
         return results

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vlprep import cli, errors, formats, geometry, metrics, mixer, schema
+from vlprep import cli, errors, formats, geometry, metrics, mixer, schema, shards
 from vlprep.cli import _line_sink, main
 from vlprep.geometry import ImageDims, plan_tiles, token_count
 
@@ -842,7 +842,13 @@ class TestEmptyValues:
         "validate_path": (["validate", ""], 3, "cannot read : "),
         "stats_path": (["stats", ""], 3, "cannot read : "),
         "eval_input": (["eval", "--metric", "mcq", "-i", ""], 3, "cannot read : "),
-        "eval_scores": (["eval", "--metric", "avg", "--scores", ""], 3, "cannot read scores : "),
+        # A settings file at "" was read as the directory "." (exit 3, "Is a directory"); it is named as a path is.
+        "eval_scores": (["eval", "--metric", "avg", "--scores", ""], 3, "cannot read scores ''" + EMPTY_PATH),
+        "convert_config": (["convert", "--config", "", "-i", "r.jsonl", "-o", "out.jsonl"], 3,
+                           "cannot read config ''" + EMPTY_PATH),
+        "stats_config": (["stats", "r.jsonl", "--config", ""], 3, "cannot read config ''" + EMPTY_PATH),
+        "plan_tiles_config": (["plan-tiles", "448", "448", "--config", ""], 3, "cannot read config ''" + EMPTY_PATH),
+        "mix_manifest": (["mix", "--manifest", "", "-o", "out.jsonl"], 3, "cannot read manifest ''" + EMPTY_PATH),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -920,10 +926,6 @@ def multiview_scene(objects):
     }
 
 
-# Built once: building the parser is most of the time of a one-record run, and verdicts makes four per call.
-PARSER = cli.build_parser()
-
-
 def is_conversation(record):
     return isinstance(record["payload"], dict) and "turns" in record["payload"]
 
@@ -939,7 +941,7 @@ def verdicts(record, task=None):
     it once per example.  Anything but a PipelineError escapes ``main`` and
     fails the calling test.
     """
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "build_parser", lambda: PARSER):
+    with tempfile.TemporaryDirectory() as tmp:
         src, out = Path(tmp) / "in.jsonl", Path(tmp) / "out.jsonl"
         write_jsonl(src, [record])
         streams = io.StringIO(), io.StringIO()
@@ -2155,6 +2157,18 @@ class TestImportPath:
         proc, loaded = run_cli_fresh(tmp_path, *(part.format(domain=domain, tmp=tmp_path) for part in argv.split()))
         assert (proc.returncode, proc.stderr) == (0, "")
         assert not loaded & unused
+
+    @pytest.mark.parametrize(
+        "argv", ["validate {big}", "convert --task grounding -i {big} -o {tmp}/out.jsonl"]
+    )
+    def test_a_sharded_pass_loads_neither_signal_nor_string(self, tmp_path, argv):
+        # signal is loaded only to kill a worker, and the MCQ letters are a constant: each import cost about 1 ms.
+        big = tmp_path / "big.jsonl"
+        line = (GOLDEN_DIR / "grounding.input.jsonl").read_bytes()
+        big.write_bytes(line * (2 * shards.MIN_SHARD_BYTES // len(line) + 2))
+        proc, loaded = run_cli_fresh(tmp_path, *(part.format(big=big, tmp=tmp_path) for part in argv.split()))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert not loaded & {"signal", "string"}
 
     @pytest.mark.parametrize(
         "argv",

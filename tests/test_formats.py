@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlprep.errors import (
+    MARKER,
     InvalidRecordError,
     OutOfBoundsError,
     ShapeError,
@@ -26,6 +27,7 @@ from vlprep.formats import (
     OverlaySpec,
     PromptTemplate,
     RegionRecord,
+    SpecialToken,
     VideoRecord,
     convert_classification,
     convert_grounding,
@@ -37,6 +39,64 @@ from vlprep.formats import (
 )
 from vlprep.geometry import MULTIVIEW_ORDER, ImageDims, NormalizedBox, PixelBox
 from vlprep.kernels import render_overlay
+
+ORACLE_BOX_BODY = re.compile(r"\[\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]\]")
+
+
+def oracle_parse(text: str) -> list[SpecialToken]:
+    """The token parser as first written: every marker listed, then walked two at a time by index."""
+    def error(message, index):
+        return TokenParseError(f"{message} (byte offset {len(text[:index].encode('utf-8'))})")
+
+    tokens = []
+    markers = list(MARKER.finditer(text))
+    i = 0
+    while i < len(markers):
+        opener = markers[i]
+        name = opener.group(0)
+        if name.startswith("</"):
+            raise error(f"unmatched closing tag {name}", opener.start())
+        kind = name[1:-1]
+        if i + 1 == len(markers):
+            raise error(f"unclosed tag {name}", opener.start())
+        closer = markers[i + 1]
+        if closer.group(0) != f"</{kind}>":
+            raise error(f"expected </{kind}> to close {name}, found {closer.group(0)}", closer.start())
+        body = text[opener.end() : closer.start()]
+        if kind == "ref":
+            tokens.append(SpecialToken(kind="ref", value=body))
+        else:
+            match = ORACLE_BOX_BODY.fullmatch(body)
+            if not match:
+                raise error(f"malformed box body {body!r}", opener.end())
+            try:
+                nbox = NormalizedBox(*(int(g) for g in match.groups()))
+            except InvalidRecordError as exc:
+                raise error(str(exc), opener.end()) from exc
+            tokens.append(SpecialToken(kind="box", value=nbox))
+        i += 2
+    return tokens
+
+
+def parse_outcome(parse, text):
+    """``parse(text)``'s tokens, or the message of the :class:`TokenParseError` it raised."""
+    try:
+        return parse(text)
+    except TokenParseError as exc:
+        return f"TokenParseError: {exc}"
+
+
+# Marker pieces whole and in part, box bodies right and wrong, and text that is not ASCII.
+TOKEN_PIECES = st.one_of(
+    st.sampled_from(["<ref>", "</ref>", "<box>", "</box>", "ref>", "box>", "<", "</", ">", "[[", "]]", ","]),
+    st.builds(
+        lambda numbers, space: "[[" + f",{space}".join(map(str, numbers)) + "]]",
+        st.lists(st.integers(-5, 1005), min_size=3, max_size=5),
+        st.sampled_from(["", " ", "  ", "\t"]),
+    ),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=4),
+    st.sampled_from(["é", "ñ", "漢字", "🚗", "٣"]),
+)
 
 
 def make_views(cams=MULTIVIEW_ORDER, w=1600, h=900):
@@ -497,6 +557,14 @@ class TestParseSpecialTokens:
         tokens = parse_special_tokens(text)
         assert tokens[0].value == expr
         assert tokens[1].value == nbox
+
+    @given(pieces=st.lists(TOKEN_PIECES, max_size=12))
+    @settings(max_examples=500, deadline=None)
+    def test_the_one_pass_parser_agrees_with_the_indexed_oracle(self, pieces):
+        # The parser returns at once when no marker can be present and walks the markers
+        # in pairs from one iterator; the tokens, messages and byte offsets must not change.
+        text = "".join(pieces)
+        assert parse_outcome(parse_special_tokens, text) == parse_outcome(oracle_parse, text)
 
 
 class TestConverterRoundTrip:

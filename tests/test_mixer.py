@@ -491,6 +491,23 @@ class TestFilePools:
         assert len(pool) == 12
         assert [pool[i] for i in (11, 0, 5, -1)] == [envs[11], envs[0], envs[5], envs[-1]]
 
+    @pytest.mark.parametrize("final", ["", "\n"])
+    def test_a_source_that_grew_after_indexing_still_reads_its_indexed_records(self, tmp_path, final):
+        # Each line is read up to the next indexed offset, the last up to the size at indexing,
+        # so lines appended later are never read, with or without a newline after the last line.
+        path = tmp_path / "pool.jsonl"
+        envs = varied_envelopes("p", 12)
+        write_pool(path, envs)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(final)
+        pool = mixer.FilePool(str(path))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(("" if final else "\n") + dumps_envelope(varied_envelopes("q", 1)[0]) + "\n")
+        assert len(pool) == 12
+        assert [pool[i] for i in range(12)] == envs
+        with pytest.raises(IndexError):
+            pool[12]
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_a_pipe_source_is_refused_before_it_is_read(self, tmp_path):
         pipe = tmp_path / "pipe.jsonl"

@@ -7,6 +7,7 @@ in the temporary directory, that no output directory holds a ``*.tmp`` file
 and that every worker has been waited for.
 """
 
+import contextlib
 import io
 import json
 import os
@@ -201,6 +202,29 @@ class TestSameBytes:
         assert rows[-1] == {"checked": 20, "errors": 4}
         for cpus in (2, 3):
             assert outcome(["validate", src], cpus) == one
+
+    @pytest.mark.parametrize("stdout", ["captured", "string_io"])
+    def test_validate_rows_reach_a_stdout_with_or_without_a_binary_layer(self, outcome, tmp_path, stdout):
+        # A part is copied as bytes into a sink with a binary layer, and as text into one without:
+        # the benchmark's traced runs redirect stdout to an io.StringIO.
+        lines = copies("grounding", 20)
+        for number in (3, 12, 18):
+            lines[number - 1] = lines[number - 1].replace('"grounding"', '"nöpe-漢"')
+        src = write_lines(tmp_path / "in.jsonl", lines)
+
+        def run(cpus):
+            if stdout == "captured":
+                return outcome(["validate", src], cpus)
+            with contextlib.redirect_stdout(io.StringIO()) as text:
+                code, printed, err, written = outcome(["validate", src], cpus)
+            assert printed == ""
+            return code, text.getvalue(), err, written
+
+        one = run(1)
+        assert [json.loads(row).get("line") for row in one[1].splitlines()] == [3, 12, 18, None]
+        assert "nöpe-漢" in one[1]
+        for cpus in (2, 3):
+            assert run(cpus) == one
 
     def test_stats_keeps_the_order_of_first_appearance(self, outcome, tmp_path):
         lines = copies("grounding", 8) + copies("video", 3) + copies("multiview", 2) + copies("grounding", 4)
@@ -424,6 +448,16 @@ class TestParts:
             one = outcome(argv, 1)
             assert one[0] == 0
             assert outcome(argv, 2) == one
+
+    def test_a_sink_of_another_encoding_is_given_text(self, forked):
+        # Bytes are copied only into a UTF-8 binary layer; a Latin-1 sink encodes the text itself.
+        raw = io.BytesIO()
+        with io.TextIOWrapper(raw, encoding="latin-1") as sink:
+            sink.write("head é\n")
+            shards.run(3, lambda k, handles: handles[0].write(f"{k}: é\n"), (sink,))
+            sink.flush()
+            assert raw.getvalue() == "head é\n0: é\n1: é\n2: é\n".encode("latin-1")
+        assert len(forked) == 2
 
     def test_a_result_larger_than_a_pipe_holds(self, monkeypatch, tmp_path, forked):
         # Each worker sends about 100 KB of offsets and CRCs back, more than a pipe buffers.
