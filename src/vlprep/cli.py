@@ -174,6 +174,8 @@ def _check_paths(reads: list[tuple[str, str | None]], writes: list[tuple[str, st
 
 
 def _source(path: str):
+    if path == "-" and sys.stdin is None:  # fd 0 was closed when the process started
+        raise RecordIOError("cannot read input: stdin is closed")
     return sys.stdin if path == "-" else path
 
 

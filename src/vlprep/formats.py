@@ -30,6 +30,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import EMPTY_MAPPING, MARKER, InvalidRecordError, TokenParseError
 from .geometry import (
+    GRID_MAX,
     NormalizedBox,
     ensure_box_within,
     ensure_point_within,
@@ -420,12 +421,13 @@ def parse_special_tokens(text: str) -> list[SpecialToken]:
         else:
             match = _BOX_BODY_RE.fullmatch(body)
             if not match:
-                raise _token_error(
-                    f"malformed box body {body!r}", text, opener.end()
-                )
-            try:
-                nbox = NormalizedBox(*map(int, match.groups()))
-            except InvalidRecordError as exc:
-                raise _token_error(str(exc), text, opener.end()) from exc
+                raise _token_error(f"malformed box body {body!r}", text, opener.end())
+            nbox = NormalizedBox(*map(int, match.groups()))  # the body's digits: never negative
+            for name, value in zip(nbox._fields, nbox):
+                if value > GRID_MAX:
+                    message = f"normalized coordinate {name}={value} outside [0, {GRID_MAX}]"
+                    raise _token_error(message, text, opener.end())
+            if nbox.x1 > nbox.x2 or nbox.y1 > nbox.y2:
+                raise _token_error(f"normalized box corners out of order: {nbox.as_tuple()}", text, opener.end())
             tokens.append(SpecialToken("box", nbox))
     return tokens

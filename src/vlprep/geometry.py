@@ -67,15 +67,9 @@ MULTIVIEW_CANVAS = ImageDims(
 
 
 class TilePlan(namedtuple("TilePlan", "cols rows has_thumbnail")):
-    """A cols x rows tile decomposition plus an optional thumbnail tile."""
+    """A cols x rows tile decomposition plus an optional thumbnail tile; only :func:`plan_tiles` builds one."""
 
     __slots__ = ()
-
-    def __init__(self, *_, **__) -> None:
-        if self.cols < 1 or self.rows < 1:
-            raise InvalidRecordError(f"tile grid must be positive, got {self.cols}x{self.rows}")
-        if self.has_thumbnail and self.cols * self.rows == 1:
-            raise InvalidRecordError("single-tile plans never carry a thumbnail")
 
     @property
     def num_tiles(self) -> int:
@@ -93,18 +87,9 @@ class TilePlan(namedtuple("TilePlan", "cols rows has_thumbnail")):
 
 
 class NormalizedBox(namedtuple("NormalizedBox", "x1 y1 x2 y2")):
-    """Axis-aligned box on the 0-1000 grid, integer coordinates."""
+    """Box on the 0-1000 grid: computed by :func:`normalize_box`, or read and checked by ``parse_special_tokens``."""
 
     __slots__ = ()
-
-    def __init__(self, *_, **__) -> None:
-        for name, value in zip(self._fields, self):
-            if not isinstance(value, int):
-                raise InvalidRecordError(f"normalized coordinate {name} must be an integer, got {value!r}")
-            if not 0 <= value <= GRID_MAX:
-                raise InvalidRecordError(f"normalized coordinate {name}={value} outside [0, {GRID_MAX}]")
-        if self.x1 > self.x2 or self.y1 > self.y2:
-            raise InvalidRecordError(f"normalized box corners out of order: {self.as_tuple()}")
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return tuple(self)

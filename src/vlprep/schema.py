@@ -77,6 +77,8 @@ def _finite_float(literal: str) -> float:
 # literal past the float range, which no output could write back.
 JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
 JSON_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
+# The largest number a float holds: a decoded int past it is refused by name, and NaN fails every comparison with it.
+_FLOAT_MAX = sys.float_info.max
 
 
 def dumps_object(obj: object) -> str:
@@ -100,7 +102,7 @@ def _decoded(text: str) -> object:
 
 def is_finite_number(value: object) -> bool:
     """A JSON number a float holds: not a bool, NaN, an infinity or an integer past the float range."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) in (int, float) and abs(value) <= _FLOAT_MAX
 
 
 def loads_object(text: str) -> dict:
@@ -131,7 +133,7 @@ def loads_envelope(line: str) -> Envelope:
     if not isinstance(env.payload, dict):
         raise InvalidRecordError("payload must be an object", env.id)
     meta = env.meta
-    if not isinstance(meta, dict) or not all(isinstance(k, str) and isinstance(v, str) for k, v in meta.items()):
+    if not isinstance(meta, dict) or not all(isinstance(v, str) for v in meta.values()):  # JSON keys are strings
         raise InvalidRecordError("meta must map strings to strings", env.id)
     return env
 
@@ -258,13 +260,8 @@ def _require(payload: dict, keys: tuple[str, ...], task: str) -> None:
 
 def _numbers(values, count: int, what: str, kinds: tuple[type, ...] = (int, float)) -> tuple:
     """``values`` if it is exactly ``count`` finite JSON numbers of ``kinds``; a ``bool`` is none, nor a huge int."""
-    try:
-        good = isinstance(values, (list, tuple)) and len(values) == count and all(
-            type(v) in kinds and math.isfinite(v) for v in values
-        )
-    except OverflowError:  # math.isfinite of an int past the float range
-        good = False
-    if not good:
+    if not (isinstance(values, (list, tuple)) and len(values) == count
+            and all(type(v) in kinds and abs(v) <= _FLOAT_MAX for v in values)):
         kind = "integers" if kinds == (int,) else "finite numbers"
         raise ValueError(f"{what} must be {count} {kind}, got {values!r}")
     return tuple(values)
@@ -293,7 +290,7 @@ def planned_dims(task: str, meta: dict[str, str]) -> ImageDims | None:
     if task in ("video", "multiview") or "width" not in meta or "height" not in meta:
         return None
     dims = ImageDims(int(meta["width"]), int(meta["height"]))
-    if max(dims.width, dims.height) > sys.float_info.max:
+    if max(dims.width, dims.height) > _FLOAT_MAX:
         raise InvalidRecordError(f"image dims must fit a float, got {dims.width}x{dims.height}")
     return dims
 

@@ -871,6 +871,36 @@ class TestEmptyValues:
         assert sorted(path.name for path in tmp_path.iterdir()) == before
 
 
+class TestClosedStdin:
+    # A process started with fd 0 closed (`<&-`) has sys.stdin None; each command
+    # that reads "-" raised a TypeError from os.stat or open, a traceback and exit 1.
+    COMMANDS = {
+        "convert": ["convert", "--task", "grounding"],
+        "validate": ["validate", "-"],
+        "stats": ["stats", "-"],
+        "eval": ["eval", "--metric", "bleu"],
+    }
+    MESSAGE = "cannot read input: stdin is closed"
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_reading_a_closed_stdin_is_exit_3(self, capsys, monkeypatch, tmp_path, command):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "stdin", None)
+        code, stdout, err = run(capsys, *self.COMMANDS[command])
+        assert (code, stdout) == (3, "")
+        assert TestSettingsFiles.one_error_line(err, 3) == self.MESSAGE
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["convert", "validate"])
+    def test_a_process_started_with_fd_0_closed_is_exit_3(self, tmp_path, command):
+        proc = run_python(
+            "-m", "vlprep.cli", *self.COMMANDS[command], check=False, cwd=tmp_path, preexec_fn=lambda: os.close(0)
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert TestSettingsFiles.one_error_line(proc.stderr, 3) == self.MESSAGE
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestValidate:
     def test_clean_file_passes(self, capsys, tmp_path):
         src = tmp_path / "in.jsonl"
@@ -898,6 +928,27 @@ class TestValidate:
         row, summary = (json.loads(line) for line in out.strip().splitlines())
         assert (code, row["line"], summary) == (1, 1, {"checked": 1, "errors": 1})
         assert "image dims must fit a float" in row["error"]
+
+    @pytest.mark.parametrize(
+        "box,message",
+        [
+            ("[[0, 0, 1001, 2000]]", "normalized coordinate x2=1001 outside [0, 1000]"),
+            ("[[30, 20, 10, 40]]", "normalized box corners out of order: (30, 20, 10, 40)"),
+        ],
+        ids=["off_the_grid", "out_of_order"],
+    )
+    def test_a_bad_box_in_a_turn_is_a_row_naming_its_byte_offset(self, capsys, tmp_path, box, message):
+        # The offset is that of the box body in its turn's UTF-8 text: "é " is 3 bytes, "<ref>車</ref><box>" 19.
+        bad = {**converted_golden("vqa"), "id": "vqa-box"}
+        bad["payload"]["turns"][1][1] = f"é <ref>車</ref><box>{box}</box>"
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [converted_golden("vqa"), bad])
+        code, out, _ = run(capsys, "validate", str(src))
+        assert code == 1
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"line": 2, "error": f"record 'vqa-box': special-token grammar: {message} (byte offset 22)"},
+            {"checked": 2, "errors": 1},
+        ]
 
     def test_converted_output_validates(self, capsys, tmp_path):
         src = tmp_path / "in.jsonl"

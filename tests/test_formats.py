@@ -37,7 +37,7 @@ from vlprep.formats import (
     format_box,
     parse_special_tokens,
 )
-from vlprep.geometry import MULTIVIEW_ORDER, ImageDims, NormalizedBox, PixelBox
+from vlprep.geometry import GRID_MAX, MULTIVIEW_ORDER, ImageDims, NormalizedBox, PixelBox
 from vlprep.kernels import render_overlay
 
 ORACLE_BOX_BODY = re.compile(r"\[\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]\]")
@@ -69,10 +69,12 @@ def oracle_parse(text: str) -> list[SpecialToken]:
             match = ORACLE_BOX_BODY.fullmatch(body)
             if not match:
                 raise error(f"malformed box body {body!r}", opener.end())
-            try:
-                nbox = NormalizedBox(*(int(g) for g in match.groups()))
-            except InvalidRecordError as exc:
-                raise error(str(exc), opener.end()) from exc
+            nbox = NormalizedBox(*(int(g) for g in match.groups()))
+            for name, value in zip(nbox._fields, nbox):
+                if not 0 <= value <= GRID_MAX:
+                    raise error(f"normalized coordinate {name}={value} outside [0, {GRID_MAX}]", opener.end())
+            if nbox.x1 > nbox.x2 or nbox.y1 > nbox.y2:
+                raise error(f"normalized box corners out of order: {tuple(nbox)}", opener.end())
             tokens.append(SpecialToken(kind="box", value=nbox))
         i += 2
     return tokens
@@ -495,12 +497,53 @@ class TestParseSpecialTokens:
         assert tokens[0].value == NormalizedBox(1, 2, 3, 4)
 
     def test_out_of_range_coordinate(self):
-        with pytest.raises(TokenParseError):
+        with pytest.raises(TokenParseError) as err:
             parse_special_tokens("<box>[[0,0,1001,5]]</box>")
+        assert str(err.value) == "normalized coordinate x2=1001 outside [0, 1000] (byte offset 5)"
 
     def test_corner_order_enforced(self):
-        with pytest.raises(TokenParseError):
+        with pytest.raises(TokenParseError) as err:
             parse_special_tokens("<box>[[30, 20, 10, 40]]</box>")
+        assert str(err.value) == "normalized box corners out of order: (30, 20, 10, 40) (byte offset 5)"
+
+    # The grammar is where a box from text enters, so its range and order are
+    # checked there: each field against the grid in x1, y1, x2, y2 order, then
+    # the corners; the offset is that of the box body, counted in UTF-8 bytes.
+    BAD_BOXES = {
+        "first_bad_field_in_field_order": (
+            "<box>[[0, 0, 1001, 2000]]</box>",
+            "normalized coordinate x2=1001 outside [0, 1000] (byte offset 5)",
+        ),
+        "y2_off_the_grid": (
+            "<box>[[0, 0, 5, 1001]]</box>",
+            "normalized coordinate y2=1001 outside [0, 1000] (byte offset 5)",
+        ),
+        "past_the_float_range": (
+            f"<box>[[0, 0, {10**400}, 5]]</box>",
+            f"normalized coordinate x2={10**400} outside [0, 1000] (byte offset 5)",
+        ),
+        "range_before_order": (
+            "<box>[[30, 0, 10, 1001]]</box>",
+            "normalized coordinate y2=1001 outside [0, 1000] (byte offset 5)",
+        ),
+        "rows_out_of_order": (
+            "<box>[[0, 20, 10, 10]]</box>",
+            "normalized box corners out of order: (0, 20, 10, 10) (byte offset 5)",
+        ),
+        "after_multibyte_text": (
+            "é 🚗 <ref>車</ref><box>[[30, 20, 10, 40]]</box>",
+            "normalized box corners out of order: (30, 20, 10, 40) (byte offset 27)",
+        ),
+        "fractional": ("<box>[[0.5, 0, 10, 10]]</box>", "malformed box body '[[0.5, 0, 10, 10]]' (byte offset 5)"),
+        "negative": ("<box>[[-1, 0, 10, 10]]</box>", "malformed box body '[[-1, 0, 10, 10]]' (byte offset 5)"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_BOXES))
+    def test_a_bad_box_is_refused_by_its_message(self, case):
+        text, message = self.BAD_BOXES[case]
+        with pytest.raises(TokenParseError) as err:
+            parse_special_tokens(text)
+        assert str(err.value) == message
 
     def test_negative_coordinate_is_malformed(self):
         with pytest.raises(TokenParseError):

@@ -87,9 +87,17 @@ class TestWireFormat:
         with pytest.raises(InvalidRecordError):
             loads_envelope(dumps_envelope(Envelope(id="x", task="segmentation", payload={})))
 
-    def test_meta_must_be_string_map(self):
-        with pytest.raises(InvalidRecordError):
-            loads_envelope(dumps_envelope(Envelope(id="x", task="vqa", payload={}, meta={"n": 3})))
+    # Decoded JSON keys are always strings, so only the meta's values are tested;
+    # a value of any other JSON type, or a meta that is not an object, gives one message.
+    @pytest.mark.parametrize(
+        "meta",
+        [{"n": 3}, {"n": None}, {"n": True}, {"n": []}, {"n": {}}, {"a": "b", "n": 3.5}, ["n"], "n", None],
+        ids=["int", "null", "true", "list", "object", "float_after_a_string", "a_list", "a_string", "meta_null"],
+    )
+    def test_meta_must_be_string_map(self, meta):
+        with pytest.raises(InvalidRecordError) as err:
+            loads_envelope(dumps_envelope(Envelope(id="x", task="vqa", payload={}, meta=meta)))
+        assert str(err.value) == "record 'x': meta must map strings to strings"
 
 
 class TestIO:
