@@ -1,22 +1,22 @@
 """Command-line pipeline driver.
 
-Subcommands: convert, mix, validate, stats, eval, plan-tiles,
-validate-kernels.  All behavior comes from flags laid over an optional JSON
-config file; environment variables are never consulted.  The merged settings
-are checked once, before any record is read, and no path a command writes may
-name a path it reads or another path it writes.  Errors are emitted as one JSON
-object on stderr and mapped to exit codes: 0 success, 1 validation,
-2 configuration, 3 I/O.  Every JSON input is decoded by ``schema.JSON_DECODER``
-and every output encoded by ``schema.JSON_ENCODER``; both refuse NaN and the
-infinities, so an eval score past the float range is exit 1.  The settings
-files (``--config``, the mix manifest, ``--scores``) are each
-one JSON object, read by ``schema.read_json_object`` and type-checked: one
-that cannot be read is exit 3, any other fault exit 2.  A bad input line is
-named ``line N:`` (``<source>: line N:`` in mix), and a bad record
-``record '<id>':`` after that.  validate is a dry run of
-convert with the default template: a raw record passes exactly when convert
-would convert it, a conversation record gets the sample and special-token
-grammar checks, and each bad line is reported on stdout, in line order.
+Subcommands: convert, mix, validate, stats, eval, plan-tiles, validate-kernels.
+All behavior comes from flags laid over an optional JSON config file; no
+environment variable is consulted, ``PYTHONIOENCODING`` included: :func:`_write`
+writes every byte out as UTF-8.  The merged settings are checked before any
+record is read, and no path a command writes may name a path it reads or writes
+elsewhere.  Errors are one JSON object on stderr (dropped if it is closed),
+mapped to exit codes: 0 success, 1 validation, 2 configuration, 3 I/O (a closed
+stdout too), 130 Ctrl-C.  JSON is decoded by ``schema.JSON_DECODER`` and encoded
+by ``schema.JSON_ENCODER``, which refuse NaN and the infinities (an eval score
+past the float range is exit 1).  Each settings file (``--config``, the mix
+manifest, ``--scores``) is one JSON object, read by ``schema.read_json_object``:
+one that cannot be read is exit 3, any other fault exit 2.  A bad input line is
+named ``line N:`` (``<source>: line N:`` in mix), and a bad record ``record
+'<id>':`` after that.  validate is a dry run of convert with the default
+template: a raw record passes exactly when convert converts it, a conversation
+record gets the sample and special-token grammar checks, and each bad line is a
+row on stdout, in line order.
 
 convert, validate, stats and eval read their input one record at a time:
 convert and stats, like mix's indexing, through ``schema.records``, validate
@@ -31,17 +31,16 @@ no more processes than give each at least ``shards.MIN_SHARD_BYTES`` of
 input (so a file under twice that size runs in one process): each takes a
 contiguous range of the input (mix: of each source's bytes, then of the
 output positions), the workers' parts are joined in input order, and their
-results added column by column.
-``metrics.bleu`` counts contiguous ranges of eval's parsed pairs the same
-way and adds their integer counts; ROUGE-L, the other metrics and eval's
-parse run in this process, where a worker did not pay.  No output byte,
-error or exit code depends on it.
+results added column by column.  ``metrics.bleu`` counts contiguous ranges
+of eval's parsed pairs the same way and adds their integer counts; ROUGE-L,
+the other metrics and eval's parse run in this process, where a worker did
+not pay.  No output byte, error or exit code depends on it.
 
 File outputs are written to a uniquely named ``<out>.<random>.tmp`` sibling,
 made before any record is read, as records arrive and renamed into place on
 success (the ``--overlays`` sidecar's only if an overlay was drawn).  A failed
-run removes the sibling, and with ``-o -`` prints no records, so only a
-killed process leaves a ``*.tmp`` file behind.
+run removes the sibling, and with ``-o -`` (or validate's rows) prints no
+lines; only a killed process leaves a ``*.tmp`` file behind.
 
 Each command loads only the modules it runs: ``cli`` imports ``errors`` and
 ``geometry`` alone, so ``plan-tiles`` starts on the planner.  ``schema``,
@@ -186,19 +185,18 @@ def _line_sink(path: str, keep_empty: bool = True):
     A file is written through a uniquely named ``<name>.<random>.tmp``
     sibling (``tempfile.mkstemp``) as lines arrive and renamed into place at
     the end, so two runs writing one path never share a temporary file.
-    ``-`` is spooled to an anonymous temporary file and copied to stdout at
-    the end, so a failed run prints nothing.  On any failure the temporary
+    ``-`` is spooled to an anonymous temporary file and given to :func:`_write`
+    at the end, so a failed run prints nothing.  On any failure the temporary
     file is removed, as it is when nothing was written and not
     ``keep_empty``.  A file's handle names its directory as ``part_dir``,
     so the parts of a sharded pass are made beside it (see :mod:`shards`).
     """
-    import shutil
     import tempfile
     if path == "-":
         with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
             yield spool
             spool.seek(0)
-            shutil.copyfileobj(spool, sys.stdout)
+            _write(sys.stdout, spool)
         return
     target = Path(path)
     try:
@@ -226,12 +224,26 @@ def _line_sink(path: str, keep_empty: bool = True):
                 os.unlink(tmp)
 
 
-def _summary_stream(*output_paths: str | None):
-    return sys.stderr if "-" in output_paths else sys.stdout
+def _write(stream, out) -> None:
+    """Write ``out``, a string or a rewound UTF-8 spool, to ``stream`` as UTF-8 bytes, whatever the locale says.
+
+    The one writer of stdout and stderr.  A lone surrogate (argv bytes that are
+    not UTF-8) is written as its ``\\udcXX`` escape, which JSON reads back.  A
+    stream with no binary layer (an ``io.StringIO``) gets text; None, nothing.
+    """
+    if stream is not None:
+        if hasattr(stream, "buffer"):
+            stream.flush()  # the text written to the stream goes first
+            stream, out = stream.buffer, out.encode(errors="backslashreplace") if isinstance(out, str) else out.buffer
+        if isinstance(out, (str, bytes)):
+            stream.write(out)
+        else:
+            import shutil  # here, not at the top: plan-tiles starts on the planner alone
+            shutil.copyfileobj(out, stream)
 
 
-def _print_json(obj, stream=None) -> None:
-    print(_bound("schema").dumps_object(obj), file=stream or sys.stdout)
+def _print_json(obj, stderr: bool = False) -> None:
+    _write(sys.stderr if stderr else sys.stdout, _bound("schema").dumps_object(obj) + "\n")
 
 
 def _template_from(cfg: PipelineConfig) -> formats.PromptTemplate:
@@ -285,7 +297,7 @@ def cmd_convert(args) -> int:
 
     _print_json(
         {"records": records, "by_task": {cfg.task: records} if records else {}, "overlays": drawn},
-        _summary_stream(out_path, args.overlays),
+        stderr="-" in (out_path, args.overlays),  # a summary never joins the records on stdout
     )
     return 0
 
@@ -310,7 +322,7 @@ def cmd_mix(args) -> int:
     if report_path is not None:
         with _line_sink(report_path) as out:
             out.write(schema.dumps_object(report_obj) + "\n")
-    _print_json(report_obj, _summary_stream(out_path))
+    _print_json(report_obj, stderr=out_path == "-")
     return 0
 
 
@@ -324,10 +336,11 @@ def cmd_validate(args) -> int:
                 schema.validate_envelope(schema.loads_envelope(schema.line_text(line)))
             except InvalidRecordError as exc:
                 errors += 1
-                _print_json({"line": number, "error": str(exc)}, sinks[0])
+                sinks[0].write(schema.dumps_object({"line": number, "error": str(exc)}) + "\n")
         return checked, errors
 
-    checked, errors = shards.line_pass(_source(args.path), check, (sys.stdout,))
+    with _line_sink("-") as rows:
+        checked, errors = shards.line_pass(_source(args.path), check, (rows,))
     _print_json({"checked": checked, "errors": errors})
     return 0 if errors == 0 else 1
 
@@ -455,7 +468,7 @@ def cmd_plan_tiles(args) -> int:
     plan = plan_tiles(ImageDims(args.width, args.height), cfg.min_tiles, cfg.max_tiles, cfg.use_thumbnail)
     tokens = token_count(plan, cfg.tokens_per_tile)
     suffix = " + thumbnail" if plan.has_thumbnail else ""
-    print(f"{plan.cols}x{plan.rows} tiles{suffix}, {tokens} tokens")
+    _write(sys.stdout, f"{plan.cols}x{plan.rows} tiles{suffix}, {tokens} tokens\n")
     return 0
 
 
@@ -464,9 +477,8 @@ def cmd_validate_kernels(args) -> int:
 
     results = kernels.self_check(seed=args.seed, gradient_trials=args.gradient_trials)
     for result in results:
-        status = "PASS" if result.passed else "FAIL"
         detail = f" ({result.detail})" if result.detail else ""
-        print(f"{result.name}: {status}{detail}")
+        _write(sys.stdout, f"{result.name}: {'PASS' if result.passed else 'FAIL'}{detail}\n")
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -481,6 +493,9 @@ def _add_planner_flags(parser: argparse.ArgumentParser) -> None:
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # a usage error is a configuration error: one JSON line on stderr, exit 2
         raise InvalidConfigError(f"{self.prog}: {message}")
+
+    def _print_message(self, message: str, file=None) -> None:  # --help: UTF-8, like every other output
+        _write(file, message)
 
 
 @functools.cache  # built once per process: parse_args keeps no state, and a build costs about 3 ms
@@ -547,20 +562,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command and return its exit code; Ctrl-C returns 130, to a caller in this process too."""
     try:
+        if sys.stdout is None:  # fd 1 was closed when the process started: no command could report
+            raise RecordIOError("cannot write output: stdout is closed")
         args = build_parser().parse_args(argv)
         for name in getattr(args, "needs", ()):
             _bound(name)
         return args.func(args)
     except PipelineError as exc:
-        _print_json(
-            {"error": type(exc).__name__, "message": str(exc), "exit_code": exc.exit_code},
-            sys.stderr,
-        )
-        return exc.exit_code
+        error, message, code = type(exc).__name__, str(exc), exc.exit_code
     except OSError as exc:
-        _print_json({"error": "OSError", "message": str(exc), "exit_code": 3}, sys.stderr)
-        return 3
+        error, message, code = "OSError", str(exc), 3
+    except KeyboardInterrupt:  # Ctrl-C: every temporary file is removed on the way here
+        error, message, code = "Interrupted", "SIGINT", 130
+    _print_json({"error": error, "message": message, "exit_code": code}, stderr=True)
+    return code
 
 
 if __name__ == "__main__":

@@ -13,9 +13,8 @@ any other sink's parts are made in the temporary directory.  As shard 0 and
 then each worker in shard order succeeds, the worker's parts are copied to
 the sinks in fixed-size blocks, and the results are returned in shard order
 (a line pass adds them column by column), so no output byte depends on the
-number of shards.  A part is copied as bytes, the sink's text layer flushed
-first, when the sink has a UTF-8 binary layer (a file, a spool, stdout);
-into any other sink, such as an ``io.StringIO``, it is copied as text.
+number of shards.  Every sink is a UTF-8 text handle that ``cli._line_sink``
+made, so a part is copied as bytes, the sink's text layer flushed first.
 
 A shard that fails stops the pass: its error is raised here as the shard
 raised it, a worker's sent back pickled whole, so it is the error one
@@ -28,7 +27,6 @@ without a result is a :class:`PipelineError` too.
 
 from __future__ import annotations
 
-import codecs
 import contextlib
 import os
 import shutil
@@ -129,18 +127,19 @@ def _stop(pid: int) -> None:
 def run(shards: int, work: Callable[[int, Sequence[IO[str]]], T], sinks: Sequence = ()) -> list[T]:
     """``work(k, handles)`` for each shard ``k < shards``, shard 0 here with ``sinks``; the results in order.
 
-    Each sink needs only ``write``.  A worker's ``handles`` are its parts,
-    copied to ``sinks`` once it and every shard before it have succeeded.
-    One exit stack owns every part, every pipe and every worker not yet
-    waited for, so on every path each is closed, or killed and waited for.
+    Each sink is a UTF-8 text handle with a binary layer; a worker's ``handles``
+    are its parts, copied to ``sinks`` once it and every shard before it have
+    succeeded.  One exit stack owns every part, pipe and worker not yet waited
+    for, so on every path each is closed, or killed and waited for.
     """
     if shards == 1:
         return [work(0, sinks)]
     import pickle  # loaded before the fork: a worker that loaded it would start 3 ms later
 
     with contextlib.ExitStack() as stack:
-        sys.stdout.flush()  # a worker must not inherit buffered output that it could write again
-        sys.stderr.flush()
+        for stream in (sys.stdout, sys.stderr):  # a worker must not inherit buffered output that it could write again
+            if stream is not None:  # None: its fd was closed when the process started
+                stream.flush()
         workers = []
         for k in range(1, shards):
             parts = [
@@ -185,8 +184,6 @@ def run(shards: int, work: Callable[[int, Sequence[IO[str]]], T], sinks: Sequenc
             results.append(value)
             for part, sink in zip(parts, sinks):
                 part.seek(0)
-                if hasattr(sink, "buffer") and codecs.lookup(sink.encoding).name == "utf-8":
-                    sink.flush()  # the text written to the sink goes first
-                    part, sink = part.buffer, sink.buffer
-                shutil.copyfileobj(part, sink, _BLOCK)
+                sink.flush()  # the text written to the sink goes first
+                shutil.copyfileobj(part.buffer, sink.buffer, _BLOCK)
         return results

@@ -1,5 +1,6 @@
 """End-to-end tests driving the command line entry point in process."""
 
+import ast
 import contextlib
 import copy
 import gc
@@ -14,6 +15,7 @@ import tempfile
 import time
 import traceback
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -899,6 +901,178 @@ class TestClosedStdin:
         assert (proc.returncode, proc.stdout) == (3, "")
         assert TestSettingsFiles.one_error_line(proc.stderr, 3) == self.MESSAGE
         assert list(tmp_path.iterdir()) == []
+
+
+class TestClosedStdStreams:
+    # A process started with fd 1 or fd 2 closed (`>&-`, `2>&-`) has sys.stdout or sys.stderr None.
+    # A closed stdout was an AttributeError traceback for `convert -o -` and a silent exit 0 for
+    # `stats` and `plan-tiles`; a closed stderr sent `convert -o -`'s summary into the records.
+    MESSAGE = "cannot write output: stdout is closed"
+    COMMANDS = {
+        "convert -o -": "convert --task grounding -i {golden}/grounding.input.jsonl -o -",
+        "convert -o file": "convert --task grounding -i {golden}/grounding.input.jsonl -o out.jsonl",
+        "mix": "mix --manifest {inputs}/mix.json -o mixed.jsonl",
+        "validate": "validate {golden}/grounding.jsonl",
+        "stats": "stats {golden}/grounding.input.jsonl",
+        "eval": "eval --metric mcq -i {inputs}/pairs.jsonl",
+        "plan-tiles": "plan-tiles 448 448",
+        "validate-kernels": "validate-kernels",
+        "--help": "--help",
+    }
+
+    def argv(self, tmp_path, command):
+        """The run's directory, ``tmp_path/out``, still empty, and ``command``'s argv; its inputs are made beside it."""
+        inputs, out = tmp_path / "in", tmp_path / "out"
+        inputs.mkdir()
+        out.mkdir()
+        sources = {kind: [{"id": kind[0], "path": str(GOLDEN_DIR / f"{name}.input.jsonl")}]
+                   for kind, name in (("domain_sources", "grounding"), ("general_sources", "classification_free"))}
+        (inputs / "mix.json").write_text(json.dumps({**sources, "ratio": 0.5, "seed": 1}))
+        write_jsonl(inputs / "pairs.jsonl", [{"id": "1", "prediction": "A", "references": ["A. cat"]}])
+        return out, self.COMMANDS[command].format(golden=GOLDEN_DIR, inputs=inputs).split()
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_a_closed_stdout_is_exit_3_for_every_command(self, capsys, monkeypatch, tmp_path, command):
+        out, argv = self.argv(tmp_path, command)
+        monkeypatch.chdir(out)
+        monkeypatch.setattr(sys, "stdout", None)
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (3, "")
+        assert TestSettingsFiles.one_error_line(err, 3) == self.MESSAGE
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["convert -o -", "convert -o file", "stats", "plan-tiles", "--help"])
+    def test_a_process_started_with_fd_1_closed_is_exit_3(self, tmp_path, command):
+        out, argv = self.argv(tmp_path, command)
+        proc = run_python("-m", "vlprep.cli", *argv, check=False, cwd=out, preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert TestSettingsFiles.one_error_line(proc.stderr, 3) == self.MESSAGE
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("task", ["grounding", "video"])  # every golden grounding record is a bad video record
+    def test_a_closed_stderr_moves_no_line_onto_stdout(self, capsys, monkeypatch, task):
+        argv = ["convert", "--task", task, "-i", str(GOLDEN_DIR / "grounding.input.jsonl"), "-o", "-"]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == ((0, (GOLDEN_DIR / "grounding.jsonl").read_text()) if task == "grounding" else (1, ""))
+        assert err.count("\n") == 1
+        monkeypatch.setattr(sys, "stderr", None)
+        assert run(capsys, *argv) == (code, stdout, "")
+
+    @pytest.mark.parametrize("task", ["grounding", "video"])
+    def test_a_process_started_with_fd_2_closed_keeps_its_stdout_and_exit_code(self, tmp_path, task):
+        argv = ["-m", "vlprep.cli", "convert", "--task", task, "-i", str(GOLDEN_DIR / "grounding.input.jsonl")]
+        shown = run_python(*argv, check=False, cwd=tmp_path)
+        closed = run_python(*argv, check=False, cwd=tmp_path, preexec_fn=lambda: os.close(2))
+        assert shown.stderr.count("\n") == 1
+        assert (closed.returncode, closed.stdout, closed.stderr) == (shown.returncode, shown.stdout, "")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestOutputEncoding:
+    # Every byte out is UTF-8, whatever PYTHONIOENCODING or the locale says: under latin-1 a CJK record
+    # id was a UnicodeEncodeError traceback, and under utf-16 every stream began with a byte-order mark.
+    COMMANDS = {
+        "convert -o -": ("convert --task grounding -i {cjk} -o -", 0, "stdout", "漢字-0"),
+        "validate": ("validate {bad}", 1, "stdout", "nöpe-漢"),
+        "stats": ("stats {cjk}", 0, "stdout", '"records": 3'),
+        "mix -o -": ("mix --manifest {manifest} -o -", 0, "stdout", "漢字-"),
+        "plan-tiles": ("plan-tiles 448 448", 0, "stdout", "1x1 tiles, 256 tokens"),
+        "--help": ("--help", 0, "stdout", "usage: vlprep"),
+        "error line": ("convert --task video -i {cjk} -o -", 1, "stderr", "record '漢字-0'"),
+    }
+    ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}  # sys.stdout.encoding "ascii"
+    SETTINGS = [{"PYTHONIOENCODING": encoding} for encoding in ("latin-1", "ascii", "utf-16")] + [ASCII_LOCALE]
+
+    @classmethod
+    def runs(cls, argv, cwd):
+        """``python argv`` with no setting, then under each of ``SETTINGS``: the children run side by side."""
+        with ThreadPoolExecutor(1 + len(cls.SETTINGS)) as pool:
+            return list(pool.map(lambda env: run_python(*argv, check=False, text=False, cwd=cwd, env=env),
+                                 [{}, *cls.SETTINGS]))
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_every_stream_is_utf8_whatever_the_encoding_settings_say(self, monkeypatch, tmp_path, command):
+        monkeypatch.delenv("PYTHONIOENCODING", raising=False)
+        cjk, bad, manifest = tmp_path / "cjk.jsonl", tmp_path / "bad.jsonl", tmp_path / "mix.json"
+        write_jsonl(cjk, [golden_record("grounding", id=f"漢字-{i}") for i in range(3)])
+        write_jsonl(bad, [golden_record("grounding", id="é-0", task="nöpe-漢"), golden_record("grounding")])
+        sources = {"domain_sources": [{"id": "d", "path": str(cjk)}],
+                   "general_sources": [{"id": "g", "path": str(GOLDEN_DIR / "classification_free.input.jsonl")}]}
+        manifest.write_text(json.dumps({**sources, "ratio": 0.5, "seed": 1}))
+        template, code, stream, text = self.COMMANDS[command]
+        argv = ["-m", "vlprep.cli", *template.format(cjk=cjk, bad=bad, manifest=manifest).split()]
+        default, *others = self.runs(argv, tmp_path)
+        assert default.returncode == code and text.encode("utf-8") in getattr(default, stream)
+        for env, proc in zip(self.SETTINGS, others):
+            assert (proc.returncode, proc.stdout, proc.stderr) == (code, default.stdout, default.stderr), env
+
+    def test_a_path_that_is_not_utf8_is_named_in_one_error_line(self, monkeypatch, tmp_path):
+        # Argv bytes that are not UTF-8 arrive as a lone surrogate, which a strict encode of the error
+        # line made a UnicodeEncodeError traceback (exit 1); it is written as its JSON escape instead.
+        monkeypatch.delenv("PYTHONIOENCODING", raising=False)
+        missing = os.fsencode(tmp_path / "in") + b"\xff.jsonl"
+        argv = ["-m", "vlprep.cli", "stats", missing]
+        default, *others = self.runs(argv, tmp_path)
+        assert (default.returncode, default.stdout) == (3, b"")
+        message = TestSettingsFiles.one_error_line(default.stderr.decode("utf-8"), 3)
+        assert message.startswith(f"cannot read {os.fsdecode(missing)}: ")
+        for env, proc in zip(self.SETTINGS, others):
+            assert (proc.returncode, proc.stdout, proc.stderr) == (3, b"", default.stderr), env
+
+
+class TestOneWriter:
+    # Every byte out goes through cli._write, so it alone decides the encoding and what a closed
+    # stream gets.  Anywhere else a std stream may only be handed to it, flushed or tested for None.
+    STREAMS = ("stdout", "stderr", "__stdout__", "__stderr__")
+
+    @classmethod
+    def writes(cls, source: str) -> list[int]:
+        """The lines of ``source`` that print, or use a std stream other than as above."""
+        tree = ast.parse(source)
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        lines = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+                lines.add(node.lineno)
+            if not (isinstance(node, ast.Attribute) and node.attr in cls.STREAMS and ast.unparse(node.value) == "sys"):
+                continue
+            used = parents[node]
+            if node.attr.startswith("__") or (isinstance(used, ast.Attribute) and used.attr != "flush"):
+                lines.add(node.lineno)  # sys.stdout.write, .buffer, ...
+            child = node
+            while not isinstance(child, ast.stmt):  # handed to a call other than the writer, or kept under a name
+                parent = parents[child]
+                if isinstance(parent, ast.Call) and child is not parent.func and ast.unparse(parent.func) != "_write":
+                    lines.add(node.lineno)
+                if isinstance(parent, (ast.Assign, ast.AnnAssign, ast.NamedExpr, ast.withitem)):
+                    lines.add(node.lineno)
+                child = parent
+        return sorted(lines)
+
+    def test_no_module_writes_a_std_stream_but_the_writer(self):
+        found = {path.name: self.writes(path.read_text(encoding="utf-8")) for path in (SRC_DIR / "vlprep").glob("*.py")}
+        assert {name: lines for name, lines in found.items() if lines} == {}
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "print(x)",
+            "print(x, file=sys.stderr)",
+            "sys.stdout.write(x)",
+            "sys.stderr.buffer.write(b)",
+            "shutil.copyfileobj(spool, sys.stdout)",
+            "json.dump(obj, sys.stdout)",
+            "out = sys.stdout",
+            "with contextlib.redirect_stdout(sys.stderr): pass",
+            "sys.__stderr__.flush()",
+        ],
+    )
+    def test_the_guard_sees_each_way_round_the_writer(self, line):
+        assert self.writes(f"import sys\n{line}\n") == [2]
+
+    def test_the_guard_passes_the_writer_a_flush_and_a_none_test(self):
+        source = "_write(sys.stdout, x)\n_write(sys.stderr if e else sys.stdout, x)\nsys.stdout.flush()\n"
+        assert self.writes(source + "for s in (sys.stdout, sys.stderr):\n    if s is not None: pass\n") == []
 
 
 class TestValidate:
@@ -2137,14 +2311,17 @@ class TestValidateKernels:
         assert all("PASS" in line for line in lines)
 
 
-def run_python(*args, check=True, **kwargs):
-    """Run a fresh interpreter on this checkout's sources; ``kwargs`` go to ``subprocess.run``."""
+def run_python(*args, check=True, text=True, env=(), **kwargs):
+    """Run a fresh interpreter on this checkout's sources.
+
+    ``env`` is laid over this process's environment; ``kwargs`` go to ``subprocess.run``.
+    """
     path = os.pathsep.join(p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH", "")) if p)
     return subprocess.run(
         [sys.executable, *args],
-        env=dict(os.environ, PYTHONPATH=path),
+        env={**os.environ, **dict(env), "PYTHONPATH": path},
         capture_output=True,
-        text=True,
+        text=text,
         timeout=60,
         check=check,
         **kwargs,

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from vlprep import cli, errors, metrics, mixer, shards
+from vlprep import cli, errors, metrics, mixer, schema, shards
 from vlprep.errors import InvalidConfigError, RecordIOError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -205,8 +205,8 @@ class TestSameBytes:
 
     @pytest.mark.parametrize("stdout", ["captured", "string_io"])
     def test_validate_rows_reach_a_stdout_with_or_without_a_binary_layer(self, outcome, tmp_path, stdout):
-        # A part is copied as bytes into a sink with a binary layer, and as text into one without:
-        # the benchmark's traced runs redirect stdout to an io.StringIO.
+        # The rows are spooled and given to stdout as bytes, or as text to a stdout with no binary
+        # layer: the benchmark's traced runs redirect stdout to an io.StringIO.
         lines = copies("grounding", 20)
         for number in (3, 12, 18):
             lines[number - 1] = lines[number - 1].replace('"grounding"', '"nöpe-漢"')
@@ -348,6 +348,40 @@ class TestFailures:
             "exit_code": 1,
         }
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_ctrl_c_in_the_parent_is_exit_130_with_no_traceback_and_no_file(self, outcome, monkeypatch, tmp_path, cpus):
+        # SIGINT arrives as a KeyboardInterrupt, here at the parent's third record; the workers run on.
+        parent, loads, seen = os.getpid(), schema.loads_envelope, []
+
+        def interrupted(text):
+            if os.getpid() == parent:
+                seen.append(text)
+                if len(seen) == 3:
+                    raise KeyboardInterrupt
+            return loads(text)
+
+        monkeypatch.setattr(schema, "loads_envelope", interrupted)
+        src = write_lines(tmp_path / "in.jsonl", copies("region_drawn", 20))
+        for argv in (
+            ["convert", "--task", "region", "-i", src, "-o", "OUT/out.jsonl", "--overlays", "OUT/overlays.jsonl"],
+            ["convert", "--task", "region", "-i", src, "-o", "-"],
+            ["validate", src],
+            ["stats", src],
+        ):
+            seen.clear()
+            code, stdout, err, written = outcome(argv, cpus)
+            assert (code, stdout, written) == (130, "", {})
+            assert err == '{"error": "Interrupted", "message": "SIGINT", "exit_code": 130}\n'
+
+    def test_a_sharded_pass_with_stderr_closed_drops_only_the_summary(self, outcome, monkeypatch, tmp_path):
+        # The flush before the fork was an AttributeError on a closed (None) stream.
+        src = write_lines(tmp_path / "in.jsonl", copies("grounding", 20))
+        argv = ["convert", "--task", "grounding", "-i", src, "-o", "-"]
+        code, stdout, err, written = outcome(argv, 1)
+        assert (code, err.count("\n")) == (0, 1)
+        monkeypatch.setattr(sys, "stderr", None)
+        assert outcome(argv, 2) == (code, stdout, "", written)
+
     @pytest.mark.parametrize("first_line", ["valid", "not json"])
     def test_overlays_into_a_missing_directory_fail_before_any_record_is_read(
         self, capsys, monkeypatch, tmp_path, forked, first_line
@@ -448,16 +482,6 @@ class TestParts:
             one = outcome(argv, 1)
             assert one[0] == 0
             assert outcome(argv, 2) == one
-
-    def test_a_sink_of_another_encoding_is_given_text(self, forked):
-        # Bytes are copied only into a UTF-8 binary layer; a Latin-1 sink encodes the text itself.
-        raw = io.BytesIO()
-        with io.TextIOWrapper(raw, encoding="latin-1") as sink:
-            sink.write("head é\n")
-            shards.run(3, lambda k, handles: handles[0].write(f"{k}: é\n"), (sink,))
-            sink.flush()
-            assert raw.getvalue() == "head é\n0: é\n1: é\n2: é\n".encode("latin-1")
-        assert len(forked) == 2
 
     def test_a_result_larger_than_a_pipe_holds(self, monkeypatch, tmp_path, forked):
         # Each worker sends about 100 KB of offsets and CRCs back, more than a pipe buffers.
