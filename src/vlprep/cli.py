@@ -30,11 +30,11 @@ on its output, run one process per usable CPU when ``os.fork`` exists, but
 no more processes than give each at least ``shards.MIN_SHARD_BYTES`` of
 input (so a file under twice that size runs in one process): each takes a
 contiguous range of the input (mix: of each source's bytes, then of the
-output positions), the workers' parts are joined in input order, and their
-results added column by column.  ``metrics.bleu`` counts contiguous ranges
-of eval's parsed pairs the same way and adds their integer counts; ROUGE-L,
-the other metrics and eval's parse run in this process, where a worker did
-not pay.  No output byte, error or exit code depends on it.
+output positions), the workers' parts are joined in input order, and
+``shards.run`` adds their results column by column, as it adds the counts of
+``metrics.bleu``'s ranges of eval's pairs; ROUGE-L, the other metrics and
+eval's parse run in this process, where a worker did not pay.  No output
+byte, error or exit code depends on it.
 
 File outputs are written to a uniquely named ``<out>.<random>.tmp`` sibling,
 made before any record is read, as records arrive and renamed into place on
@@ -70,8 +70,6 @@ from .geometry import (
     DEFAULT_MAX_TILES,
     DEFAULT_MIN_TILES,
     MAX_TILES_LIMIT,
-    MULTIVIEW_CANVAS,
-    TILE_SIZE,
     TOKENS_PER_TILE,
     ImageDims,
     TilePlan,
@@ -309,15 +307,15 @@ def cmd_mix(args) -> int:
     sources = [("source", src.path) for src in (*manifest.domain_sources, *manifest.general_sources)]
     _check_paths([("manifest", args.manifest), *sources], [("output", out_path), ("report", report_path)])
     stream, report = mix(manifest)
-    positions = shards.split(len(stream), stream.nbytes)
 
-    def emit(k: int, sinks) -> None:
-        with contextlib.closing(stream.read(positions[k])) as records:
+    def emit(positions: range, sinks) -> tuple:
+        with contextlib.closing(stream.read(positions)) as records:
             for env in records:
                 sinks[0].write(schema.dumps_envelope(env) + "\n")
+        return ()
 
     with _line_sink(out_path) as out:
-        shards.run(len(positions), emit, (out,))
+        shards.run(shards.split(len(stream), stream.nbytes), emit, (out,))
     report_obj = {**report._asdict(), "sources": [stat._asdict() for stat in report.sources]}
     if report_path is not None:
         with _line_sink(report_path) as out:
@@ -345,9 +343,8 @@ def cmd_validate(args) -> int:
     return 0 if errors == 0 else 1
 
 
-def _record_plans(env: schema.Envelope, cfg: PipelineConfig) -> list[tuple[TilePlan, int]]:
-    """``(plan, count)`` pairs: ``count`` of the record's images are planned as ``plan``; none for no image."""
-    plan = lambda dims: plan_tiles(dims, cfg.min_tiles, cfg.max_tiles, cfg.use_thumbnail)  # noqa: E731
+def _record_plans(env: schema.Envelope, cfg: PipelineConfig) -> tuple[TilePlan, int] | None:
+    """``(plan, count)``: ``count`` of the record's images planned as ``plan`` by ``schema.planned_images``, or None."""
     # A conversation is decoded but not checked: ConversationSample.validate
     # and the token grammar would cost 1.3-3x what stats costs, and validate
     # is the command that checks it.  A raw record is converted as convert
@@ -356,10 +353,8 @@ def _record_plans(env: schema.Envelope, cfg: PipelineConfig) -> list[tuple[TileP
         sample = schema.payload_to_sample(env)
     else:
         sample, _ = schema.envelope_to_sample(env)
-    if env.task == "multiview":
-        return [(plan(MULTIVIEW_CANVAS), 1)]
-    dims = schema.planned_dims(env.task, sample.meta) or ImageDims(TILE_SIZE, TILE_SIZE)
-    return [(plan(dims), len(sample.images))] if sample.images else []
+    planned = schema.planned_images(env.task, sample)
+    return planned and (plan_tiles(planned[0], cfg.min_tiles, cfg.max_tiles, cfg.use_thumbnail), planned[1])
 
 
 def cmd_stats(args) -> int:
@@ -369,9 +364,10 @@ def cmd_stats(args) -> int:
         total_tokens = 0
         histogram: Counter = Counter()
         by_task: Counter = Counter()
-        for task, plans in schema.records(lines, lambda env, *_: (env.task, _record_plans(env, cfg))):
+        for task, planned in schema.records(lines, lambda env, *_: (env.task, _record_plans(env, cfg))):
             by_task[task] += 1
-            for plan, count in plans:
+            if planned:
+                plan, count = planned
                 total_tokens += token_count(plan, cfg.tokens_per_tile) * count
                 histogram[str(plan.total_tiles)] += count
         return total_tokens, histogram, by_task

@@ -83,8 +83,6 @@ class ConversationSample(NamedTuple):
     meta: dict[str, str] = EMPTY_MAPPING
 
     def validate(self) -> None:
-        if not self.id:
-            raise InvalidRecordError("sample id must be non-empty")
         if len(self.turns) < 2:
             raise InvalidRecordError("conversation needs at least one user and one assistant turn")
         for i, (role, text) in enumerate(self.turns):

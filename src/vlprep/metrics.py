@@ -139,9 +139,9 @@ def bleu(pairs: Sequence[EvalPair], max_n: int = 4) -> float:
     order, and a prediction n-gram's count is clipped to its largest count
     in any reference (Papineni et al. 2002): its count in the max-union
     (``|``) of the references' Counters.  A prediction of c tokens has
-    c - n + 1 possible n-grams.  The counts are integers, summed over
-    contiguous chunks of ``pairs``, one per process of a :mod:`shards` pass
-    over the texts' size, so the score's bits do not depend on the chunks.
+    c - n + 1 possible n-grams.  The integer counts of contiguous chunks of
+    ``pairs``, one per process of a :mod:`shards` pass over the texts' size,
+    are added by ``shards.run``, so the score's bits do not depend on them.
     """
     if not pairs:
         raise UndefinedMetricError("bleu is undefined on an empty corpus")
@@ -149,8 +149,8 @@ def bleu(pairs: Sequence[EvalPair], max_n: int = 4) -> float:
     from . import shards  # only bleu fans out, so eval --metric mcq does not load the shard layer
 
     chunks = shards.split(len(pairs), sum(len(p.prediction) + sum(map(len, p.references)) for p in pairs))
-    parts = shards.run(len(chunks), lambda k, _: _bleu_counts(pairs[chunks[k].start : chunks[k].stop], max_n))
-    pred_total, ref_total, *counts = map(sum, zip(*parts))
+    chunk_counts = lambda chunk, _: _bleu_counts(pairs[chunk.start : chunk.stop], max_n)  # noqa: E731
+    pred_total, ref_total, *counts = shards.run(chunks, chunk_counts)
     matched, possible = counts[:max_n], counts[max_n:]
 
     if pred_total == 0 or any(m == 0 or p == 0 for m, p in zip(matched, possible)):

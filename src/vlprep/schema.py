@@ -35,13 +35,14 @@ from .formats import (
     VideoRecord,
     parse_special_tokens,
 )
-from .geometry import ImageDims, PixelBox
+from .geometry import MULTIVIEW_CANVAS, TILE_SIZE, ImageDims, PixelBox
 
 SCHEMA_VERSION = "1"
 T = TypeVar("T")
 Lines = Iterator[tuple[int, int, int, bytes]]
 _ENVELOPE_KEYS = ("id", "schema_version", "task", "meta", "payload")
 _ENVELOPE_KEY_SET = frozenset(_ENVELOPE_KEYS)
+_ONE_TILE = ImageDims(TILE_SIZE, TILE_SIZE)
 
 
 class Envelope(NamedTuple):
@@ -285,14 +286,20 @@ def dims_from(payload: dict) -> ImageDims:
     return ImageDims(*_numbers((payload["width"], payload["height"]), 2, "width and height", (int,)))
 
 
-def planned_dims(task: str, meta: dict[str, str]) -> ImageDims | None:
-    """The dims a sample's images are planned at: meta ``width`` and ``height`` by ``int()``, unless absent."""
-    if task in ("video", "multiview") or "width" not in meta or "height" not in meta:
+def planned_images(task: str, sample: ConversationSample) -> tuple[ImageDims, int] | None:
+    """``(dims, count)``: a sample's images are ``count`` plans at ``dims``; None for a sample with no image.
+
+    Multiview: one plan of :data:`MULTIVIEW_CANVAS`; video: one tile a frame; any other task: one plan an image at
+    its meta ``width`` and ``height`` by ``int()``, or one tile if either is absent.  Bad meta dims fail with no image.
+    """
+    meta, dims = sample.meta, _ONE_TILE
+    if task not in ("video", "multiview") and "width" in meta and "height" in meta:
+        dims = ImageDims(int(meta["width"]), int(meta["height"]))
+        if max(dims.width, dims.height) > _FLOAT_MAX:
+            raise InvalidRecordError(f"image dims must fit a float, got {dims.width}x{dims.height}")
+    if not sample.images:
         return None
-    dims = ImageDims(int(meta["width"]), int(meta["height"]))
-    if max(dims.width, dims.height) > _FLOAT_MAX:
-        raise InvalidRecordError(f"image dims must fit a float, got {dims.width}x{dims.height}")
-    return dims
+    return (MULTIVIEW_CANVAS, 1) if task == "multiview" else (dims, len(sample.images))
 
 
 def _box_from(values, what: str = "box") -> PixelBox:
@@ -402,24 +409,23 @@ def envelope_to_sample(
     through its converter.  Callers name the record with :class:`at_line`.
     """
     if env.task == "vqa" or is_conversation_payload(env.payload):
-        sample = payload_to_sample(env)
+        sample, overlay = payload_to_sample(env), None
         sample.validate()
         if env.task == "vqa":
             sample = ConversationSample(sample.id, sample.images, sample.turns, {"task": "vqa", **sample.meta})
         for _, text in sample.turns:
             parse_special_tokens(text)
-        planned_dims(env.task, sample.meta)
-        return sample, None
-    record = payload_to_record(env.task, env.payload)
-    convert = getattr(formats, f"convert_{env.task}")
-    if env.task == "classification":
-        sample, overlay = convert(record, template, sample_id=env.id, meta=env.meta), None
-    elif env.task == "region":
-        sample, overlay = convert(record, sample_id=env.id, meta=env.meta, object_index=object_index)
     else:
-        sample, overlay = convert(record, sample_id=env.id, meta=env.meta), None
-    sample.validate()
-    planned_dims(env.task, sample.meta)
+        record = payload_to_record(env.task, env.payload)
+        convert = getattr(formats, f"convert_{env.task}")
+        if env.task == "classification":
+            sample, overlay = convert(record, template, sample_id=env.id, meta=env.meta), None
+        elif env.task == "region":
+            sample, overlay = convert(record, sample_id=env.id, meta=env.meta, object_index=object_index)
+        else:
+            sample, overlay = convert(record, sample_id=env.id, meta=env.meta), None
+        sample.validate()
+    planned_images(env.task, sample)
     return sample, overlay
 
 

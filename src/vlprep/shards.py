@@ -11,9 +11,9 @@ a pipe.  A sink that has a ``part_dir`` attribute gets its parts made in
 that directory, so a file output's parts use the file's own file system;
 any other sink's parts are made in the temporary directory.  As shard 0 and
 then each worker in shard order succeeds, the worker's parts are copied to
-the sinks in fixed-size blocks, and the results are returned in shard order
-(a line pass adds them column by column), so no output byte depends on the
-number of shards.  Every sink is a UTF-8 text handle that ``cli._line_sink``
+the sinks in fixed-size blocks, and :func:`run` adds the result tuples
+column by column in shard order, so no output byte depends on the number
+of shards.  Every sink is a UTF-8 text handle that ``cli._line_sink``
 made, so a part is copied as bytes, the sink's text layer flushed first.
 
 A shard that fails stops the pass: its error is raised here as the shard
@@ -33,7 +33,7 @@ import shutil
 import stat
 import sys
 import tempfile
-from typing import IO, Callable, Sequence, TypeVar
+from typing import IO, Callable, Sequence
 
 from . import schema
 from .errors import PipelineError
@@ -47,8 +47,6 @@ MIN_SHARD_BYTES = 128 * 1024
 # Parts are copied in blocks of the text layer's own chunk size: with 64 KiB
 # blocks the parent's peak RSS grew by 4 MB over one `mix` copy.
 _BLOCK = 8192
-
-T = TypeVar("T")
 
 
 def usable_cpus() -> int:
@@ -108,11 +106,7 @@ def line_pass(
     ``Counter`` keeps its keys in the order they first appear in the input.
     """
     cuts = _cuts(source)
-
-    def shard(k: int, handles: Sequence[IO[str]]) -> tuple:
-        return work(schema.numbered_lines(source, cuts[k], cuts[k + 1]), handles)
-
-    return tuple(sum(column[1:], column[0]) for column in zip(*run(len(cuts) - 1, shard, sinks)))
+    return run(list(zip(cuts, cuts[1:])), lambda cut, out: work(schema.numbered_lines(source, *cut), out), sinks)
 
 
 def _stop(pid: int) -> None:
@@ -124,16 +118,16 @@ def _stop(pid: int) -> None:
             os.waitpid(pid, 0)
 
 
-def run(shards: int, work: Callable[[int, Sequence[IO[str]]], T], sinks: Sequence = ()) -> list[T]:
-    """``work(k, handles)`` for each shard ``k < shards``, shard 0 here with ``sinks``; the results in order.
+def run(shards: Sequence, work: Callable[[object, Sequence[IO[str]]], Sequence], sinks: Sequence = ()) -> tuple:
+    """``work(shard, handles)`` for each shard, the first here with ``sinks``; the result tuples added by column.
 
     Each sink is a UTF-8 text handle with a binary layer; a worker's ``handles``
     are its parts, copied to ``sinks`` once it and every shard before it have
     succeeded.  One exit stack owns every part, pipe and worker not yet waited
     for, so on every path each is closed, or killed and waited for.
     """
-    if shards == 1:
-        return [work(0, sinks)]
+    if len(shards) == 1:
+        return tuple(work(shards[0], sinks))  # one tuple added column by column is itself
     import pickle  # loaded before the fork: a worker that loaded it would start 3 ms later
 
     with contextlib.ExitStack() as stack:
@@ -141,7 +135,7 @@ def run(shards: int, work: Callable[[int, Sequence[IO[str]]], T], sinks: Sequenc
             if stream is not None:  # None: its fd was closed when the process started
                 stream.flush()
         workers = []
-        for k in range(1, shards):
+        for shard in shards[1:]:
             parts = [
                 stack.enter_context(
                     tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=getattr(sink, "part_dir", None))
@@ -156,7 +150,7 @@ def run(shards: int, work: Callable[[int, Sequence[IO[str]]], T], sinks: Sequenc
                     status = 1
                     try:  # the worker leaves only through os._exit: no atexit handler or caller's cleanup runs twice
                         try:
-                            value = work(k, parts)
+                            value = work(shard, parts)
                             for part in parts:
                                 part.flush()
                             outcome = (False, value)
@@ -169,7 +163,7 @@ def run(shards: int, work: Callable[[int, Sequence[IO[str]]], T], sinks: Sequenc
                         os._exit(status)
                 stack.callback(_stop, pid)
             workers.append((pid, result, parts))
-        results = [work(0, sinks)]
+        results = [work(shards[0], sinks)]
         for k, (pid, result, parts) in enumerate(workers, start=1):
             try:
                 failed, value = pickle.load(result)  # read before the wait: a result may not fit in the pipe
@@ -186,4 +180,4 @@ def run(shards: int, work: Callable[[int, Sequence[IO[str]]], T], sinks: Sequenc
                 part.seek(0)
                 sink.flush()  # the text written to the sink goes first
                 shutil.copyfileobj(part.buffer, sink.buffer, _BLOCK)
-        return results
+        return tuple(sum(column[1:], column[0]) for column in zip(*results))

@@ -1548,18 +1548,39 @@ class TestStats:
             assert code == 0, name
             assert from_raw == run(capsys, "stats", str(folder / f"{name}.jsonl"))[1], name
 
-    def test_a_record_with_no_image_adds_no_histogram_key(self, capsys, tmp_path):
-        # A record's images are tallied as (plan, count) pairs, and Counter[k] += 0 would add "k": 0.
+    @pytest.mark.parametrize("task", errors.KNOWN_TASKS)
+    def test_a_record_with_no_image_adds_no_histogram_key(self, capsys, tmp_path, task):
+        # A record with no image is charged nothing, whatever its task, multiview included;
+        # and Counter[k] += 0 would add "k": 0.
         src = tmp_path / "in.jsonl"
         turns = [("user", "q"), ("assistant", "a")]
-        write_jsonl(src, [vqa_record(turns, images=()), vqa_record(turns, images=("a.png", "b.png", "c.png"))])
+        empty = {**vqa_record(turns, images=()), "task": task}
+        write_jsonl(src, [empty, vqa_record(turns, images=("a.png", "b.png", "c.png"))])
         code, out, _ = run(capsys, "stats", str(src))
         summary = json.loads(out)
         assert (code, summary["records"], summary["visual_tokens"]) == (0, 2, 3 * 256)
         assert summary["tile_histogram"] == {"1": 3}
-        write_jsonl(src, [vqa_record(turns, images=())])
+        write_jsonl(src, [empty])
+        assert run(capsys, "validate", str(src))[0] == 0
         code, out, _ = run(capsys, "stats", str(src))
         assert (code, json.loads(out)["visual_tokens"], json.loads(out)["tile_histogram"]) == (0, 0, {})
+
+    def test_a_bad_meta_width_is_refused_with_no_image_too(self, capsys, tmp_path):
+        src = tmp_path / "in.jsonl"
+        turns = [("user", "q"), ("assistant", "a")]
+        record = {**vqa_record(turns, images=()), "meta": {"width": "abc", "height": "10"}}
+        write_jsonl(src, [{**record, "task": "grounding"}])
+        code, stdout, _ = run(capsys, "validate", str(src))
+        row, summary = map(json.loads, stdout.splitlines())
+        assert (code, summary) == (1, {"checked": 1, "errors": 1})
+        assert row["line"] == 1 and row["error"].startswith("record 'vqa-0001': malformed payload: ValueError")
+        code, stdout, err = run(capsys, "stats", str(src))
+        assert (code, stdout) == (1, "")
+        assert json.loads(err)["message"].startswith("line 1: record 'vqa-0001': malformed payload: ValueError")
+        write_jsonl(src, [record])
+        code, stdout, err = run(capsys, "convert", "--task", "vqa", "-i", str(src), "-o", "-")
+        assert (code, stdout) == (1, "")
+        assert json.loads(err)["message"].startswith("line 1: record 'vqa-0001': malformed payload: ValueError")
 
     # Each is refused once, on the merged settings, before any record is read.
     BAD_PLANNER_FLAGS = {
@@ -1662,6 +1683,11 @@ class TestEval:
         assert code == 0
         avg = json.loads(out.strip())["metrics"]["average"]
         assert avg == pytest.approx((80.0 + 60.0 + 70.0) / 3)
+
+    def test_average_without_scores_is_exit_2(self, capsys):
+        code, stdout, err = run(capsys, "eval", "--metric", "avg")
+        assert (code, stdout, err.count("\n")) == (2, "", 1)
+        assert json.loads(err)["message"] == "eval --metric avg requires --scores FILE"
 
     def test_benchmark_average_missing_key(self, capsys, tmp_path):
         path = tmp_path / "scores.json"

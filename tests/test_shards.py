@@ -421,7 +421,7 @@ class TestFailures:
             return k
 
         with pytest.raises(KeyError, match="missing"):
-            shards.run(2, work)
+            shards.run([0, 1], work)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -557,6 +557,13 @@ class TestBleuFansOut:
 
 
 class TestOneProcess:
+    def test_the_cpu_count_stands_in_where_affinity_is_unknown(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert shards.usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert shards.usable_cpus() == 1
+
     def test_stdin_is_read_in_one_process(self, capsys, monkeypatch, forked):
         data = "\n".join(copies("grounding", 10)).encode("utf-8")
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
