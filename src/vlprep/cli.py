@@ -7,10 +7,10 @@ writes every byte out as UTF-8.  The merged settings are checked before any
 record is read, and no path a command writes may name a path it reads or writes
 elsewhere.  Errors are one JSON object on stderr (dropped if it is closed),
 mapped to exit codes: 0 success, 1 validation, 2 configuration, 3 I/O (a closed
-stdout too), 130 Ctrl-C.  JSON is decoded by ``schema.JSON_DECODER`` and encoded
-by ``schema.JSON_ENCODER``, which refuse NaN and the infinities (an eval score
+stdout too), 130 Ctrl-C.  JSON is decoded by ``jsonl.JSON_DECODER`` and encoded
+by ``jsonl.JSON_ENCODER``, which refuse NaN and the infinities (an eval score
 past the float range is exit 1).  Each settings file (``--config``, the mix
-manifest, ``--scores``) is one JSON object, read by ``schema.read_json_object``:
+manifest, ``--scores``) is one JSON object, read by ``jsonl.read_json_object``:
 one that cannot be read is exit 3, any other fault exit 2.  A bad input line is
 named ``line N:`` (``<source>: line N:`` in mix), and a bad record ``record
 '<id>':`` after that.  validate is a dry run of convert with the default
@@ -25,15 +25,11 @@ but eval holds the pairs its metric needs, parsed in this process.  mix holds
 a byte offset per source line and a position per output record, and reads
 each record back as it writes it.
 
-convert, validate and stats on a regular file, and mix on each source and
-on its output, run one process per usable CPU when ``os.fork`` exists, but
-no more processes than give each at least ``shards.MIN_SHARD_BYTES`` of
-input (so a file under twice that size runs in one process): each takes a
-contiguous range of the input (mix: of each source's bytes, then of the
-output positions), the workers' parts are joined in input order, and
-``shards.run`` adds their results column by column, as it adds the counts of
-``metrics.bleu``'s ranges of eval's pairs; ROUGE-L, the other metrics and
-eval's parse run in this process, where a worker did not pay.  No output
+convert, validate and stats on a regular file, mix on each source and on its
+output, and ``metrics.bleu`` on eval's pairs run one process per usable CPU,
+each on a contiguous range, as :mod:`shards` sets out (a file under twice
+``shards.MIN_SHARD_BYTES`` runs in one process); ROUGE-L, the other metrics
+and eval's parse run in this process, where a worker did not pay.  No output
 byte, error or exit code depends on it.
 
 File outputs are written to a uniquely named ``<out>.<random>.tmp`` sibling,
@@ -43,7 +39,8 @@ run removes the sibling, and with ``-o -`` (or validate's rows) prints no
 lines; only a killed process leaves a ``*.tmp`` file behind.
 
 Each command loads only the modules it runs: ``cli`` imports ``errors`` and
-``geometry`` alone, so ``plan-tiles`` starts on the planner.  ``schema``,
+``geometry`` alone, so ``plan-tiles`` starts on the planner, and a settings
+file or an error line adds only ``jsonl``.  ``jsonl``, ``schema``,
 ``formats``, ``shards``, ``metrics``, ``mix`` and ``load_manifest`` load on
 first use (a PEP 562 ``__getattr__``) and are bound here as plain attributes,
 since the benchmark's traced runs patch ``cli.schema`` and ``cli.mix`` by name;
@@ -78,7 +75,7 @@ from .geometry import (
 )
 
 # The module each lazy name is loaded from; a name that is not the module's own is an attribute of it.
-_LAZY = {"mix": "mixer", "load_manifest": "mixer", **{m: m for m in ("schema", "formats", "shards", "metrics")}}
+_LAZY = dict(mix="mixer", load_manifest="mixer", **{m: m for m in ("jsonl", "schema", "formats", "shards", "metrics")})
 
 
 def _bound(name: str):
@@ -150,7 +147,7 @@ def _config(args) -> PipelineConfig:
     Each file key is a field.  A flag overrides the field its argparse
     ``dest`` names; a flag that was not given parses to None.
     """
-    obj = {} if args.config is None else _bound("schema").read_json_object(args.config, "config")
+    obj = {} if args.config is None else _bound("jsonl").read_json_object(args.config, "config")
     check_keys(obj, PipelineConfig._fields, (), "config")
     given = {name: flag for name in PipelineConfig._fields if (flag := getattr(args, name, None)) is not None}
     return PipelineConfig(**{**obj, **given})
@@ -171,6 +168,7 @@ def _check_paths(reads: list[tuple[str, str | None]], writes: list[tuple[str, st
 
 
 def _source(path: str):
+    _check_paths([("input", path)], [])
     if path == "-" and sys.stdin is None:  # fd 0 was closed when the process started
         raise RecordIOError("cannot read input: stdin is closed")
     return sys.stdin if path == "-" else path
@@ -241,7 +239,7 @@ def _write(stream, out) -> None:
 
 
 def _print_json(obj, stderr: bool = False) -> None:
-    _write(sys.stderr if stderr else sys.stdout, _bound("schema").dumps_object(obj) + "\n")
+    _write(sys.stderr if stderr else sys.stdout, _bound("jsonl").dumps_object(obj) + "\n")
 
 
 def _template_from(cfg: PipelineConfig) -> formats.PromptTemplate:
@@ -274,7 +272,7 @@ def cmd_convert(args) -> int:
     out_path = "-" if cfg.output is None else cfg.output
     _check_paths([("config", args.config), ("input", cfg.input)], [("output", out_path), ("overlays", args.overlays)])
 
-    def convert(lines: schema.Lines, sinks) -> tuple[int, int]:
+    def convert(lines: jsonl.Lines, sinks) -> tuple[int, int]:
         records = drawn = 0
         for converted, overlay in schema.records(lines, lambda env, i, *_: _convert_one(env, cfg.task, template, i)):
             sinks[0].write(schema.dumps_envelope(converted) + "\n")
@@ -282,7 +280,7 @@ def cmd_convert(args) -> int:
             if overlay is not None:
                 drawn += 1
                 if args.overlays is not None:
-                    sinks[1].write(schema.dumps_object({"id": converted.id, **overlay._asdict()}) + "\n")
+                    sinks[1].write(jsonl.dumps_object({"id": converted.id, **overlay._asdict()}) + "\n")
         return records, drawn
 
     # The sidecar is opened after the output, so its faults come second, and
@@ -319,22 +317,22 @@ def cmd_mix(args) -> int:
     report_obj = {**report._asdict(), "sources": [stat._asdict() for stat in report.sources]}
     if report_path is not None:
         with _line_sink(report_path) as out:
-            out.write(schema.dumps_object(report_obj) + "\n")
+            out.write(jsonl.dumps_object(report_obj) + "\n")
     _print_json(report_obj, stderr=out_path == "-")
     return 0
 
 
 def cmd_validate(args) -> int:
     # Not schema.records: this loop goes on past a bad line, and validate_envelope names the record of its row.
-    def check(lines: schema.Lines, sinks) -> tuple[int, int]:
+    def check(lines: jsonl.Lines, sinks) -> tuple[int, int]:
         checked = errors = 0
         for number, _, _, line in lines:
             checked += 1
             try:
-                schema.validate_envelope(schema.loads_envelope(schema.line_text(line)))
+                schema.validate_envelope(schema.loads_envelope(jsonl.line_text(line)))
             except InvalidRecordError as exc:
                 errors += 1
-                sinks[0].write(schema.dumps_object({"line": number, "error": str(exc)}) + "\n")
+                sinks[0].write(jsonl.dumps_object({"line": number, "error": str(exc)}) + "\n")
         return checked, errors
 
     with _line_sink("-") as rows:
@@ -360,7 +358,7 @@ def _record_plans(env: schema.Envelope, cfg: PipelineConfig) -> tuple[TilePlan, 
 def cmd_stats(args) -> int:
     cfg = _config(args)
 
-    def tally(lines: schema.Lines, _) -> tuple[int, Counter, Counter]:
+    def tally(lines: jsonl.Lines, _) -> tuple[int, Counter, Counter]:
         total_tokens = 0
         histogram: Counter = Counter()
         by_task: Counter = Counter()
@@ -393,9 +391,9 @@ def cmd_stats(args) -> int:
 def _parsed_lines(path: str, parse: Callable[[dict], object]) -> list:
     """``parse`` of each line's JSON object, in order: a pair, which names no record, so not by ``schema.records``."""
     parsed = []
-    for number, _, _, line in schema.numbered_lines(_source(path)):
-        with schema.at_line(number):
-            parsed.append(parse(schema.loads_object(schema.line_text(line))))
+    for number, _, _, line in jsonl.numbered_lines(_source(path)):
+        with jsonl.at_line(number):
+            parsed.append(parse(jsonl.loads_object(jsonl.line_text(line))))
     return parsed
 
 
@@ -414,7 +412,7 @@ def _signal_pair(obj: dict) -> metrics.SignalPair:
     if "predicted" not in obj or "truth" not in obj:
         raise InvalidRecordError(f"signal line needs predicted and truth: {obj}")
     for key in ("predicted", "truth"):
-        if not schema.is_finite_number(obj[key]):
+        if not jsonl.is_finite_number(obj[key]):
             raise InvalidRecordError(f"{key} must be a finite number, got {obj[key]!r}")
     return metrics.SignalPair(
         id=str(obj.get("id", "")), predicted=float(obj["predicted"]), truth=float(obj["truth"])
@@ -425,8 +423,8 @@ def cmd_eval(args) -> int:
     if args.metric == "avg":
         if args.scores is None:
             raise InvalidConfigError("eval --metric avg requires --scores FILE")
-        scores = schema.read_json_object(args.scores, "scores")
-        bad = {name: score for name, score in scores.items() if not schema.is_finite_number(score)}
+        scores = jsonl.read_json_object(args.scores, "scores")
+        bad = {name: score for name, score in scores.items() if not jsonl.is_finite_number(score)}
         if bad:
             raise InvalidConfigError(f"scores {args.scores}: values must be finite numbers, got {bad}")
         value = metrics.benchmark_average(scores, ocrbench_key=args.ocrbench_key)
@@ -517,16 +515,16 @@ def build_parser() -> argparse.ArgumentParser:
     convert.add_argument("--seed", type=int, help="root seed for seeded choices")
     convert.add_argument("--overlays", help="sidecar path for drawn-annotation overlay specs")
     convert.add_argument("--config", help="JSON config file supplying defaults")
-    convert.set_defaults(func=cmd_convert, needs=("schema", "formats", "shards"))
+    convert.set_defaults(func=cmd_convert, needs=("jsonl", "schema", "formats", "shards"))
 
     mix_cmd = sub.add_parser("mix", help="build a seeded domain/general mixture")
     mix_cmd.add_argument("--manifest", required=True, help="mix manifest JSON path")
     mix_cmd.add_argument("--output", "-o", help="output path or - for stdout")
-    mix_cmd.set_defaults(func=cmd_mix, needs=("schema", "shards", "mix", "load_manifest"))
+    mix_cmd.set_defaults(func=cmd_mix, needs=("jsonl", "schema", "shards", "mix", "load_manifest"))
 
     validate = sub.add_parser("validate", help="check every record parses and holds its invariants")
     validate.add_argument("path", help="records path or - for stdin")
-    validate.set_defaults(func=cmd_validate, needs=("schema", "shards"))
+    validate.set_defaults(func=cmd_validate, needs=("jsonl", "schema", "shards"))
 
     stats = sub.add_parser("stats", help="token and tile accounting over a record file")
     stats.add_argument("path", help="records path or - for stdin")
@@ -541,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_cmd.add_argument("--thresholds", help="comma-separated A_tau thresholds")
     eval_cmd.add_argument("--scores", help="JSON score map for --metric avg")
     eval_cmd.add_argument("--ocrbench-key", default="OCRBench", help="score key on the 0-1000 scale")
-    eval_cmd.set_defaults(func=cmd_eval, needs=("schema", "metrics"))
+    eval_cmd.set_defaults(func=cmd_eval, needs=("jsonl", "metrics"))
 
     plan = sub.add_parser("plan-tiles", help="tile plan and token count for given dims")
     plan.add_argument("width", type=int)

@@ -23,7 +23,7 @@ from collections import namedtuple
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from . import schema, shards
+from . import jsonl, schema, shards
 from .errors import InsufficientDataError, InvalidConfigError, InvalidRecordError, RecordIOError, check_keys
 from .geometry import _round_half_away, ordered_sum
 from .schema import Envelope
@@ -56,7 +56,7 @@ class GeneralSource(namedtuple("GeneralSource", "source_id path weight", default
 
     def __init__(self, *_, **__) -> None:
         _check_id_and_path(self, "general")
-        if not schema.is_finite_number(self.weight) or self.weight < 0:
+        if not jsonl.is_finite_number(self.weight) or self.weight < 0:
             raise InvalidConfigError(
                 f"weight must be a finite number >= 0, got {self.weight!r} for {self.source_id!r}"
             )
@@ -128,7 +128,7 @@ def parse_ratio(text: str | float | int) -> float:
                 value = float(raw)
         except ValueError:
             raise InvalidConfigError(f"cannot parse ratio {raw!r}") from None
-    if not schema.is_finite_number(value) or value < 0:
+    if not jsonl.is_finite_number(value) or value < 0:
         raise InvalidConfigError(f"ratio must be a finite number >= 0, got {value}")
     return float(value)
 
@@ -157,7 +157,7 @@ def manifest_from_dict(obj: dict) -> MixManifest:
 
 
 def load_manifest(path: str | Path) -> MixManifest:
-    return manifest_from_dict(schema.read_json_object(path, "manifest"))
+    return manifest_from_dict(jsonl.read_json_object(path, "manifest"))
 
 
 def _finite_quota(quota: float, what: str) -> float:
@@ -183,7 +183,7 @@ def _largest_remainder_quotas(total: int, weights: Sequence[float]) -> list[int]
     return quotas
 
 
-def _index(lines: schema.Lines, _) -> tuple[array, array]:
+def _index(lines: jsonl.Lines, _) -> tuple[array, array]:
     """The byte offset and CRC-32 of each line, every line checked as an envelope."""
     offsets, crcs = array("q"), array("L")
     for offset, crc in schema.records(lines, lambda _env, _i, offset, line: (offset, zlib.crc32(line))):
@@ -240,7 +240,7 @@ class FilePool(Sequence[Envelope]):
             raw = raw[: raw.find(b"\n") + 1 or None]  # the line and its newline, without the blank lines after it
             if zlib.crc32(raw) != self._crcs[i]:
                 raise InvalidRecordError(f"{self.path} changed after it was indexed: byte {offset} differs")
-            return Envelope(**schema.JSON_DECODER.decode(raw.decode("utf-8")))
+            return Envelope(**jsonl.JSON_DECODER.decode(raw.decode("utf-8")))
 
         with handle:
             yield read

@@ -1,13 +1,10 @@
-"""Line-delimited record envelopes shared by every pipeline stage.
+"""Record envelopes shared by every pipeline stage, one per line of the :mod:`jsonl` wire.
 
-One JSON object per line, UTF-8, keys in the canonical order
-(id, schema_version, task, meta, payload).  The payload is either a raw
-domain record (pre-conversion) or a conversation sample (post-conversion);
-the two are distinguished by the presence of a "turns" key.  Serialization
-is byte-deterministic so converted and mixed files diff cleanly.  All JSON
-input, settings files included, is decoded here, all JSON output is encoded
-by :func:`dumps_object`, and :class:`at_line` names the line and the record
-of an error.  An envelope is checked where it is read, by
+Keys are in the canonical order (id, schema_version, task, meta, payload).
+The payload is either a raw domain record (pre-conversion) or a conversation
+sample (post-conversion); the two are distinguished by the presence of a
+"turns" key.  Serialization is byte-deterministic so converted and mixed
+files diff cleanly.  An envelope is checked where it is read, by
 :func:`loads_envelope` (its keys, id, task, schema version, payload and meta),
 in the one record loop, :func:`records`; :class:`Envelope` checks nothing, so
 one built from checked values is not checked again.
@@ -15,31 +12,18 @@ one built from checked values is not checked again.
 
 from __future__ import annotations
 
-import contextlib
-import json
-import math
 import sys
 from pathlib import Path
 from typing import IO, Callable, Iterator, NamedTuple, TypeVar
 
-from . import formats
-from .errors import EMPTY_MAPPING, KNOWN_TASKS, LONE_SURROGATE
-from .errors import InvalidConfigError, InvalidRecordError, PipelineError, RecordIOError, TokenParseError
-from .formats import (
-    ClassificationRecord,
-    ConversationSample,
-    CTag,
-    GroundingRecord,
-    MultiViewRecord,
-    RegionRecord,
-    VideoRecord,
-    parse_special_tokens,
-)
+from . import formats, jsonl
+from .errors import EMPTY_MAPPING, KNOWN_TASKS, InvalidRecordError
+from .formats import ClassificationRecord, ConversationSample, CTag, GroundingRecord, MultiViewRecord, RegionRecord
+from .formats import VideoRecord, parse_special_tokens
 from .geometry import MULTIVIEW_CANVAS, TILE_SIZE, ImageDims, PixelBox
 
 SCHEMA_VERSION = "1"
 T = TypeVar("T")
-Lines = Iterator[tuple[int, int, int, bytes]]
 _ENVELOPE_KEYS = ("id", "schema_version", "task", "meta", "payload")
 _ENVELOPE_KEY_SET = frozenset(_ENVELOPE_KEYS)
 _ONE_TILE = ImageDims(TILE_SIZE, TILE_SIZE)
@@ -57,69 +41,13 @@ class Envelope(NamedTuple):
 
 def dumps_envelope(env: Envelope) -> str:
     """``env`` as one line of JSON, its keys in schema order."""
-    return dumps_object({"id": env.id, "schema_version": env.schema_version, "task": env.task, "meta": env.meta,
-                         "payload": env.payload})
-
-
-def _reject_constant(name: str) -> None:
-    raise ValueError(f"{name} is not a finite number")
-
-
-def _finite_float(literal: str) -> float:
-    """``float(literal)``, refused as a constant is when it overflows to an infinity (``1e400``)."""
-    value = float(literal)
-    if math.isinf(value):
-        _reject_constant(literal)
-    return value
-
-
-# The one decoder for every JSON input and the one encoder for every JSON
-# output, reused: NaN, Infinity and -Infinity are not JSON, nor is a float
-# literal past the float range, which no output could write back.
-JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
-JSON_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
-# The largest number a float holds: a decoded int past it is refused by name, and NaN fails every comparison with it.
-_FLOAT_MAX = sys.float_info.max
-
-
-def dumps_object(obj: object) -> str:
-    """``obj`` as one line of JSON; a NaN or an infinity in it is a :class:`PipelineError` (exit 1)."""
-    try:
-        return JSON_ENCODER.encode(obj)
-    except ValueError as exc:
-        raise PipelineError(f"cannot write a non-finite number as JSON: {exc}") from None
-
-
-def _decoded(text: str) -> object:
-    r"""``text`` decoded by :data:`JSON_DECODER`; a string in it that holds a lone surrogate is a ``ValueError``.
-
-    Only a ``\u`` escape can write one in JSON, so only text that holds ``\u`` pays for the check.
-    """
-    obj = JSON_DECODER.decode(text)
-    if "\\u" in text and (hit := LONE_SURROGATE.search(JSON_ENCODER.encode(obj))):
-        raise ValueError(f"lone surrogate {hit.group()!r} in a string")
-    return obj
-
-
-def is_finite_number(value: object) -> bool:
-    """A JSON number a float holds: not a bool, NaN, an infinity or an integer past the float range."""
-    return type(value) in (int, float) and abs(value) <= _FLOAT_MAX
-
-
-def loads_object(text: str) -> dict:
-    """``text`` decoded by :data:`JSON_DECODER`; anything but a JSON object is an :class:`InvalidRecordError`."""
-    try:
-        obj = _decoded(text)
-    except (ValueError, RecursionError) as exc:  # not JSON, a non-finite constant, a lone surrogate, or too deep
-        raise InvalidRecordError(f"not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise InvalidRecordError("expected a JSON object")
-    return obj
+    return jsonl.dumps_object({"id": env.id, "schema_version": env.schema_version, "task": env.task, "meta": env.meta,
+                               "payload": env.payload})
 
 
 def loads_envelope(line: str) -> Envelope:
     """The envelope on ``line``, checked: the one place the program reads an envelope from outside."""
-    obj = loads_object(line)
+    obj = jsonl.loads_object(line)
     if obj.keys() != _ENVELOPE_KEY_SET:  # one set test; the lists are built only to name the fault
         missing = [k for k in _ENVELOPE_KEYS if k not in obj]
         extra = [k for k in obj if k not in _ENVELOPE_KEYS]
@@ -139,110 +67,15 @@ def loads_envelope(line: str) -> Envelope:
     return env
 
 
-def read_json_object(path: str | Path, what: str) -> dict:
-    """The JSON object in the settings file at ``path``, called ``what`` in errors.
+def records(lines: jsonl.Lines, work: Callable[[Envelope, int, int, bytes], T]) -> Iterator[T]:
+    """``work(env, index, offset, line)`` for each of ``lines``, in order: the one record loop.
 
-    An empty path or a file that cannot be read is a :class:`RecordIOError`.
-    One that is not UTF-8, not JSON (``NaN`` and lone surrogates included)
-    or not an object is an :class:`InvalidConfigError`.
-    """
-    if path == "":  # Path("") is ".", the working directory
-        raise RecordIOError(f"cannot read {what} '': an empty path names no file")
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise RecordIOError(f"cannot read {what} {path}: {exc}") from exc
-    try:
-        obj = _decoded(data.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError too
-        raise InvalidConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise InvalidConfigError(f"{what} {path} must be a JSON object")
-    return obj
-
-
-def numbered_lines(source: str | Path | IO, start: int = 0, end: int | None = None) -> Lines:
-    r"""Yield (line number, record index, byte offset, line) for each non-blank line of a path or open handle.
-
-    Lines end at ``\n`` (a ``\r\n`` ending leaves a ``\r`` that JSON reads
-    as whitespace), and the record index counts the non-blank lines before
-    the line.  Lines are undecoded bytes, and :func:`line_text` decodes each
-    one alone.  A handle is read as bytes: a text handle such as
-    ``sys.stdin`` through its binary ``buffer``.  A path that cannot be
-    opened is a :class:`RecordIOError`.  Every line is read and counted from
-    byte 0, but only those that begin in bytes [start, end) are yielded.
-    """
-    if hasattr(source, "read"):
-        handle = contextlib.nullcontext(getattr(source, "buffer", source))
-    else:
-        try:
-            handle = open(source, "rb")
-        except OSError as exc:
-            raise RecordIOError(f"cannot read {source}: {exc}") from exc
-    with handle as lines:
-        offset = index = 0
-        for number, raw in enumerate(lines, start=1):
-            if end is not None and offset >= end:
-                return
-            line_start = offset
-            offset += len(raw)
-            if raw.strip():
-                if line_start >= start:
-                    yield number, index, line_start, raw
-                index += 1
-
-
-def line_text(line: bytes) -> str:
-    """A line of :func:`numbered_lines` as text; a line that is not UTF-8 is an :class:`InvalidRecordError`."""
-    try:
-        return line.decode("utf-8")
-    except UnicodeDecodeError:
-        raise InvalidRecordError("not valid UTF-8") from None
-
-
-class at_line:
-    """Raise an :class:`InvalidRecordError` from the block again as ``line N: <message>``.
-
-    The one place a line number and a record id join an error.  Once the
-    block sets ``record``, a token-grammar or payload-shape failure becomes
-    one too, and each names the record (a record check keeps its message,
-    and its class when ``number`` is None, which names no line).  A class,
-    not a generator under ``contextlib.contextmanager``: it is entered once
-    per record, and the class costs about a third as much to enter and leave.
-    """
-
-    __slots__ = ("number", "record")
-
-    def __init__(self, number: int | None) -> None:
-        self.number = number
-        self.record: str | None = None
-
-    def __enter__(self) -> at_line:
-        return self
-
-    def __exit__(self, kind, exc, traceback) -> None:
-        if isinstance(exc, InvalidRecordError):
-            named = exc if self.record is None else type(exc)(str(exc), self.record)
-        elif self.record is not None and isinstance(exc, TokenParseError):
-            named = InvalidRecordError(f"special-token grammar: {exc}", self.record)
-        elif self.record is not None and isinstance(exc, (TypeError, ValueError, KeyError, OverflowError)):
-            named = InvalidRecordError(f"malformed payload: {exc!r}", self.record)
-        else:
-            return
-        if self.number is not None:
-            named = InvalidRecordError(f"line {self.number}: {named}")
-        raise named from exc
-
-
-def records(lines: Lines, work: Callable[[Envelope, int, int, bytes], T]) -> Iterator[T]:
-    """``work(env, index, offset, line)`` for each of :func:`numbered_lines`' ``lines``, in order: the one record loop.
-
-    Each line is decoded by :func:`loads_envelope` (looked up per line, so a patch is seen) under :class:`at_line`,
+    Each line is decoded by :func:`loads_envelope` (looked up per line, so a patch is seen) under ``jsonl.at_line``,
     which names the record for ``work``'s errors too; each result is yielded outside it, so a write names no line.
     """
     for number, index, offset, line in lines:
-        with at_line(number) as named:
-            env = loads_envelope(line_text(line))
+        with jsonl.at_line(number) as named:
+            env = loads_envelope(jsonl.line_text(line))
             named.record = env.id
             result = work(env, index, offset, line)
         yield result
@@ -250,7 +83,7 @@ def records(lines: Lines, work: Callable[[Envelope, int, int, bytes], T]) -> Ite
 
 def read_envelopes(source: str | Path | IO) -> list[Envelope]:
     """Read a whole line-delimited envelope file (blank lines skipped), each line by :func:`loads_envelope`."""
-    return list(records(numbered_lines(source), lambda env, *_: env))
+    return list(records(jsonl.numbered_lines(source), lambda env, *_: env))
 
 
 def _require(payload: dict, keys: tuple[str, ...], task: str) -> None:
@@ -262,7 +95,7 @@ def _require(payload: dict, keys: tuple[str, ...], task: str) -> None:
 def _numbers(values, count: int, what: str, kinds: tuple[type, ...] = (int, float)) -> tuple:
     """``values`` if it is exactly ``count`` finite JSON numbers of ``kinds``; a ``bool`` is none, nor a huge int."""
     if not (isinstance(values, (list, tuple)) and len(values) == count
-            and all(type(v) in kinds and abs(v) <= _FLOAT_MAX for v in values)):
+            and all(type(v) in kinds and jsonl.is_finite_number(v) for v in values)):
         kind = "integers" if kinds == (int,) else "finite numbers"
         raise ValueError(f"{what} must be {count} {kind}, got {values!r}")
     return tuple(values)
@@ -295,7 +128,7 @@ def planned_images(task: str, sample: ConversationSample) -> tuple[ImageDims, in
     meta, dims = sample.meta, _ONE_TILE
     if task not in ("video", "multiview") and "width" in meta and "height" in meta:
         dims = ImageDims(int(meta["width"]), int(meta["height"]))
-        if max(dims.width, dims.height) > _FLOAT_MAX:
+        if max(dims.width, dims.height) > sys.float_info.max:
             raise InvalidRecordError(f"image dims must fit a float, got {dims.width}x{dims.height}")
     if not sample.images:
         return None
@@ -406,7 +239,7 @@ def envelope_to_sample(
     payload, or any ``vqa`` payload, is validated and each turn parsed under
     the special-token grammar, and a ``vqa`` sample's meta is laid over
     ``{"task": "vqa"}``.  A raw payload decodes into its record and runs
-    through its converter.  Callers name the record with :class:`at_line`.
+    through its converter.  Callers name the record with :class:`jsonl.at_line`.
     """
     if env.task == "vqa" or is_conversation_payload(env.payload):
         sample, overlay = payload_to_sample(env), None
@@ -431,6 +264,6 @@ def envelope_to_sample(
 
 def validate_envelope(env: Envelope) -> None:
     """Check one envelope end to end: a dry run of :func:`envelope_to_sample` with its defaults."""
-    with at_line(None) as named:
+    with jsonl.at_line(None) as named:
         named.record = env.id
         envelope_to_sample(env)

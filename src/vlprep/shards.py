@@ -35,7 +35,7 @@ import sys
 import tempfile
 from typing import IO, Callable, Sequence
 
-from . import schema
+from . import jsonl
 from .errors import PipelineError
 
 # A shard smaller than this costs more in the fork, the part files and the
@@ -97,16 +97,16 @@ def _cuts(source: str | IO) -> list[int | None]:
 
 
 def line_pass(
-    source: str | IO, work: Callable[[schema.Lines, Sequence[IO[str]]], tuple], sinks: Sequence = ()
+    source: str | IO, work: Callable[[jsonl.Lines, Sequence[IO[str]]], tuple], sinks: Sequence = ()
 ) -> tuple:
     """``work(lines, handles)`` for each byte range of ``source``; its tuples added column by column, in shard order.
 
-    ``lines`` is :func:`schema.numbered_lines` over the range, numbered and
+    ``lines`` is :func:`jsonl.numbered_lines` over the range, numbered and
     indexed as in the whole input.  Counts add, arrays concatenate, and a
     ``Counter`` keeps its keys in the order they first appear in the input.
     """
     cuts = _cuts(source)
-    return run(list(zip(cuts, cuts[1:])), lambda cut, out: work(schema.numbered_lines(source, *cut), out), sinks)
+    return run(list(zip(cuts, cuts[1:])), lambda cut, out: work(jsonl.numbered_lines(source, *cut), out), sinks)
 
 
 def _stop(pid: int) -> None:

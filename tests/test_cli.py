@@ -477,7 +477,7 @@ class TestCommandLineErrors:
 
 class TestRecordErrorMessages:
     # case -> (golden input, extra convert flags, bad record, message after "line 2: record '<id>': ").
-    # Only schema.at_line names the record; the converters and the
+    # Only jsonl.at_line names the record; the converters and the
     # geometry checks raise without it.
     CASES = {
         "grounding_box_out_of_bounds": (
@@ -824,7 +824,8 @@ class TestEmptyValues:
     # exit 3, named by its role before any record is read, and an empty
     # --thresholds is exit 2.  Each once read stdin, wrote stdout, wrote no
     # sidecar or scored with the default thresholds, and exited 0; an empty
-    # --scores was exit 2, as if it were left out.
+    # --scores was exit 2, as if it were left out.  validate, stats and eval
+    # once named an empty input by no role ("cannot read : [Errno 2] ...").
     EMPTY_PATH = ": an empty path names no file"
     CASES = {
         "convert_output": (["convert", "--task", "region", "-i", "r.jsonl", "-o", ""], 3,
@@ -841,9 +842,9 @@ class TestEmptyValues:
         # These were exit 3 already; an empty mix source is now named by its role, before any source is read.
         "mix_source": (["mix", "--manifest", "empty_source.json", "-o", "out.jsonl"], 3,
                        "cannot read source ''" + EMPTY_PATH),
-        "validate_path": (["validate", ""], 3, "cannot read : "),
-        "stats_path": (["stats", ""], 3, "cannot read : "),
-        "eval_input": (["eval", "--metric", "mcq", "-i", ""], 3, "cannot read : "),
+        "validate_path": (["validate", ""], 3, "cannot read input ''" + EMPTY_PATH),
+        "stats_path": (["stats", ""], 3, "cannot read input ''" + EMPTY_PATH),
+        "eval_input": (["eval", "--metric", "mcq", "-i", ""], 3, "cannot read input ''" + EMPTY_PATH),
         # A settings file at "" was read as the directory "." (exit 3, "Is a directory"); it is named as a path is.
         "eval_scores": (["eval", "--metric", "avg", "--scores", ""], 3, "cannot read scores ''" + EMPTY_PATH),
         "convert_config": (["convert", "--config", "", "-i", "r.jsonl", "-o", "out.jsonl"], 3,
@@ -2398,7 +2399,8 @@ class TestImportPath:
             ("validate {domain}", {"vlprep.mixer", "vlprep.metrics", "hashlib"}),
             ("stats {domain}", {"vlprep.mixer", "vlprep.metrics", "hashlib"}),
             ("mix --manifest {tmp}/mix.json -o {tmp}/mixed.jsonl", {"vlprep.metrics"}),
-            ("eval --metric mcq -i {tmp}/pairs.jsonl", {"vlprep.mixer", "vlprep.shards", "hashlib"}),
+            ("eval --metric mcq -i {tmp}/pairs.jsonl",
+             {"vlprep.mixer", "vlprep.shards", "vlprep.schema", "vlprep.formats", "vlprep.seeding", "hashlib"}),
         ],
     )
     def test_data_command_runs_without_the_modules_it_never_calls(self, tmp_path, argv, unused):
@@ -2432,6 +2434,24 @@ class TestImportPath:
         proc, _ = run_cli_fresh(tmp_path, *argv)
         assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (2, "", 1)
         assert json.loads(proc.stderr)["exit_code"] == 2
+
+    @pytest.mark.parametrize(
+        "argv,wire_users",
+        [
+            ("plan-tiles 0 5", set()),
+            ("plan-tiles 2000 500 --config {tmp}/cfg.json", set()),
+            ("eval --metric bleu -i {tmp}/pairs.jsonl", {"vlprep.metrics", "vlprep.shards"}),
+        ],
+    )
+    def test_a_settings_file_an_error_line_and_eval_load_the_wire_without_the_records(self, tmp_path, argv, wire_users):
+        # The JSON-lines wire is its own module: reading a settings file or a
+        # pairs file, or writing an error line, loads neither schema's record
+        # decoders nor the formats and seeding they pull in.
+        (tmp_path / "cfg.json").write_text(json.dumps({"max_tiles": 6}))
+        write_jsonl(tmp_path / "pairs.jsonl", [{"id": "1", "prediction": "a cat", "references": ["a cat"]}])
+        _, loaded = run_cli_fresh(tmp_path, *(part.format(tmp=tmp_path) for part in argv.split()))
+        expected = {"vlprep", "vlprep.errors", "vlprep.geometry", "vlprep.jsonl", *wire_users}
+        assert {name for name in loaded if name.startswith("vlprep")} == expected
 
     def test_plan_tiles_reads_its_config_in_a_fresh_process(self, tmp_path):
         config = tmp_path / "cfg.json"

@@ -5,14 +5,12 @@ from pathlib import Path
 import pytest
 
 from vlprep.errors import InvalidRecordError, PipelineError, RecordIOError
+from vlprep.jsonl import dumps_object, loads_object, numbered_lines
 from vlprep.schema import (
     Envelope,
     dumps_envelope,
-    dumps_object,
     envelope_to_sample,
     loads_envelope,
-    loads_object,
-    numbered_lines,
     payload_to_record,
     payload_to_sample,
     read_envelopes,
@@ -292,7 +290,7 @@ class TestConversationRecords:
 
 
 class TestOneJsonDecoder:
-    # Every JSON input goes through schema.JSON_DECODER, which refuses NaN and
+    # Every JSON input goes through jsonl.JSON_DECODER, which refuses NaN and
     # the infinities; a json.load or json.loads call would accept them again.
     def test_no_other_json_decode_in_the_package(self):
         src = Path(__file__).resolve().parents[1] / "src" / "vlprep"
@@ -313,7 +311,7 @@ class TestOneJsonDecoder:
 
 
 class TestOneJsonEncoder:
-    # Every JSON output goes through schema.JSON_ENCODER, which refuses NaN and
+    # Every JSON output goes through jsonl.JSON_ENCODER, which refuses NaN and
     # the infinities; a json.dump or json.dumps call would write them again.
     def test_no_other_json_encode_in_the_package(self):
         src = Path(__file__).resolve().parents[1] / "src" / "vlprep"
