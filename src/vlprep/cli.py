@@ -341,7 +341,9 @@ def cmd_validate(args) -> int:
     return 0 if errors == 0 else 1
 
 
-def _record_plans(env: schema.Envelope, cfg: PipelineConfig) -> tuple[TilePlan, int] | None:
+def _record_plans(
+    env: schema.Envelope, cfg: PipelineConfig, template: formats.PromptTemplate
+) -> tuple[TilePlan, int] | None:
     """``(plan, count)``: ``count`` of the record's images planned as ``plan`` by ``schema.planned_images``, or None."""
     # A conversation is decoded but not checked: ConversationSample.validate
     # and the token grammar would cost 1.3-3x what stats costs, and validate
@@ -350,19 +352,20 @@ def _record_plans(env: schema.Envelope, cfg: PipelineConfig) -> tuple[TilePlan, 
     if schema.is_conversation_payload(env.payload):
         sample = schema.payload_to_sample(env)
     else:
-        sample, _ = schema.envelope_to_sample(env)
+        sample, _ = schema.envelope_to_sample(env, template)
     planned = schema.planned_images(env.task, sample)
     return planned and (plan_tiles(planned[0], cfg.min_tiles, cfg.max_tiles, cfg.use_thumbnail), planned[1])
 
 
 def cmd_stats(args) -> int:
     cfg = _config(args)
+    template = _template_from(cfg)
 
     def tally(lines: jsonl.Lines, _) -> tuple[int, Counter, Counter]:
         total_tokens = 0
         histogram: Counter = Counter()
         by_task: Counter = Counter()
-        for task, planned in schema.records(lines, lambda env, *_: (env.task, _record_plans(env, cfg))):
+        for task, planned in schema.records(lines, lambda env, *_: (env.task, _record_plans(env, cfg, template))):
             by_task[task] += 1
             if planned:
                 plan, count = planned
@@ -529,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser("stats", help="token and tile accounting over a record file")
     stats.add_argument("path", help="records path or - for stdin")
     _add_planner_flags(stats)
-    stats.set_defaults(func=cmd_stats, needs=("schema", "shards"))
+    stats.set_defaults(func=cmd_stats, needs=("schema", "formats", "shards"))
 
     eval_cmd = sub.add_parser("eval", help="score predictions against references")
     eval_cmd.add_argument("--metric", required=True, choices=["mcq", "bleu", "rouge", "signals", "avg"])

@@ -105,7 +105,9 @@ def numbered_lines(source: str | Path | IO, start: int = 0, end: int | None = No
     one alone.  A handle is read as bytes: a text handle such as
     ``sys.stdin`` through its binary ``buffer``.  A path that cannot be
     opened is a :class:`RecordIOError`.  Every line is read and counted from
-    byte 0, but only those that begin in bytes [start, end) are yielded.
+    byte 0, but only those that begin in bytes [start, end) are yielded, so
+    ranges that cut a file at any bytes yield each line once, in the range
+    where it begins, and a range in which no line begins yields none.
     """
     if hasattr(source, "read"):
         handle = contextlib.nullcontext(getattr(source, "buffer", source))

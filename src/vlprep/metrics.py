@@ -207,11 +207,13 @@ def rouge_l(pairs: Sequence[EvalPair], recall_only: bool = False) -> float:
 
 
 def check_thresholds(thresholds: Sequence[float]) -> None:
-    """Refuse an empty threshold list or a threshold that is not a positive finite number."""
+    """Refuse an empty threshold list, a threshold that is not a positive finite number, or one given twice."""
     if not thresholds:
         raise InvalidConfigError("at least one threshold is required")
     if not all(0 < t < math.inf for t in thresholds):  # NaN is in no range either
         raise InvalidConfigError(f"thresholds must be positive finite numbers, got {list(thresholds)}")
+    if len(set(thresholds)) < len(thresholds):  # each names one A_tau key
+        raise InvalidConfigError(f"thresholds must differ, got {list(thresholds)}")
 
 
 def control_signal_metrics(

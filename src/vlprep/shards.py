@@ -1,20 +1,22 @@
 """One pass cut into contiguous shards, each run by its own process.
 
-A pass over a regular file is cut into one shard per usable CPU, but into
-no more shards than leave each at least :data:`MIN_SHARD_BYTES`, when
-``os.fork`` exists; any other pass is one shard, run in this process by the
-same code.  Shard 0 runs in this process and writes straight to the pass's
-sinks.  Each other shard runs in a forked worker, which opens its own
-files, writes its lines to anonymous temporary part files (unlinked from
-the start, so none outlives the run) and sends a small result back through
-a pipe.  A sink that has a ``part_dir`` attribute gets its parts made in
-that directory, so a file output's parts use the file's own file system;
-any other sink's parts are made in the temporary directory.  As shard 0 and
-then each worker in shard order succeeds, the worker's parts are copied to
-the sinks in fixed-size blocks, and :func:`run` adds the result tuples
-column by column in shard order, so no output byte depends on the number
-of shards.  Every sink is a UTF-8 text handle that ``cli._line_sink``
-made, so a part is copied as bytes, the sink's text layer flushed first.
+A pass over a regular file is cut at any byte into one shard per usable CPU,
+but into no more shards than leave each at least :data:`MIN_SHARD_BYTES`,
+when ``os.fork`` exists; each shard takes the lines that begin in its range,
+and the parent reads no input byte to cut.  Any other pass is one shard, run
+in this process by the same code.  Shard 0 runs in this process and writes
+straight to the pass's sinks.  Each other shard runs in a forked worker,
+which opens its own files, writes its lines to anonymous temporary part
+files (unlinked from the start, so none outlives the run) and sends a small
+result back through a pipe.  A sink that has a ``part_dir`` attribute gets
+its parts made in that directory, so a file output's parts use the file's
+own file system; any other sink's parts are made in the temporary directory.
+As shard 0 and then each worker in shard order succeeds, the worker's parts
+are copied to the sinks in fixed-size blocks, and :func:`run` adds the
+result tuples column by column in shard order, so no output byte depends on
+the number of shards.  Every sink is a UTF-8 text handle that
+``cli._line_sink`` made, so a part is copied as bytes, the sink's text layer
+flushed first.
 
 A shard that fails stops the pass: its error is raised here as the shard
 raised it, a worker's sent back pickled whole, so it is the error one
@@ -56,44 +58,15 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def count(nbytes: int) -> int:
-    """How many shards a pass over about ``nbytes`` bytes is cut into."""
-    if not hasattr(os, "fork"):
-        return 1
-    return max(1, min(usable_cpus(), nbytes // MIN_SHARD_BYTES))
-
-
 def split(total: int, nbytes: int) -> list[range]:
-    """``range(total)`` cut into contiguous ranges, one per shard of a pass over about ``nbytes`` bytes."""
-    n = max(1, min(count(nbytes), total))
-    return [range(total * k // n, total * (k + 1) // n) for k in range(n)]
+    """``range(total)`` cut into contiguous ranges, one per shard of a pass over about ``nbytes`` bytes.
 
-
-def _cuts(source: str | IO) -> list[int | None]:
-    """Where each shard of a pass over ``source`` starts, each just after a newline, then None for its end.
-
-    A handle, a path that is not a regular file or cannot be opened, and a
-    small file are one shard, ``[0, None]``; the reader names any fault.
+    The one cut rule of every pass: a range per usable CPU, but no more
+    ranges than leave each at least :data:`MIN_SHARD_BYTES` of ``nbytes`` and
+    one item, and one range where ``os.fork`` does not exist.
     """
-    if hasattr(source, "read"):
-        return [0, None]
-    cuts: list[int | None] = [0]
-    try:
-        status = os.stat(source)
-        if not stat.S_ISREG(status.st_mode):
-            return [0, None]
-        size = status.st_size
-        shards = count(size)
-        with open(source, "rb") as handle:
-            for k in range(1, shards):
-                target = max(1, size * k // shards)
-                handle.seek(target - 1)  # a line that ends at byte target - 1 starts the shard at target
-                cut = target - 1 + len(handle.readline())
-                if cuts[-1] < cut < size:
-                    cuts.append(cut)
-    except OSError:
-        return [0, None]
-    return cuts + [None]
+    n = max(1, min(usable_cpus(), nbytes // MIN_SHARD_BYTES, total)) if hasattr(os, "fork") else 1
+    return [range(total * k // n, total * (k + 1) // n) for k in range(n)]
 
 
 def line_pass(
@@ -101,11 +74,20 @@ def line_pass(
 ) -> tuple:
     """``work(lines, handles)`` for each byte range of ``source``; its tuples added column by column, in shard order.
 
-    ``lines`` is :func:`jsonl.numbered_lines` over the range, numbered and
-    indexed as in the whole input.  Counts add, arrays concatenate, and a
+    A regular file's size is cut by :func:`split`, the last range running to
+    the end; a handle, or a path that is not a regular file or cannot be
+    stat'ed, counts as size 0, one range, and the reader names any fault.
+    ``lines`` is :func:`jsonl.numbered_lines` over the range: the lines that
+    begin in it, numbered and indexed as in the whole input, so a range in
+    which no line begins has none.  Counts add, arrays concatenate, and a
     ``Counter`` keeps its keys in the order they first appear in the input.
     """
-    cuts = _cuts(source)
+    size = 0
+    if not hasattr(source, "read"):
+        with contextlib.suppress(OSError):
+            status = os.stat(source)
+            size = status.st_size if stat.S_ISREG(status.st_mode) else 0
+    cuts = [part.start for part in split(size, size)] + [None]
     return run(list(zip(cuts, cuts[1:])), lambda cut, out: work(jsonl.numbered_lines(source, *cut), out), sinks)
 
 

@@ -1521,6 +1521,22 @@ class TestStats:
         assert stdout == ""
         assert json.loads(err)["message"].startswith("line 2: record 'g-bad': malformed payload: ValueError")
 
+    def test_the_config_template_is_the_one_convert_uses(self, capsys, tmp_path):
+        # 27 options are fine free-form but too many to letter: under an mcq config both refuse the record.
+        src = tmp_path / "in.jsonl"
+        record = with_payload(golden_record("classification_mcq", id="r1"),
+                              candidates=[f"option {i}" for i in range(27)], truth="option 0")
+        write_jsonl(src, [record])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"template_style": "mcq"}))
+        message = "line 1: record 'r1': MCQ supports at most 26 options, got 27"
+        code, _, err = run(capsys, "convert", "--task", "classification", "--config", str(config),
+                                "-i", str(src), "-o", str(tmp_path / "out.jsonl"))
+        assert (code, json.loads(err)["message"]) == (1, message)
+        code, stdout, err = run(capsys, "stats", str(src), "--config", str(config))
+        assert (code, stdout, json.loads(err)["message"]) == (1, "", message)
+        assert run(capsys, "stats", str(src))[0] == 0
+
     # stats plans the sample convert makes, so a field convert refuses is refused here too.
     WRONG_SHAPES = {
         "frames_text": (with_payload(golden_record("video"), frames="abcd"), "frames must be a list of strings"),
@@ -1709,7 +1725,8 @@ class TestEval:
         "metric,flags",
         [("bleu", ["--max-n", "7"]), ("bleu", ["--max-n", "0"]),
          ("signals", ["--thresholds", "0"]), ("signals", ["--thresholds", "0.5,nan"]), ("signals", ["--thresholds", "-1"]),
-         ("signals", ["--thresholds", "1e999"]), ("signals", ["--thresholds", "0.5,inf"])],
+         ("signals", ["--thresholds", "1e999"]), ("signals", ["--thresholds", "0.5,inf"]),
+         ("signals", ["--thresholds", "0.5,0.5"])],
     )
     def test_setting_out_of_range_is_exit_2_before_the_pairs_are_read(self, capsys, tmp_path, metric, flags):
         # The pairs file is empty: reading it first would be exit 1, a metric undefined on no pairs.

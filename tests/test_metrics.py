@@ -285,6 +285,8 @@ class TestControlSignals:
             control_signal_metrics([SignalPair("a", 1.0, 1.0)], thresholds=(0.0,))
         with pytest.raises(InvalidConfigError):
             control_signal_metrics([SignalPair("a", 1.0, 1.0)], thresholds=(math.inf,))
+        with pytest.raises(InvalidConfigError, match="thresholds must differ"):  # both would be key A_0.5
+            control_signal_metrics([SignalPair("a", 1.0, 1.0)], thresholds=(0.5, 1.0, 0.5))
 
     def test_nan_threshold_is_refused(self):
         # float("nan") parses, but no error is below it, so it is no threshold.

@@ -149,24 +149,21 @@ class TestSameBytes:
         for cpus in (2, 3, 5):
             assert outcome(argv, cpus) == one
 
-    @pytest.mark.parametrize("shape", ["blank lines at every cut", "crlf", "no final newline"])
+    @pytest.mark.parametrize(
+        "shape", ["blank lines at every cut", "crlf", "no final newline", "a line longer than a shard"]
+    )
     @pytest.mark.parametrize("command", ["convert", "validate", "stats"])
-    def test_input_shapes(self, outcome, monkeypatch, tmp_path, shape, command):
+    def test_input_shapes(self, outcome, tmp_path, shape, command):
         lines = copies("region_drawn", 12)
         if shape == "blank lines at every cut":
-            # A blank line after every record: each cut starts one or follows one.
+            # A blank line after every record: a range may begin or end inside one.
             lines = [line for record in lines for line in (record, "  " if len(record) % 2 else "")]
+        if shape == "a line longer than a shard":
+            # JSON whitespace makes line 6 two thirds of the file: at 3 CPUs and more,
+            # a whole range lies inside it and holds no line start.
+            lines[5] = lines[5][:-1] + " " * (2 * sum(map(len, lines))) + "}"
         src = tmp_path / "in.jsonl"
         write_lines(src, lines, "\r\n" if shape == "crlf" else "\n", final=shape != "no final newline")
-        if shape == "blank lines at every cut":
-            data = src.read_bytes()
-            monkeypatch.setattr(shards, "MIN_SHARD_BYTES", 1)
-            for cpus in (2, 3, 4):
-                monkeypatch.setattr(shards, "usable_cpus", lambda: cpus)
-                for cut in shards._cuts(str(src))[1:-1]:
-                    before = data[: cut - 1].rsplit(b"\n", 1)[-1]
-                    after = data[cut:].split(b"\n", 1)[0]
-                    assert not before.strip() or not after.strip(), cut
         argv = {
             "convert": ["convert", "--task", "region", "-i", str(src), "-o", "OUT/out.jsonl",
                         "--overlays", "OUT/overlays.jsonl"],
@@ -506,10 +503,13 @@ class TestParts:
     def test_shards_are_never_smaller_than_the_minimum(self, monkeypatch):
         monkeypatch.setattr(shards, "usable_cpus", lambda: 64)
         size = shards.MIN_SHARD_BYTES
-        assert [shards.count(n) for n in (0, size - 1, 2 * size - 1, 2 * size, 5 * size + 1)] == [1, 1, 1, 2, 5]
-        assert shards.count(1000 * size) == 64
+        sizes = (0, size - 1, 2 * size - 1, 2 * size, 5 * size + 1)
+        assert [len(shards.split(n, n)) for n in sizes] == [1, 1, 1, 2, 5]
+        assert shards.split(5 * size + 1, 5 * size + 1)[1] == range(size, 2 * size)
+        assert len(shards.split(1000 * size, 1000 * size)) == 64
+        assert shards.split(3, 1000 * size) == [range(0, 1), range(1, 2), range(2, 3)]  # never more ranges than items
         monkeypatch.setattr(shards, "usable_cpus", lambda: 2)
-        assert shards.count(1000 * size) == 2
+        assert len(shards.split(1000 * size, 1000 * size)) == 2
 
     def test_mix_emission_is_split_by_the_bytes_it_reads(self, tmp_path):
         # 8 of 400 general records are drawn: emission reads 24 lines, not the whole general file.
@@ -574,18 +574,25 @@ class TestOneProcess:
         assert forked == []
 
     def test_a_small_file_a_pipe_one_cpu_or_no_fork_is_one_shard(self, monkeypatch, tmp_path):
+        passes = []
+        monkeypatch.setattr(shards, "run", lambda cuts, work, sinks=(): passes.append(cuts))
+
+        def cuts(source):
+            """The (start, end) byte ranges ``line_pass`` hands ``run``; a FIFO is never opened."""
+            shards.line_pass(source, None)
+            return passes.pop()
+
         src = write_lines(tmp_path / "in.jsonl", copies("grounding", 10))
+        size = os.path.getsize(src)
         monkeypatch.setattr(shards, "usable_cpus", lambda: 2)
-        assert shards._cuts(src) == [0, None]  # far below MIN_SHARD_BYTES
+        assert cuts(src) == [(0, None)]  # far below MIN_SHARD_BYTES
         monkeypatch.setattr(shards, "MIN_SHARD_BYTES", 1)
-        assert len(shards._cuts(src)) == 3
+        assert cuts(src) == [(0, size // 2), (size // 2, None)]
         if hasattr(os, "mkfifo"):
             os.mkfifo(tmp_path / "pipe")
-            assert shards._cuts(str(tmp_path / "pipe")) == [0, None]
-        monkeypatch.setattr(shards, "usable_cpus", lambda: 64)
-        assert len(shards._cuts(src)) == 11  # never more shards than lines
+            assert cuts(str(tmp_path / "pipe")) == [(0, None)]
         monkeypatch.setattr(shards, "usable_cpus", lambda: 1)
-        assert shards._cuts(src) == [0, None]
+        assert cuts(src) == [(0, None)]
         monkeypatch.setattr(shards, "usable_cpus", lambda: 2)
         monkeypatch.delattr(os, "fork")
-        assert shards._cuts(src) == [0, None]
+        assert cuts(src) == [(0, None)]
